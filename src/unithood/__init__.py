@@ -28,7 +28,6 @@ from .evidence import (
     RemoteClientConfig,
     RemoteCountClient,
     TransportError,
-    build_local_index,
     gather_evidence,
     normalize_phrase,
 )
@@ -40,13 +39,12 @@ from .extractor import (
     find_head_nouns,
     form_pairs,
     merge_pass,
+    sentence_connectors,
 )
 from .measures import (
     Thresholds,
     UndefinedEvidenceError,
     UnithoodScores,
-    baseline_cvalue,
-    baseline_pmi,
     decision_rule,
     independence,
     independence_ratio,
@@ -63,7 +61,6 @@ from .parse_ingest import (
 )
 from .pipeline import (
     DecisionRecord,
-    InjectedScores,
     PipelineConfig,
     decide_pairs,
     load_config,
@@ -82,7 +79,6 @@ __all__ = [
     "EvaluationError",
     "EvidenceSet",
     "FixtureProvider",
-    "InjectedScores",
     "LocalIndexProvider",
     "Metrics",
     "MissingCountError",
@@ -98,9 +94,6 @@ __all__ = [
     "TransportError",
     "UndefinedEvidenceError",
     "UnithoodScores",
-    "baseline_cvalue",
-    "baseline_pmi",
-    "build_local_index",
     "build_pair",
     "compute_metrics",
     "decide_pairs",
@@ -117,6 +110,7 @@ __all__ = [
     "normalize_phrase",
     "read_parse_file",
     "score",
+    "sentence_connectors",
     "sweep",
     "unithood",
     "weight",

@@ -9,21 +9,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
-from .extractor import extract_candidates, form_pairs
+from .extractor import extract_candidates, form_pairs, sentence_connectors
 from .measures import THRESHOLD_DEFAULTS_DOC, UndefinedEvidenceError
 from .parse_ingest import ParseFileError, read_parse_file
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 _ERRORS = (
     ParseFileError,
@@ -35,13 +32,6 @@ _ERRORS = (
     ValueError,
     OSError,
 )
-
-
-def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @contextlib.contextmanager
@@ -59,7 +49,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     else:
         config = pipeline.PipelineConfig()
     if getattr(args, "cache", None):
-        config = pipeline.replace_cache(config, args.cache)
+        config = dataclasses.replace(config, cache_path=args.cache)
     overrides = {}
     for item in getattr(args, "threshold", None) or []:
         name, _, value = item.partition("=")
@@ -76,14 +66,12 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 def _cmd_extract(args: argparse.Namespace) -> int:
     with open(args.parse_file, encoding="utf-8") as handle:
         sentences = read_parse_file(handle)
-    per_sentence = _parallel_map(
-        lambda s: (extract_candidates(s), s), sentences, args.jobs
-    )
     all_candidates = []
     all_pairs = []
-    for candidates, sentence in per_sentence:
+    for sentence in sentences:
+        candidates = extract_candidates(sentence)
         all_candidates.extend(candidates)
-        all_pairs.extend(form_pairs(candidates, sentence))
+        all_pairs.extend(form_pairs(candidates, sentence_connectors(sentence)))
     with _open_out(args.out_candidates) as handle:
         pipeline.write_candidates_file(all_candidates, handle)
     with _open_out(args.out_pairs) as handle:
@@ -186,11 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         gold = pipeline.read_gold_file(handle)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                points = evaluation.sweep(rows, gold, grid, args.sort_key, map_fn=pool.map)
-        else:
-            points = evaluation.sweep(rows, gold, grid, args.sort_key)
+        points = evaluation.sweep(rows, gold, grid, args.sort_key)
     for warning in caught:
         print("note: %s" % warning.message, file=sys.stderr)
     with _open_out(args.out) as handle:
@@ -235,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     parser.add_argument("--cache", help="count cache file (overrides the config)")
     commands = parser.add_subparsers(dest="command", required=True)
 

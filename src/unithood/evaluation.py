@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .evidence import EvidenceSet
-from .measures import Thresholds, unithood
+from .measures import THRESHOLD_NAMES, Thresholds, unithood
 
-THRESHOLD_NAMES = ("mi_plus", "mi_minus", "id_t", "idr_plus", "idr_minus")
 METRIC_NAMES = ("precision", "recall", "f_score", "paper_f", "accuracy")
 
 
@@ -118,26 +117,18 @@ class SweepPoint:
     metrics: Metrics
 
 
-def decide_batch(
-    rows: Sequence[PairEvidence], thresholds: Thresholds
-) -> dict[str, bool]:
-    return {row.pair_id: unithood(row.evidence, thresholds).uh for row in rows}
-
-
 def sweep(
     rows: Sequence[PairEvidence],
     gold: Mapping[str, bool],
     grid: Mapping[str, Sequence[float]],
     sort_key: str = "f_score",
-    map_fn=map,
 ) -> list[SweepPoint]:
     """Evaluate every grid point over fixed evidence.
 
     ``grid`` maps threshold names to candidate values; omitted names use
     the default thresholds.  Combinations violating the threshold
     invariants are skipped with a warning.  Results are sorted by the
-    chosen metric, best first, ties kept in grid order.  ``map_fn`` may
-    be an executor's map; the output does not depend on it.
+    chosen metric, best first, ties kept in grid order.
     """
     if not rows:
         raise EvaluationError("no pairs to sweep over")
@@ -168,21 +159,18 @@ def sweep(
         warnings.warn("%d gold label(s) have no swept pair and are ignored" % extra)
     restricted_gold = {pid: gold[pid] for pid in pair_ids}
 
-    def evaluate(item: tuple[int, tuple[float, ...]]) -> SweepPoint | tuple[int, str]:
-        index, combo = item
+    points: list[SweepPoint] = []
+    for index, combo in enumerate(itertools.product(*axes)):
         try:
             thresholds = Thresholds(*combo)
         except ValueError as exc:
-            return (index, "skipping grid point %s: %s" % (dict(zip(THRESHOLD_NAMES, combo)), exc))
-        table = score(decide_batch(rows, thresholds), restricted_gold)
-        return SweepPoint(index, thresholds, table, compute_metrics(table))
-
-    points: list[SweepPoint] = []
-    for result in map_fn(evaluate, list(enumerate(itertools.product(*axes)))):
-        if isinstance(result, SweepPoint):
-            points.append(result)
-        else:
-            warnings.warn(result[1])
+            warnings.warn(
+                "skipping grid point %s: %s" % (dict(zip(THRESHOLD_NAMES, combo)), exc)
+            )
+            continue
+        decisions = {row.pair_id: unithood(row.evidence, thresholds).uh for row in rows}
+        table = score(decisions, restricted_gold)
+        points.append(SweepPoint(index, thresholds, table, compute_metrics(table)))
     if not points:
         raise ValueError("every grid point was invalid")
 

@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Mapping, Protocol
 
 import requests
 
+from .parse_ingest import read_rows
+
 
 def normalize_phrase(phrase: str) -> str:
     """Collapse runs of whitespace to single spaces; case is preserved."""
@@ -95,12 +97,9 @@ class FixtureProvider:
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             counts = json.loads(text)
         else:
-            counts = {}
-            for line in text.splitlines():
-                if not line.strip() or line.startswith("#"):
-                    continue
-                phrase, value = line.split("\t")
-                counts[phrase] = int(value)
+            counts = dict(
+                read_rows(text.splitlines(), 2, "count table", lambda c: (c[0], int(c[1])))
+            )
         return cls(counts, missing_policy)
 
     def count(self, phrase: str) -> int:
@@ -155,11 +154,6 @@ class LocalIndexProvider:
         return sum(1 for doc_id in doc_ids if needle in self._padded[doc_id])
 
 
-def build_local_index(corpus: Iterable[str | Iterable[str]]) -> LocalIndexProvider:
-    """Index a corpus of whitespace-tokenized documents (or token lists)."""
-    return LocalIndexProvider(corpus)
-
-
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:
     """Build a local index from a text file with one document per line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -172,6 +166,11 @@ class CountCacheEntry:
     count: int
     provider_id: str
     fetched_at: str
+
+
+def _cache_entry(columns: list[str]) -> CountCacheEntry:
+    phrase, count, provider_id, fetched_at = columns
+    return CountCacheEntry(phrase, int(count), provider_id, fetched_at)
 
 
 class CountCache:
@@ -187,12 +186,9 @@ class CountCache:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], CountCacheEntry] = {}
         if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip() or line.startswith("#"):
-                    continue
-                phrase, count, provider_id, fetched_at = line.split("\t")
-                entry = CountCacheEntry(phrase, int(count), provider_id, fetched_at)
-                self._entries[(provider_id, _lookup_key(phrase))] = entry
+            lines = self.path.read_text(encoding="utf-8").splitlines()
+            for entry in read_rows(lines, 4, "count cache", _cache_entry):
+                self._entries[(entry.provider_id, _lookup_key(entry.phrase))] = entry
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -195,14 +195,13 @@ def extract_candidates(sentence: ParsedSentence) -> list[Candidate]:
     return candidates
 
 
-def _connector_lemma(token: ParseToken | None) -> str | None:
-    if token is None:
-        return None
-    if token.pos == PREPOSITION_TAG:
-        return token.lemma
-    if token.pos == CONJUNCTION_TAG and token.lemma == CONJUNCTION_LEMMA:
-        return token.lemma
-    return None
+def sentence_connectors(sentence: ParsedSentence) -> dict[int, str]:
+    """Map the offset of each preposition or "and" in a sentence to its lemma."""
+    return {
+        t.offset: t.lemma
+        for t in sentence.tokens
+        if t.pos == PREPOSITION_TAG or (t.pos == CONJUNCTION_TAG and t.lemma == CONJUNCTION_LEMMA)
+    }
 
 
 def build_pair(a_x: Candidate, b: str, a_y: Candidate) -> CandidatePair:
@@ -211,16 +210,16 @@ def build_pair(a_x: Candidate, b: str, a_y: Candidate) -> CandidatePair:
 
 
 def form_pairs(
-    candidates: Sequence[Candidate], sentence: ParsedSentence
+    candidates: Sequence[Candidate], connectors: Mapping[int, str]
 ) -> list[CandidatePair]:
-    """Pair candidates that sit next to each other in the sentence.
+    """Pair candidates that sit next to each other in a sentence.
 
     A pair is emitted when the right candidate starts one offset after
-    the left one ends, or two offsets after with the token in between
-    being a preposition or the conjunction "and".  Pairs come out in
-    left-to-right order of the left candidate.
+    the left one ends, or two offsets after with a connector in between:
+    ``connectors`` maps the offset of each preposition or "and" to its
+    lemma (see ``sentence_connectors``).  Pairs come out in left-to-right
+    order of the left candidate.
     """
-    by_offset = sentence.by_offset()
     by_start = {c.start: c for c in candidates}
     pairs: list[CandidatePair] = []
     for left in sorted(candidates, key=lambda c: c.start):
@@ -228,10 +227,8 @@ def form_pairs(
         if right is not None:
             pairs.append(build_pair(left, "", right))
         right = by_start.get(left.end + 2)
-        if right is not None:
-            lemma = _connector_lemma(by_offset.get(left.end + 1))
-            if lemma is not None:
-                pairs.append(build_pair(left, lemma, right))
+        if right is not None and left.end + 1 in connectors:
+            pairs.append(build_pair(left, connectors[left.end + 1], right))
     return pairs
 
 

@@ -11,22 +11,16 @@ ID = log10(n_side - n_s) when the side is seen more often than the unit,
 else 0.  The merge decision accepts a pair outright on high MI, or on
 mediocre MI when both sides are highly independent and about equally so
 (the ratio of their independences falls inside a band).
-
-Two conventional baselines are included: pointwise mutual information
-over probabilities, and the Cvalue frequency measure for nested terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 from .evidence import EvidenceSet
 
 E_INV = math.exp(-1.0)
-
-THRESHOLD_DEFAULTS_DOC = "mi_plus=0.9 mi_minus=0.02 id_t=6 idr_plus=1.35 idr_minus=0.93"
 
 
 class UndefinedEvidenceError(ValueError):
@@ -59,6 +53,10 @@ class Thresholds:
             raise ValueError("idr_plus must exceed idr_minus")
         if self.id_t < 0:
             raise ValueError("id_t must be non-negative")
+
+
+THRESHOLD_NAMES = tuple(f.name for f in fields(Thresholds))
+THRESHOLD_DEFAULTS_DOC = " ".join("%s=%g" % (f.name, f.default) for f in fields(Thresholds))
 
 
 @dataclass(frozen=True)
@@ -156,48 +154,3 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     idr = independence_ratio(id_x, id_y)
     uh = False if degenerate else decision_rule(mi, id_x, id_y, idr, thresholds)
     return UnithoodScores(p_s, p_ax, p_ay, mi, id_x, id_y, idr, uh, degenerate)
-
-
-def baseline_pmi(p_ab: float, p_a: float, p_b: float) -> float:
-    """Pointwise mutual information log2(p_ab / (p_a * p_b)).
-
-    Returns -inf when the joint probability is zero; raises when either
-    marginal is zero.
-    """
-    if p_a <= 0 or p_b <= 0:
-        raise ValueError("marginal probabilities must be positive")
-    if p_ab < 0:
-        raise ValueError("joint probability must be non-negative")
-    if p_ab == 0:
-        return float("-inf")
-    return math.log2(p_ab / (p_a * p_b))
-
-
-def baseline_cvalue(
-    candidate: str,
-    frequency: float,
-    longest_ngram: int,
-    longer: Sequence[tuple[str, float]] = (),
-) -> float:
-    """Cvalue of a candidate term.
-
-    log2(word count) times the frequency, discounted by the mean
-    frequency of the longer terms containing the candidate when the
-    candidate is shorter than the longest n-gram considered.  Note the
-    log2 factor zeroes every single-word value.
-    """
-    words = candidate.split()
-    if not words:
-        raise ValueError("candidate must contain at least one word")
-    if len(words) > longest_ngram:
-        raise ValueError(
-            "candidate has %d words but the longest n-gram considered is %d"
-            % (len(words), longest_ngram)
-        )
-    if any(term == candidate for term, _ in longer):
-        raise ValueError("the candidate must not appear in its own longer-term set")
-    factor = math.log2(len(words))
-    if len(words) == longest_ngram or not longer:
-        return factor * frequency
-    mean_longer = sum(freq for _, freq in longer) / len(longer)
-    return factor * (frequency - mean_longer)

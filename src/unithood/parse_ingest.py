@@ -15,7 +15,7 @@ scope".  Files are UTF-8 with LF line endings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
@@ -23,13 +23,45 @@ HEADER_COMMENT = "# sentence_id\toffset\tlemma\tpos\tdep_rel\thead_offset"
 
 _FORBIDDEN_CHARS = ("\t", "\n", "\r")
 
+T = TypeVar("T")
+
 
 class ParseFileError(ValueError):
-    """A malformed parse file; carries the 1-based offending line number."""
+    """A malformed TSV input file; carries the 1-based offending line number."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__("line %d: %s" % (line_number, message))
+    def __init__(self, message: str, line_number: int, kind: str = "parse file"):
+        super().__init__("%s line %d: %s" % (kind, line_number, message))
         self.line_number = line_number
+
+
+def read_rows(
+    stream: Iterable[str],
+    n_columns: int,
+    kind: str,
+    convert: Callable[[list[str]], T],
+) -> Iterator[T]:
+    """Yield ``convert(columns)`` for each data row of a TSV stream.
+
+    LF or CRLF line endings are accepted; blank lines and lines starting
+    with ``#`` are skipped.  A row with the wrong column count, or one
+    whose conversion raises ValueError, raises ParseFileError naming
+    ``kind`` and the line.
+    """
+    for line_number, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n")
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line.strip() or line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        try:
+            if len(columns) != n_columns:
+                raise ValueError(
+                    "expected %d tab-separated columns, got %d" % (n_columns, len(columns))
+                )
+            yield convert(columns)
+        except ValueError as exc:
+            raise ParseFileError(str(exc), line_number, kind) from None
 
 
 def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
@@ -96,39 +128,25 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
     the wrong column count, non-integer offsets, invalid token fields,
     or an offset that repeats within a sentence.
     """
-    grouped: dict[str, list[ParseToken]] = {}
     seen: set[tuple[str, int]] = set()
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line.strip() or line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != 6:
-            raise ParseFileError(
-                "expected 6 tab-separated columns, got %d" % len(columns), line_number
-            )
+
+    def token_row(columns: list[str]) -> tuple[str, ParseToken]:
         sentence_id, offset_s, lemma, pos, dep_rel, head_s = columns
         try:
             offset = int(offset_s)
             head_offset = int(head_s)
         except ValueError:
-            raise ParseFileError(
-                "offset and head_offset must be integers, got %r / %r"
-                % (offset_s, head_s),
-                line_number,
+            raise ValueError(
+                "offset and head_offset must be integers, got %r / %r" % (offset_s, head_s)
             ) from None
-        try:
-            token = ParseToken(offset, lemma, pos, dep_rel, head_offset)
-        except ValueError as exc:
-            raise ParseFileError(str(exc), line_number) from None
+        token = ParseToken(offset, lemma, pos, dep_rel, head_offset)
         if (sentence_id, offset) in seen:
-            raise ParseFileError(
-                "duplicate offset %d in sentence %r" % (offset, sentence_id),
-                line_number,
-            )
+            raise ValueError("duplicate offset %d in sentence %r" % (offset, sentence_id))
         seen.add((sentence_id, offset))
+        return sentence_id, token
+
+    grouped: dict[str, list[ParseToken]] = {}
+    for sentence_id, token in read_rows(stream, 6, "parse file", token_row):
         grouped.setdefault(sentence_id, []).append(token)
     return [
         ParsedSentence(sid, tuple(sorted(tokens, key=lambda t: t.offset)))

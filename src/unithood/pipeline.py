@@ -35,11 +35,15 @@ from .evidence import (
     gather_evidence,
     load_corpus_file,
 )
-from .extractor import Candidate, CandidatePair, build_pair, merge_pass
+from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
 from .measures import Thresholds, decision_rule, unithood
+from .parse_ingest import read_rows
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
+
+# Externally supplied (mi, id_x, id_y, idr) for one pair; idr may be NA.
+Scores = tuple[float, float, float, float | None]
 
 
 class ConfigError(ValueError):
@@ -128,10 +132,6 @@ def apply_threshold_overrides(
     return replace(config, thresholds=replace(config.thresholds, **overrides))
 
 
-def replace_cache(config: PipelineConfig, cache_path: str) -> PipelineConfig:
-    return replace(config, cache_path=cache_path)
-
-
 def build_provider(config: PipelineConfig) -> CountProvider:
     if config.fixture_path is not None:
         provider: CountProvider = FixtureProvider.from_file(
@@ -160,20 +160,10 @@ def _parse_span(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _rows(stream: Iterable[str], n_columns: int, what: str) -> Iterable[list[str]]:
-    for line_number, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line.strip() or line.startswith("#"):
-            continue
-        columns = line.split("\t")
-        if len(columns) != n_columns:
-            raise ValueError(
-                "%s line %d: expected %d columns, got %d"
-                % (what, line_number, n_columns, len(columns))
-            )
-        yield columns
+def _first(seen: set, key, what: str) -> None:
+    if key in seen:
+        raise ValueError("duplicate %s %r" % (what, key))
+    seen.add(key)
 
 
 def write_candidates_file(candidates: Iterable[Candidate], stream: TextIO) -> None:
@@ -203,13 +193,13 @@ def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
 
 
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
-    pairs = []
-    for columns in _rows(stream, 8, "pairs file"):
+    def pair(columns: list[str]) -> CandidatePair:
         sentence_id, _, _, ax_span, ax_surface, b, ay_span, ay_surface = columns
         a_x = Candidate(sentence_id, _parse_span(ax_span), ax_surface)
         a_y = Candidate(sentence_id, _parse_span(ay_span), ay_surface)
-        pairs.append(build_pair(a_x, b, a_y))
-    return pairs
+        return build_pair(a_x, b, a_y)
+
+    return list(read_rows(stream, 8, "pairs file", pair))
 
 
 @dataclass(frozen=True)
@@ -254,24 +244,27 @@ def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
         )
 
 
+def _read_verdicts(
+    stream: Iterable[str], n_columns: int, column: int, kind: str, what: str
+) -> dict[str, bool]:
+    seen: set[str] = set()
+
+    def verdict(columns: list[str]) -> tuple[str, bool]:
+        pair_id, text = columns[0], columns[column]
+        _first(seen, pair_id, "pair id")
+        if text not in (MERGED, NOTMERGED):
+            raise ValueError("unknown %s %r for pair %s" % (what, text, pair_id))
+        return pair_id, text == MERGED
+
+    return dict(read_rows(stream, n_columns, kind, verdict))
+
+
 def read_decisions_file(stream: Iterable[str]) -> dict[str, bool]:
-    decisions = {}
-    for columns in _rows(stream, 10, "decisions file"):
-        pair_id, verdict = columns[0], columns[8]
-        if verdict not in (MERGED, NOTMERGED):
-            raise ValueError("unknown decision %r for pair %s" % (verdict, pair_id))
-        decisions[pair_id] = verdict == MERGED
-    return decisions
+    return _read_verdicts(stream, 10, 8, "decisions file", "decision")
 
 
 def read_gold_file(stream: Iterable[str]) -> dict[str, bool]:
-    gold = {}
-    for columns in _rows(stream, 2, "gold file"):
-        pair_id, verdict = columns
-        if verdict not in (MERGED, NOTMERGED):
-            raise ValueError("unknown gold label %r for pair %s" % (verdict, pair_id))
-        gold[pair_id] = verdict == MERGED
-    return gold
+    return _read_verdicts(stream, 2, 1, "gold file", "gold label")
 
 
 def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
@@ -286,30 +279,29 @@ def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
 
 
 def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
-    rows = []
-    for columns in _rows(stream, 8, "decorated pairs file"):
+    seen: set[str] = set()
+
+    def row(columns: list[str]) -> tuple[str, EvidenceSet]:
         pair_id = columns[0]
+        _first(seen, pair_id, "pair id")
         n_s, n_ax, n_ay = (int(v) for v in columns[5:8])
-        rows.append((pair_id, EvidenceSet(n_s, n_ax, n_ay)))
-    return rows
+        return pair_id, EvidenceSet(n_s, n_ax, n_ay)
+
+    return list(read_rows(stream, 8, "decorated pairs file", row))
 
 
-@dataclass(frozen=True)
-class InjectedScores:
-    mi: float
-    id_x: float
-    id_y: float
-    idr: float | None
+def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], Scores]:
+    """Map each surface triple (a_x, b, a_y) to its (mi, id_x, id_y, idr)."""
+    seen: set[tuple[str, str, str]] = set()
 
-
-def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], InjectedScores]:
-    scores = {}
-    for columns in _rows(stream, 7, "scores file"):
-        a_x, b, a_y = columns[0:3]
+    def row(columns: list[str]) -> tuple[tuple[str, str, str], Scores]:
+        triple = (columns[0], columns[1], columns[2])
+        _first(seen, triple, "surface triple")
         mi, id_x, id_y = (float(v) for v in columns[3:6])
         idr = None if columns[6] == "NA" else float(columns[6])
-        scores[(a_x, b, a_y)] = InjectedScores(mi, id_x, id_y, idr)
-    return scores
+        return triple, (mi, id_x, id_y, idr)
+
+    return dict(read_rows(stream, 7, "scores file", row))
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +316,11 @@ def _dedup_candidates(pairs: Sequence[CandidatePair]) -> list[Candidate]:
     return sorted(seen.values(), key=lambda c: c.start)
 
 
-def _eligible_pairs(
-    candidates: Sequence[Candidate], connectors: Mapping[int, str]
-) -> list[CandidatePair]:
-    # Re-derives pairs from candidate adjacency alone; connector lemmas
-    # come from the originally extracted pairs, so a gap token that was
-    # never a valid connector can never become one here.
-    by_start = {c.start: c for c in candidates}
-    pairs = []
-    for left in sorted(candidates, key=lambda c: c.start):
-        right = by_start.get(left.end + 1)
-        if right is not None:
-            pairs.append(build_pair(left, "", right))
-        right = by_start.get(left.end + 2)
-        if right is not None and left.end + 1 in connectors:
-            pairs.append(build_pair(left, connectors[left.end + 1], right))
-    return pairs
-
-
 def decide_pairs(
     pairs: Sequence[CandidatePair],
     thresholds: Thresholds,
     provider: CountProvider | None = None,
-    injected: Mapping[tuple[str, str, str], InjectedScores] | None = None,
+    injected: Mapping[tuple[str, str, str], Scores] | None = None,
     max_passes: int = 3,
 ) -> list[DecisionRecord]:
     """Decide every pair, merging accepted ones and re-pairing to fixpoint.
@@ -364,6 +338,8 @@ def decide_pairs(
 
     records: list[DecisionRecord] = []
     for sentence_id, sentence_pairs in by_sentence.items():
+        # Connector lemmas come from the extracted pairs, so a gap token
+        # that was never a valid connector can never become one here.
         connectors = {
             pair.connector_offset: pair.b
             for pair in sentence_pairs
@@ -372,12 +348,13 @@ def decide_pairs(
         candidates = _dedup_candidates(sentence_pairs)
         decided: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for _ in range(max_passes):
-            current = _eligible_pairs(candidates, connectors)
+            current = form_pairs(candidates, connectors)
             decisions: dict[CandidatePair, bool] = {}
             for pair in current:
                 key = pair.key()
                 if key not in decided:
-                    record = _decide_one(pair, thresholds, provider, injected)
+                    pair_id = str(len(records) + 1)
+                    record = _decide_one(pair_id, pair, thresholds, provider, injected)
                     records.append(record)
                     decided[key] = record.merged
                 decisions[pair] = decided[key]
@@ -385,36 +362,32 @@ def decide_pairs(
             if len(merged_candidates) == len(candidates):
                 break
             candidates = merged_candidates
-
-    return [
-        replace(record, pair_id=str(number))
-        for number, record in enumerate(records, start=1)
-    ]
+    return records
 
 
 def _decide_one(
+    pair_id: str,
     pair: CandidatePair,
     thresholds: Thresholds,
     provider: CountProvider | None,
-    injected: Mapping[tuple[str, str, str], InjectedScores],
+    injected: Mapping[tuple[str, str, str], Scores],
 ) -> DecisionRecord:
     key = (pair.a_x.surface, pair.b, pair.a_y.surface)
+    evidence = None
     if key in injected:
-        given = injected[key]
-        merged = decision_rule(given.mi, given.id_x, given.id_y, given.idr, thresholds)
-        return DecisionRecord(
-            "", pair.sentence_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-            given.mi, given.id_x, given.id_y, given.idr, merged, None,
-        )
-    if provider is None:
+        mi, id_x, id_y, idr = injected[key]
+        merged = decision_rule(mi, id_x, id_y, idr, thresholds)
+    elif provider is None:
         raise ConfigError(
             "no count provider configured and no injected scores for %r" % pair.s
         )
-    evidence = gather_evidence(provider, pair.s, pair.a_x.surface, pair.a_y.surface)
-    scores = unithood(evidence, thresholds)
+    else:
+        evidence = gather_evidence(provider, pair.s, pair.a_x.surface, pair.a_y.surface)
+        scores = unithood(evidence, thresholds)
+        mi, id_x, id_y, idr, merged = scores.mi, scores.id_x, scores.id_y, scores.idr, scores.uh
     return DecisionRecord(
-        "", pair.sentence_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-        scores.mi, scores.id_x, scores.id_y, scores.idr, scores.uh, evidence,
+        pair_id, pair.sentence_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
+        mi, id_x, id_y, idr, merged, evidence,
     )
 
 

@@ -59,17 +59,13 @@ class TestExtract:
         assert code == 1
         assert "line 2" in err
 
-    def test_jobs_do_not_change_output(self, tmp_path, fixtures_dir, capsys):
-        paths = {}
-        for jobs in (1, 4):
-            c = tmp_path / ("c%d.tsv" % jobs)
-            p = tmp_path / ("p%d.tsv" % jobs)
-            code, _, _ = run(
-                capsys, "--jobs", jobs, "extract", fixtures_dir / "sample_parse.tsv", c, p
-            )
-            assert code == 0
-            paths[jobs] = (c.read_bytes(), p.read_bytes())
-        assert paths[1] == paths[4]
+    def test_jobs_option_rejected(self, tmp_path, fixtures_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, "--jobs", 2, "extract", fixtures_dir / "sample_parse.tsv",
+                tmp_path / "c.tsv", tmp_path / "p.tsv")
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
 
 
 class TestDecide:
@@ -200,6 +196,28 @@ class TestDecide:
         assert row.split("\t")[5:8] == ["1300000", "2100000", "14000000"]
 
 
+    @pytest.mark.parametrize(
+        "pairs_row, scores_row, message",
+        [
+            ("s1\t1,x\ta b\t1\ta\t\tx\tb\n", None, "pairs file line 3"),
+            (None, "a\t\tb\t0.5\thigh\t1\tNA\n", "scores file line 3"),
+            (None, "a\t\tb\t0.5\t6\t1\tNA\n" * 2, "scores file line 4"),
+        ],
+        ids=["pairs-bad-span", "scores-bad-float", "scores-duplicate-triple"],
+    )
+    def test_malformed_row_fails_with_line_number(
+        self, tmp_path, capsys, pairs_row, scores_row, message
+    ):
+        good_pair = "s1\t1,2\ta b\t1\ta\t\t2\tb\n"
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("# header\n" + good_pair + (pairs_row or ""), encoding="utf-8")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("# header\n\n" + (scores_row or ""), encoding="utf-8")
+        code, _, err = run(capsys, "decide", pairs, "--scores", scores)
+        assert code == 1
+        assert message in err
+
+
 class TestEval:
     def make_files(self, tmp_path, decisions, gold):
         d = tmp_path / "decisions.tsv"
@@ -324,25 +342,26 @@ class TestSweep:
         assert code == 1
         assert "grid" in err
 
-    def test_jobs_do_not_change_report(self, fixtures_dir, tmp_path, capsys):
-        grid = json.dumps({"id_t": [3, 6, 9], "idr_minus": [0.8, 0.93]})
-        reports = {}
-        for jobs in (1, 3):
-            report = tmp_path / ("report%d.tsv" % jobs)
-            code, _, _ = run(
-                capsys,
-                "--jobs",
-                jobs,
-                "sweep",
-                fixtures_dir / "decorated_pairs.tsv",
-                fixtures_dir / "sweep_gold.tsv",
-                grid,
-                "--out",
-                report,
-            )
-            assert code == 0
-            reports[jobs] = report.read_bytes()
-        assert reports[1] == reports[3]
+    @pytest.mark.parametrize(
+        "decorated_row, message",
+        [
+            ("p2\ta\t\tb\ta b\tx\t2\t3\n", "decorated pairs file line 3: invalid literal"),
+            ("p1\ta\t\tb\ta b\t1\t2\t3\n", "decorated pairs file line 3: duplicate pair id"),
+        ],
+        ids=["bad-count", "duplicate-pair-id"],
+    )
+    def test_malformed_row_fails_with_line_number(
+        self, tmp_path, capsys, decorated_row, message
+    ):
+        decorated = tmp_path / "decorated.tsv"
+        decorated.write_text(
+            "# header\np1\ta\t\tb\ta b\t1\t2\t3\n" + decorated_row, encoding="utf-8"
+        )
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p1\tMERGED\np2\tNOTMERGED\n", encoding="utf-8")
+        code, _, err = run(capsys, "sweep", decorated, gold, '{"id_t": [6]}')
+        assert code == 1
+        assert message in err
 
     def test_grid_from_file(self, fixtures_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"

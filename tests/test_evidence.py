@@ -11,10 +11,10 @@ from unithood import (
     FixtureProvider,
     LocalIndexProvider,
     MissingCountError,
+    ParseFileError,
     RemoteClientConfig,
     RemoteCountClient,
     TransportError,
-    build_local_index,
     normalize_phrase,
 )
 
@@ -81,6 +81,13 @@ class TestFixtureProvider:
         assert provider.count("a b") == 7
         assert provider.count("c") == 0
 
+    def test_tsv_bad_count_names_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("# phrase\tcount\na b\t7\nc\tmany\n", encoding="utf-8")
+        with pytest.raises(ParseFileError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value).startswith("count table line 3: ")
+
 
 def naive_document_frequency(documents, phrase_tokens):
     n = len(phrase_tokens)
@@ -97,7 +104,7 @@ def naive_document_frequency(documents, phrase_tokens):
 
 class TestLocalIndex:
     def test_document_frequency_not_occurrences(self):
-        provider = build_local_index(["a b a b", "a b"])
+        provider = LocalIndexProvider(["a b a b", "a b"])
         assert provider.count("a b") == 2
 
     def test_two_of_three_documents(self):
@@ -106,18 +113,18 @@ class TestLocalIndex:
             "cases of food poisoning rose",
             "food safety and poisoning prevention",
         ]
-        assert build_local_index(corpus).count("food poisoning") == 2
+        assert LocalIndexProvider(corpus).count("food poisoning") == 2
 
     def test_empty_corpus(self):
-        provider = build_local_index([])
+        provider = LocalIndexProvider([])
         assert provider.count("anything") == 0
 
     def test_phrase_longer_than_documents(self):
-        provider = build_local_index(["a b", "c"])
+        provider = LocalIndexProvider(["a b", "c"])
         assert provider.count("a b c d") == 0
 
     def test_case_insensitive(self):
-        provider = build_local_index(["Food Poisoning case"])
+        provider = LocalIndexProvider(["Food Poisoning case"])
         assert provider.count("food poisoning") == 1
 
     def test_token_lists_accepted(self):
@@ -125,11 +132,11 @@ class TestLocalIndex:
         assert provider.count("a b") == 1
 
     def test_tokens_must_be_contiguous(self):
-        provider = build_local_index(["a x b"])
+        provider = LocalIndexProvider(["a x b"])
         assert provider.count("a b") == 0
 
     def test_no_partial_token_matches(self):
-        provider = build_local_index(["ab b", "a bb"])
+        provider = LocalIndexProvider(["ab b", "a bb"])
         assert provider.count("a b") == 0
 
     def test_matches_naive_scan_on_random_corpus(self):
@@ -191,6 +198,15 @@ class TestCountCache:
         assert count == "3"
         assert provider_id == "fixture"
         assert fetched_at.endswith("Z")
+
+    def test_malformed_line_names_line(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        CountCache(path).put("fixture", "a b", 3)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("c d\t4\tfix")
+        with pytest.raises(ParseFileError) as err:
+            CountCache(path)
+        assert str(err.value).startswith("count cache line 2: expected 4")
 
 
 class CountingProvider:

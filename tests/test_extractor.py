@@ -12,6 +12,7 @@ from unithood import (
     find_head_nouns,
     form_pairs,
     merge_pass,
+    sentence_connectors,
 )
 
 
@@ -95,7 +96,7 @@ class TestExtractCandidates:
 class TestFormPairs:
     def test_sample_single_pair(self, sample_sentence):
         candidates = extract_candidates(sample_sentence)
-        pairs = form_pairs(candidates, sample_sentence)
+        pairs = form_pairs(candidates, sentence_connectors(sample_sentence))
         assert len(pairs) == 1
         pair = pairs[0]
         assert pair.a_x.surface == "National Institute"
@@ -106,7 +107,9 @@ class TestFormPairs:
     def test_determiner_blocks_pairing(self, sample_sentence):
         # "Kathy Kopnisky of the ..." has two tokens between the
         # candidates, so no pair forms to its right.
-        pairs = form_pairs(extract_candidates(sample_sentence), sample_sentence)
+        pairs = form_pairs(
+            extract_candidates(sample_sentence), sentence_connectors(sample_sentence)
+        )
         assert all(p.a_x.surface != "Kathy Kopnisky" for p in pairs)
 
     def test_adjacent_candidates_pair_with_empty_connector(self):
@@ -120,7 +123,7 @@ class TestFormPairs:
         # force two candidates: split the compound by hand
         left = Candidate("t", (1, 2), "bird flu")
         right = Candidate("t", (3,), "virus")
-        pairs = form_pairs([left, right], sentence)
+        pairs = form_pairs([left, right], sentence_connectors(sentence))
         assert len(pairs) == 1
         assert pairs[0].b == ""
         assert pairs[0].s == "bird flu virus"
@@ -133,7 +136,7 @@ class TestFormPairs:
                 (3, "Diseases", "NNPS", "conj", 1),
             ]
         )
-        pairs = form_pairs(extract_candidates(sentence), sentence)
+        pairs = form_pairs(extract_candidates(sentence), sentence_connectors(sentence))
         assert [p.s for p in pairs] == ["Allergy and Diseases"]
 
     def test_other_conjunction_does_not_pair(self):
@@ -144,7 +147,7 @@ class TestFormPairs:
                 (3, "Diseases", "NNPS", "conj", 1),
             ]
         )
-        assert form_pairs(extract_candidates(sentence), sentence) == []
+        assert form_pairs(extract_candidates(sentence), sentence_connectors(sentence)) == []
 
     def test_verb_separated_candidates_do_not_pair(self):
         sentence = sentence_from(
@@ -154,7 +157,7 @@ class TestFormPairs:
                 (3, "man", "NN", "dobj", 2),
             ]
         )
-        assert form_pairs(extract_candidates(sentence), sentence) == []
+        assert form_pairs(extract_candidates(sentence), sentence_connectors(sentence)) == []
 
     def test_pair_order_is_left_to_right(self):
         sentence = sentence_from(
@@ -170,7 +173,7 @@ class TestFormPairs:
             Candidate("t", (2,), "b"),
             Candidate("t", (4,), "c"),
         ]
-        pairs = form_pairs(candidates, sentence)
+        pairs = form_pairs(candidates, sentence_connectors(sentence))
         assert [(p.a_x.surface, p.a_y.surface) for p in pairs] == [("a", "b"), ("b", "c")]
 
 
@@ -307,7 +310,7 @@ class TestRandomizedInvariants:
             sentence = random_sentence(rng)
             by_offset = sentence.by_offset()
             candidates = extract_candidates(sentence)
-            for pair in form_pairs(candidates, sentence):
+            for pair in form_pairs(candidates, sentence_connectors(sentence)):
                 assert pair.a_x.end < pair.a_y.start
                 gap = pair.a_y.start - pair.a_x.end - 1
                 assert gap in (0, 1)
@@ -325,7 +328,7 @@ class TestRandomizedInvariants:
         for _ in range(300):
             sentence = random_sentence(rng)
             candidates = extract_candidates(sentence)
-            pairs = form_pairs(candidates, sentence)
+            pairs = form_pairs(candidates, sentence_connectors(sentence))
             decisions = {p: rng.random() < 0.5 for p in pairs}
             out = merge_pass(pairs, decisions, candidates)
             assert len(out) <= len(candidates)

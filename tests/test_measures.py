@@ -8,8 +8,6 @@ from unithood import (
     EvidenceSet,
     Thresholds,
     UndefinedEvidenceError,
-    baseline_cvalue,
-    baseline_pmi,
     decision_rule,
     independence,
     independence_ratio,
@@ -17,6 +15,7 @@ from unithood import (
     unithood,
     weight,
 )
+from unithood.measures import THRESHOLD_DEFAULTS_DOC, THRESHOLD_NAMES
 
 E_INV = math.exp(-1.0)
 
@@ -143,6 +142,12 @@ class TestThresholds:
             0.93,
         )
 
+    def test_defaults_doc_lists_names_and_defaults_in_field_order(self):
+        assert THRESHOLD_NAMES == ("mi_plus", "mi_minus", "id_t", "idr_plus", "idr_minus")
+        assert THRESHOLD_DEFAULTS_DOC == (
+            "mi_plus=0.9 mi_minus=0.02 id_t=6 idr_plus=1.35 idr_minus=0.93"
+        )
+
     def test_mi_band_must_be_ordered(self):
         with pytest.raises(ValueError):
             Thresholds(mi_plus=0.02, mi_minus=0.9)
@@ -243,58 +248,3 @@ class TestUnithood:
             if evidence.n_ay <= evidence.n_s:
                 assert scores.id_y == 0.0
             assert (scores.idr is not None) == (scores.id_y > 0)
-
-
-class TestBaselinePmi:
-    def test_independent_words(self):
-        assert baseline_pmi(0.01, 0.1, 0.1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_perfect_association(self):
-        assert baseline_pmi(0.5, 0.5, 0.5) == 1.0
-
-    def test_impossible_cooccurrence(self):
-        assert baseline_pmi(0.0, 0.1, 0.1) == float("-inf")
-
-    def test_zero_marginal_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_pmi(0.1, 0.0, 0.1)
-
-    def test_document_frequency_probabilities(self):
-        # probabilities as document frequency over a corpus of size N
-        N = 1000
-        assert baseline_pmi(50 / N, 100 / N, 100 / N) == pytest.approx(
-            math.log2(5.0), abs=1e-12
-        )
-
-
-class TestBaselineCvalue:
-    def test_longest_ngram_branch(self):
-        assert baseline_cvalue("food poisoning", 4, 2) == 4.0
-
-    def test_discounted_branch(self):
-        value = baseline_cvalue(
-            "food poisoning", 10, 3, [("e. coli food poisoning", 4)]
-        )
-        assert value == 6.0
-
-    def test_single_word_collapses_to_zero(self):
-        assert baseline_cvalue("poisoning", 100, 1) == 0.0
-
-    def test_mean_over_longer_terms(self):
-        value = baseline_cvalue("a b", 10, 3, [("x a b", 4), ("a b y", 8)])
-        assert value == pytest.approx(math.log2(2) * (10 - 6))
-
-    def test_no_longer_terms_means_no_discount(self):
-        assert baseline_cvalue("a b", 10, 3) == pytest.approx(math.log2(2) * 10)
-
-    def test_too_many_words_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_cvalue("a b c", 1, 2)
-
-    def test_candidate_inside_own_longer_set_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_cvalue("a b", 1, 3, [("a b", 2)])
-
-    def test_empty_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_cvalue("   ", 1, 2)

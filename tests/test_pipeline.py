@@ -2,8 +2,22 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unithood import Candidate, FixtureProvider, Thresholds, build_pair
+from unithood import (
+    Candidate,
+    FixtureProvider,
+    ParsedSentence,
+    ParseFileError,
+    ParseToken,
+    Thresholds,
+    build_pair,
+    extract_candidates,
+    form_pairs,
+    merge_pass,
+    sentence_connectors,
+)
 from unithood.evidence import CountCache, CachedProvider
 from unithood.pipeline import (
     ConfigError,
@@ -211,7 +225,55 @@ class TestFileFormats:
 
     def test_scores_file_na_ratio(self):
         scores = read_scores_file(io.StringIO("a\tof\tb\t0.5\t6.5\t0\tNA\n"))
-        assert scores[("a", "of", "b")].idr is None
+        assert scores[("a", "of", "b")] == (0.5, 6.5, 0.0, None)
+
+    @pytest.mark.parametrize(
+        "read_fn, rows",
+        [
+            (read_gold_file, ["1\tMERGED", "2\tMERGED", "1\tNOTMERGED"]),
+            (
+                read_decisions_file,
+                ["1\ta\tof\tb\t1\t1\t1\t1\tMERGED\ta of b",
+                 "2\ta\tof\tc\t1\t1\t1\t1\tMERGED\ta of c",
+                 "1\ta\tof\tb\t1\t1\t1\t1\tNOTMERGED\ta of b"],
+            ),
+            (
+                read_decorated_file,
+                ["1\ta\tof\tb\ta of b\t1\t2\t3",
+                 "2\ta\tof\tc\ta of c\t1\t2\t3",
+                 "1\ta\tof\tb\ta of b\t1\t2\t3"],
+            ),
+            (
+                read_scores_file,
+                ["a\tof\tb\t0.5\t6.5\t1\tNA",
+                 "a\t\tb\t0.5\t6.5\t1\tNA",
+                 "a\tof\tb\t0.7\t6.5\t1\tNA"],
+            ),
+        ],
+        ids=["gold", "decisions", "decorated", "scores"],
+    )
+    def test_repeated_key_fails_naming_second_line(self, read_fn, rows):
+        text = "# header\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseFileError) as err:
+            read_fn(io.StringIO(text))
+        assert err.value.line_number == 4
+        assert "duplicate" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "read_fn, text, kind",
+        [
+            (read_pairs_file, "s1\t1,2\ta b\t1\ta\t\t2\n", "pairs file"),
+            (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t-2\t3\n", "decorated pairs file"),
+            (read_decisions_file, "1\ta\tof\tb\t1\t1\t1\t1\tMAYBE\ta of b\n",
+             "decisions file"),
+        ],
+        ids=["pairs-columns", "decorated-negative", "decisions-label"],
+    )
+    def test_bad_row_names_file_kind_and_line(self, read_fn, text, kind):
+        with pytest.raises(ParseFileError) as err:
+            read_fn(io.StringIO("# header\n\n" + text))
+        assert err.value.line_number == 3
+        assert str(err.value).startswith("%s line 3: " % kind)
 
 
 class TestDecidePairs:
@@ -306,3 +368,67 @@ class TestWarmCounts:
         warm_counts([two_candidate_pair()], provider)
         lines = (tmp_path / "cache.tsv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
+
+
+# (pos, lemma) choices, weighted towards nouns and connectors so that
+# merges chain across passes.
+WORDS = [("NN", "alpha"), ("NNS", "beta"), ("NNP", "gamma"), ("NN", "delta"),
+         ("IN", "of"), ("IN", "on"), ("CC", "and"), ("CC", "or"), ("JJ", "new"),
+         ("DT", "the")]
+RELS = ["pobj", "pobj", "pobj", "dobj", "nn", "amod", "poss", "det"]
+
+
+@st.composite
+def parsed_sentences(draw):
+    gaps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 2]), min_size=4, max_size=16))
+    offsets = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    tokens = []
+    for offset in offsets:
+        pos, lemma = draw(st.sampled_from(WORDS))
+        head = draw(st.sampled_from([0, 0, 0, offset + 1] + [o for o in offsets if o != offset]))
+        tokens.append(ParseToken(offset, lemma, pos, draw(st.sampled_from(RELS)), head))
+    return ParsedSentence("s", tuple(tokens))
+
+
+class MergeEverything:
+    """Every phrase counts 1, so MI = 1 / p(1/3), about 4.2, and every pair merges."""
+
+    provider_id = "merge-everything"
+
+    def count(self, phrase):
+        return 1
+
+
+def surfaces(pairs):
+    return [(p.a_x.surface, p.b, p.a_y.surface, p.s) for p in pairs]
+
+
+def record_surfaces(records):
+    return [(r.a_x, r.b, r.a_y, r.s) for r in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(parsed_sentences())
+def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
+    connectors = sentence_connectors(sentence)
+    candidates = extract_candidates(sentence)
+    extracted = form_pairs(candidates, connectors)
+    pairs = roundtrip(write_pairs_file, extracted, read_pairs_file)
+
+    first = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=1)
+    assert record_surfaces(first) == surfaces(extracted)
+
+    # With every pair merged, each later pass decides what the pair-former
+    # finds over the merged candidates with the sentence's own connectors,
+    # less the pairs already decided.
+    expected, decided, current = [], set(), extracted
+    for _ in range(5):
+        expected += [p for p in current if p.key() not in decided]
+        decided |= {p.key() for p in current}
+        merged = merge_pass(current, dict.fromkeys(current, True), candidates)
+        if len(merged) == len(candidates):
+            break
+        candidates = merged
+        current = form_pairs(candidates, connectors)
+    records = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=5)
+    assert record_surfaces(records) == surfaces(expected)
