@@ -18,9 +18,7 @@ from .evaluation import (
     sweep,
 )
 from .evidence import (
-    CachedProvider,
     CountCache,
-    CountCacheEntry,
     EvidenceSet,
     FixtureProvider,
     LocalIndexProvider,
@@ -71,10 +69,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Candidate",
     "CandidatePair",
-    "CachedProvider",
     "ContingencyTable",
     "CountCache",
-    "CountCacheEntry",
     "DecisionRecord",
     "EvaluationError",
     "EvidenceSet",

@@ -4,15 +4,17 @@ Every provider answers one question: in how many documents does a phrase
 occur as an exact contiguous token sequence?  Three interchangeable
 sources are available: a closed fixture (phrase -> count mapping), a
 local index built over a small corpus, and a generic HTTP client for any
-search API that reports a total-results figure.  A persistent append-only
-cache can wrap any of them so repeated runs are reproducible and hit the
-network at most once per phrase.
+search API that reports a total-results figure.  ``CountCache`` wraps
+each of them: it asks its provider at most once per phrase in a run and,
+given a file, persists the counts so repeated runs are reproducible and
+hit the network at most once per phrase.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 import time
 import urllib.parse
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Protocol
 
 import requests
 
-from .parse_ingest import read_rows
+from .parse_ingest import ParseFileError, read_rows
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -118,8 +120,9 @@ class LocalIndexProvider:
 
     A phrase counts once per document containing it as a contiguous
     token subsequence, however many times it occurs there.  Matching is
-    case-insensitive.  Lookups intersect per-token posting lists and
-    verify the survivors with a padded-string containment check.
+    case-insensitive.  Lookups intersect the per-token posting sets
+    rarest first, copying only the smallest, and verify the survivors
+    with a padded-string containment check.
     """
 
     provider_id = "local-index"
@@ -134,24 +137,18 @@ class LocalIndexProvider:
                 self._postings.setdefault(token, set()).add(doc_id)
             self._padded.append(" " + " ".join(tokens) + " ")
 
-    def __len__(self) -> int:
-        return len(self._padded)
-
     def count(self, phrase: str) -> int:
         tokens = _lookup_key(phrase).split()
         if not tokens:
             raise ValueError("phrase is empty after normalization")
-        doc_ids: set[int] | None = None
-        for token in tokens:
-            posting = self._postings.get(token)
-            if not posting:
-                return 0
-            doc_ids = posting.copy() if doc_ids is None else doc_ids & posting
-            if not doc_ids:
-                return 0
+        postings = [self._postings.get(token) for token in tokens]
+        if not all(postings):
+            return 0
+        rarest, *others = sorted(postings, key=len)
+        if not others:
+            return len(rarest)
         needle = " " + " ".join(tokens) + " "
-        assert doc_ids is not None
-        return sum(1 for doc_id in doc_ids if needle in self._padded[doc_id])
+        return sum(1 for d in rarest.intersection(*others) if needle in self._padded[d])
 
 
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:
@@ -160,75 +157,77 @@ def load_corpus_file(path: str | Path) -> LocalIndexProvider:
     return LocalIndexProvider([line for line in lines if line.strip()])
 
 
-@dataclass(frozen=True)
-class CountCacheEntry:
-    phrase: str
-    count: int
-    provider_id: str
-    fetched_at: str
-
-
-def _cache_entry(columns: list[str]) -> CountCacheEntry:
-    phrase, count, provider_id, fetched_at = columns
-    return CountCacheEntry(phrase, int(count), provider_id, fetched_at)
+def _cache_row(columns: list[str]) -> tuple[str, str, int]:
+    phrase, count, provider_id, _fetched_at = columns
+    return provider_id, phrase, int(count)
 
 
 class CountCache:
-    """Append-only TSV cache: phrase<TAB>count<TAB>provider_id<TAB>fetched_at.
+    """The one count layer: ``inner``'s counts, memoized and optionally persisted.
 
-    The whole file is loaded at construction; the last entry for a
-    (phrase, provider) pair wins.  Writes append a line and are
-    serialized through a lock.
+    One dict keyed by (provider, normalized lower-case phrase) holds the
+    counts ``inner`` returned; a failure is not stored, so the next call
+    asks again.  With ``path`` the dict is loaded from, and each miss
+    appended to, a TSV phrase<TAB>count<TAB>provider_id<TAB>fetched_at
+    (the last entry per key wins).  An unterminated last line that does
+    not parse, left by a crash mid-append, is skipped with a warning and
+    cut off before the next append; any other bad row raises.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    def __init__(self, inner: CountProvider, path: str | Path | None = None):
+        self.inner = inner
+        self.provider_id = inner.provider_id
+        self.path = None if path is None else Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], CountCacheEntry] = {}
-        if self.path.exists():
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-            for entry in read_rows(lines, 4, "count cache", _cache_entry):
-                self._entries[(entry.provider_id, _lookup_key(entry.phrase))] = entry
+        self._counts: dict[tuple[str, str], int] = {}
+        self._repair: tuple[int, str] | None = None  # (truncate at byte, then write)
+        if self.path is not None and self.path.exists():
+            self._load(self.path)
+
+    def _load(self, path: Path) -> None:
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1  # where an unterminated last line starts
+        lines = data[:end].decode("utf-8").splitlines()
+        self._store(lines)
+        if end < len(data):
+            try:
+                self._store([data[end:].decode("utf-8")])
+                self._repair = (len(data), "\n")
+            except (UnicodeDecodeError, ParseFileError):
+                print("warning: %s line %d: skipped a torn last line" % (path, len(lines) + 1),
+                      file=sys.stderr)
+                self._repair = (end, "")
+
+    def _store(self, lines: list[str]) -> None:
+        for provider_id, phrase, count in read_rows(lines, 4, "count cache", _cache_row):
+            self._counts[(provider_id, _lookup_key(phrase))] = count
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._counts)
 
-    def get(self, provider_id: str, phrase: str) -> int | None:
-        entry = self._entries.get((provider_id, _lookup_key(phrase)))
-        return None if entry is None else entry.count
+    def get(self, phrase: str) -> int | None:
+        return self._counts.get((self.provider_id, _lookup_key(phrase)))
 
-    def put(self, provider_id: str, phrase: str, count: int) -> None:
-        normalized = normalize_phrase(phrase)
-        entry = CountCacheEntry(
-            normalized,
-            int(count),
-            provider_id,
-            time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        )
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    "%s\t%d\t%s\t%s\n"
-                    % (entry.phrase, entry.count, entry.provider_id, entry.fetched_at)
-                )
-            self._entries[(provider_id, _lookup_key(normalized))] = entry
-
-
-class CachedProvider:
-    """Cache-first wrapper around any provider."""
-
-    def __init__(self, inner: CountProvider, cache: CountCache):
-        self.inner = inner
-        self.cache = cache
-        self.provider_id = inner.provider_id
+    def put(self, phrase: str, count: int) -> None:
+        if self.path is not None:
+            fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            line = "%s\t%d\t%s\t%s\n" % (normalize_phrase(phrase), count, self.provider_id, fetched_at)
+            with self._lock:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with self.path.open("a", encoding="utf-8") as handle:
+                    if self._repair is not None:
+                        handle.truncate(self._repair[0])
+                        line = self._repair[1] + line
+                    handle.write(line)
+                self._repair = None
+        self._counts[(self.provider_id, _lookup_key(phrase))] = count
 
     def count(self, phrase: str) -> int:
-        cached = self.cache.get(self.provider_id, phrase)
+        cached = self.get(phrase)
         if cached is not None:
             return cached
         value = self.inner.count(phrase)
-        self.cache.put(self.provider_id, phrase, value)
+        self.put(phrase, value)
         return value
 
 
@@ -255,6 +254,10 @@ class RemoteClientConfig:
             raise ValueError("invalid remote client settings")
 
 
+class _NoMatch(ValueError):
+    """A ``regex:`` count pattern found nothing; asking again cannot change that."""
+
+
 def _default_fetch(url: str, timeout_ms: int) -> str:
     response = requests.get(url, timeout=timeout_ms / 1000.0)
     response.raise_for_status()
@@ -268,7 +271,9 @@ class RemoteCountClient:
     requests are spaced at least ``min_delay_ms`` apart (enforced
     globally across threads).  Failures are retried up to
     ``max_retries`` attempts and then raised as TransportError; a
-    failure is never reported as a zero count.
+    failure is never reported as a zero count.  Failures a retry cannot
+    change, an HTTP 4xx other than 429 or a ``regex:`` count pattern
+    that matches nothing, are raised after the first attempt.
     """
 
     provider_id = "remote"
@@ -306,7 +311,7 @@ class RemoteCountClient:
         if path.startswith("regex:"):
             match = re.search(path[len("regex:"):], body)
             if match is None:
-                raise ValueError("count pattern matched nothing")
+                raise _NoMatch("count pattern matched nothing")
             return int(match.group(1).replace(",", ""))
         value: object = json.loads(body)
         for part in path.split("."):
@@ -329,6 +334,9 @@ class RemoteCountClient:
                 return self.extract_count(self._fetch(url))
             except (requests.RequestException, ValueError, KeyError, IndexError) as exc:
                 last_error = exc
+                status = getattr(getattr(exc, "response", None), "status_code", None) or 0
+                if isinstance(exc, _NoMatch) or (400 <= status < 500 and status != 429):
+                    break
         raise TransportError(
             "could not fetch count for %r: %s" % (normalize_phrase(phrase), last_error)
         )

@@ -25,13 +25,13 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .evidence import (
-    CachedProvider,
     CountCache,
     CountProvider,
     EvidenceSet,
     FixtureProvider,
     RemoteClientConfig,
     RemoteCountClient,
+    _lookup_key,
     gather_evidence,
     load_corpus_file,
 )
@@ -56,8 +56,8 @@ class PipelineConfig:
 
     Exactly one provider spec may be present: ``fixture_path`` (JSON or
     TSV count table), ``corpus_path`` (one document per line), or
-    ``remote`` settings.  ``cache_path`` enables the persistent count
-    cache and is required with the remote provider.
+    ``remote`` settings.  ``cache_path`` persists the counts, which are
+    memoized per run anyway, and is required with the remote provider.
     """
 
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -132,7 +132,7 @@ def apply_threshold_overrides(
     return replace(config, thresholds=replace(config.thresholds, **overrides))
 
 
-def build_provider(config: PipelineConfig) -> CountProvider:
+def build_provider(config: PipelineConfig) -> CountCache:
     if config.fixture_path is not None:
         provider: CountProvider = FixtureProvider.from_file(
             config.fixture_path, config.missing_count_policy
@@ -143,9 +143,7 @@ def build_provider(config: PipelineConfig) -> CountProvider:
         provider = RemoteCountClient(config.remote)
     else:
         raise ConfigError("no count provider configured")
-    if config.cache_path is not None:
-        provider = CachedProvider(provider, CountCache(config.cache_path))
-    return provider
+    return CountCache(provider, config.cache_path)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +390,11 @@ def _decide_one(
 
 
 def warm_counts(pairs: Sequence[CandidatePair], provider: CountProvider) -> int:
-    """Look up every phrase a decide run would need; returns the phrase count."""
-    phrases: list[str] = []
-    seen = set()
+    """Look up each phrase a decide run needs once per count key; returns the lookups."""
+    phrases: dict[str, str] = {}
     for pair in pairs:
         for phrase in (pair.s, pair.a_x.surface, pair.a_y.surface):
-            key = phrase.lower()
-            if key not in seen:
-                seen.add(key)
-                phrases.append(phrase)
-    for phrase in phrases:
+            phrases.setdefault(_lookup_key(phrase), phrase)
+    for phrase in phrases.values():
         provider.count(phrase)
     return len(phrases)

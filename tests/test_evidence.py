@@ -3,9 +3,11 @@ import random
 import threading
 
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unithood import (
-    CachedProvider,
     CountCache,
     EvidenceSet,
     FixtureProvider,
@@ -159,39 +161,43 @@ class TestLocalIndex:
             assert provider.count(" ".join(phrase)) == expected
 
 
+def fixture_cache(path=None):
+    return CountCache(FixtureProvider({}), path)
+
+
 class TestCountCache:
     def test_round_trip(self, tmp_path):
-        cache = CountCache(tmp_path / "cache.tsv")
-        assert cache.get("fixture", "a b") is None
-        cache.put("fixture", "a b", 12)
-        assert cache.get("fixture", "a b") == 12
+        cache = fixture_cache(tmp_path / "cache.tsv")
+        assert cache.get("a b") is None
+        cache.put("a b", 12)
+        assert cache.get("a b") == 12
 
     def test_persisted_and_reloaded(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        CountCache(path).put("fixture", "a b", 12)
-        assert CountCache(path).get("fixture", "a b") == 12
+        fixture_cache(path).put("a b", 12)
+        assert fixture_cache(path).get("a b") == 12
 
     def test_last_entry_wins(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = CountCache(path)
-        cache.put("fixture", "a b", 12)
-        cache.put("fixture", "a b", 15)
-        assert CountCache(path).get("fixture", "a b") == 15
+        cache = fixture_cache(path)
+        cache.put("a b", 12)
+        cache.put("a b", 15)
+        assert fixture_cache(path).get("a b") == 15
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_keyed_by_provider(self, tmp_path):
-        cache = CountCache(tmp_path / "cache.tsv")
-        cache.put("fixture", "a", 1)
-        assert cache.get("local-index", "a") is None
+        path = tmp_path / "cache.tsv"
+        fixture_cache(path).put("a", 1)
+        assert CountCache(LocalIndexProvider([]), path).get("a") is None
 
     def test_case_insensitive_lookup(self, tmp_path):
-        cache = CountCache(tmp_path / "cache.tsv")
-        cache.put("fixture", "Mental Health", 9)
-        assert cache.get("fixture", "mental health") == 9
+        cache = fixture_cache(tmp_path / "cache.tsv")
+        cache.put("Mental Health", 9)
+        assert cache.get("mental health") == 9
 
     def test_file_format(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        CountCache(path).put("fixture", "a  b", 3)
+        fixture_cache(path).put("a  b", 3)
         line = path.read_text(encoding="utf-8").splitlines()[0]
         phrase, count, provider_id, fetched_at = line.split("\t")
         assert phrase == "a b"
@@ -201,12 +207,80 @@ class TestCountCache:
 
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        CountCache(path).put("fixture", "a b", 3)
+        cache = fixture_cache(path)
+        cache.put("a b", 3)
         with path.open("a", encoding="utf-8") as handle:
-            handle.write("c d\t4\tfix")
+            handle.write("c d\t4\tfix\n")
+        cache.put("e f", 5)
         with pytest.raises(ParseFileError) as err:
-            CountCache(path)
+            fixture_cache(path)
         assert str(err.value).startswith("count cache line 2: expected 4")
+
+    def test_malformed_terminated_last_line_fails(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_text("a b\t3\tfixture\tT\nc d\t4\tfix\n", encoding="utf-8")
+        with pytest.raises(ParseFileError) as err:
+            fixture_cache(path)
+        assert str(err.value).startswith("count cache line 2: expected 4")
+
+    @pytest.mark.parametrize(
+        "torn",
+        [b"c d\t4\tfix", "c d\t4\tfixture\tcaf\u00e9".encode("utf-8")[:-1]],
+        ids=["short-row", "split-character"],
+    )
+    def test_torn_last_line_skipped_and_cut(self, tmp_path, capsys, torn):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"a b\t3\tfixture\tT\n" + torn)
+        cache = fixture_cache(path)
+        assert capsys.readouterr().err == "warning: %s line 2: skipped a torn last line\n" % path
+        assert cache.get("a b") == 3
+        assert cache.get("c d") is None
+        cache.put("e f", 5)
+        for reloaded in (cache, fixture_cache(path)):
+            assert (reloaded.get("a b"), reloaded.get("c d"), reloaded.get("e f")) == (3, None, 5)
+        assert capsys.readouterr().err == ""
+        assert [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()] == [
+            "a b",
+            "e f",
+        ]
+
+    def test_unterminated_valid_last_line_kept(self, tmp_path, capsys):
+        path = tmp_path / "cache.tsv"
+        path.write_text("a b\t3\tfixture\tT", encoding="utf-8")
+        cache = fixture_cache(path)
+        cache.put("c d", 4)
+        reloaded = fixture_cache(path)
+        assert (reloaded.get("a b"), reloaded.get("c d")) == (3, 4)
+        assert capsys.readouterr().err == ""
+
+
+class TestCountMemo:
+    def test_inner_called_once_per_normalized_phrase(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        inner = CountingProvider({"A  b": 5, "a b": 5})
+        memo = CountCache(inner)
+        assert [memo.count(p) for p in ("A  b", "a b", " a   B ")] == [5, 5, 5]
+        assert inner.calls == 1
+        assert memo.path is None
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [MissingCountError("a"), TransportError("down")])
+    def test_failure_not_memoized(self, error):
+        class Failing:
+            provider_id = "fixture"
+            calls = 0
+
+            def count(self, phrase):
+                self.calls += 1
+                raise error
+
+        inner = Failing()
+        memo = CountCache(inner)
+        for _ in range(2):
+            with pytest.raises(type(error)):
+                memo.count("a")
+        assert inner.calls == 2
+        assert len(memo) == 0
 
 
 class CountingProvider:
@@ -224,20 +298,20 @@ class CountingProvider:
 class TestCachedProvider:
     def test_transparent_values(self, tmp_path):
         inner = FixtureProvider({"a": 3, "b c": 4})
-        cached = CachedProvider(inner, CountCache(tmp_path / "cache.tsv"))
+        cached = CountCache(inner, tmp_path / "cache.tsv")
         for phrase in ("a", "b c", "a"):
             assert cached.count(phrase) == inner.count(phrase)
 
     def test_inner_called_once_per_phrase(self, tmp_path):
         inner = CountingProvider({"a": 3})
-        cached = CachedProvider(inner, CountCache(tmp_path / "cache.tsv"))
+        cached = CountCache(inner, tmp_path / "cache.tsv")
         assert cached.count("a") == 3
         assert cached.count("a") == 3
         assert inner.calls == 1
 
     def test_concurrent_lookups(self, tmp_path):
         inner = FixtureProvider({"a": 3})
-        cached = CachedProvider(inner, CountCache(tmp_path / "cache.tsv"))
+        cached = CountCache(inner, tmp_path / "cache.tsv")
         results = []
 
         def worker():
@@ -366,7 +440,100 @@ class TestRemoteCountClient:
             return body
 
         client = RemoteCountClient(remote_config(min_delay_ms=0), fetch=fetch)
-        cached = CachedProvider(client, CountCache(tmp_path / "cache.tsv"))
+        cached = CountCache(client, tmp_path / "cache.tsv")
         assert cached.count("a") == 9
         assert cached.count("a") == 9
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "status, attempts", [(400, 1), (404, 1), (429, 3), (500, 3), (503, 3)]
+    )
+    def test_http_status_retry_policy(self, status, attempts):
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            response = requests.Response()
+            response.status_code = status
+            raise requests.HTTPError("status %d" % status, response=response)
+
+        client = RemoteCountClient(
+            remote_config(min_delay_ms=0, max_retries=3), fetch=fetch, sleep=lambda s: None
+        )
+        with pytest.raises(TransportError):
+            client.count("a")
+        assert len(calls) == attempts
+
+    @pytest.mark.parametrize(
+        "failure", [requests.ConnectionError("refused"), requests.Timeout("slow")]
+    )
+    def test_transport_failures_retried(self, failure):
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            raise failure
+
+        client = RemoteCountClient(
+            remote_config(min_delay_ms=0, max_retries=3), fetch=fetch, sleep=lambda s: None
+        )
+        with pytest.raises(TransportError):
+            client.count("a")
+        assert len(calls) == 3
+
+    def test_unmatched_count_pattern_not_retried(self):
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            return "no results here"
+
+        client = RemoteCountClient(
+            remote_config(count_path=r"regex:about ([\d,]+) results", min_delay_ms=0,
+                          max_retries=3),
+            fetch=fetch,
+            sleep=lambda s: None,
+        )
+        with pytest.raises(TransportError):
+            client.count("a")
+        assert len(calls) == 1
+
+
+WORDS = ["a", "b", "ab", "ba", "c", "bc"]  # some words are parts of others
+
+
+@st.composite
+def corpus_and_phrases(draw):
+    vocabulary = WORDS[: draw(st.integers(3, 6))]
+    word = st.builds(
+        lambda w, upper: w.upper() if upper else w, st.sampled_from(vocabulary), st.booleans()
+    )
+    gap = st.sampled_from([" ", "  ", "\t", " \n "])
+    documents = draw(st.lists(st.lists(word, max_size=12), max_size=15))
+    texts = [
+        draw(gap) + "".join(w + draw(gap) for w in tokens) for tokens in documents
+    ]
+    phrases = draw(
+        st.lists(
+            st.lists(st.one_of(word, st.just("zz"), st.sampled_from(vocabulary)), min_size=1,
+                     max_size=5),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    for tokens in documents:  # phrases that occur, repeated tokens included
+        if tokens:
+            start = draw(st.integers(0, len(tokens) - 1))
+            phrases.append(tokens[start : start + draw(st.integers(1, 5))])
+    return texts, [draw(gap).join(p) for p in phrases]
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_and_phrases())
+def test_local_index_matches_brute_force(case):
+    texts, phrases = case
+    provider = LocalIndexProvider(texts)
+    documents = [text.lower().split() for text in texts]
+    for phrase in phrases + ["a a", "b b b"]:
+        expected = naive_document_frequency(documents, phrase.lower().split())
+        assert provider.count(phrase) == expected, phrase

@@ -18,7 +18,7 @@ from unithood import (
     merge_pass,
     sentence_connectors,
 )
-from unithood.evidence import CountCache, CachedProvider
+from unithood.evidence import CountCache
 from unithood.pipeline import (
     ConfigError,
     PipelineConfig,
@@ -149,6 +149,13 @@ class TestConfig:
         config = load_config(fixtures_dir / "config.json")
         provider = build_provider(config)
         assert provider.count("mental health") == 14_000_000
+
+    def test_every_provider_memoized_without_cache_file(self, fixtures_dir):
+        config = load_config(fixtures_dir / "config.json")
+        provider = build_provider(PipelineConfig(fixture_path=config.fixture_path))
+        assert isinstance(provider, CountCache) and provider.path is None
+        provider.count("mental health")
+        assert provider.get("Mental  Health") == 14_000_000
 
     def test_build_corpus_provider(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -357,17 +364,30 @@ class TestDecidePairs:
 
 class TestWarmCounts:
     def test_all_phrases_cached_once(self, tmp_path, fixtures_dir):
-        cache = CountCache(tmp_path / "cache.tsv")
-        provider = CachedProvider(
-            FixtureProvider.from_file(fixtures_dir / "counts.json"), cache
-        )
+        provider = CountCache(FixtureProvider.from_file(fixtures_dir / "counts.json"),
+                              tmp_path / "cache.tsv")
         n = warm_counts([two_candidate_pair()], provider)
         assert n == 3
-        assert len(cache) == 3
+        assert len(provider) == 3
         # warming again adds nothing
         warm_counts([two_candidate_pair()], provider)
         lines = (tmp_path / "cache.tsv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
+
+    def test_whitespace_variants_looked_up_once(self):
+        class Counting:
+            provider_id = "fixture"
+            calls = 0
+
+            def count(self, phrase):
+                self.calls += 1
+                return 1
+
+        spaced = build_pair(Candidate("s2", (1, 2), "National  Institute"), "of",
+                            Candidate("s2", (4, 5), "mental\thealth"))
+        inner = Counting()
+        assert warm_counts([two_candidate_pair(), spaced], inner) == 3
+        assert inner.calls == 3
 
 
 # (pos, lemma) choices, weighted towards nouns and connectors so that
