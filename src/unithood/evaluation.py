@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .evidence import EvidenceSet
-from .measures import THRESHOLD_NAMES, Thresholds, unithood
+from .measures import THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, merges, unithood
 
 METRIC_NAMES = ("precision", "recall", "f_score", "paper_f", "accuracy")
 
@@ -127,8 +127,11 @@ def sweep(
 
     ``grid`` maps threshold names to candidate values; omitted names use
     the default thresholds.  Combinations violating the threshold
-    invariants are skipped with a warning.  Results are sorted by the
-    chosen metric, best first, ties kept in grid order.
+    invariants are skipped with a warning.  Pair ids must be unique.
+    Each row is scored once, since MI, ID and IDR do not depend on the
+    thresholds; each grid point then reruns only the decision rule.
+    Results are sorted by the chosen metric, best first, ties kept in
+    grid order.
     """
     if not rows:
         raise EvaluationError("no pairs to sweep over")
@@ -145,34 +148,49 @@ def sweep(
             raise ValueError("grid axis %r is empty" % name)
         axes.append(values)
 
-    # Validate the id alignment once up front so grid points can score
-    # quietly against a gold map restricted to the swept pairs.
-    pair_ids = [row.pair_id for row in rows]
-    orphans = sorted(set(pair_ids) - set(gold))
+    pair_ids: set[str] = set()
+    for row in rows:
+        if row.pair_id in pair_ids:
+            raise EvaluationError("pair id %r occurs more than once" % row.pair_id)
+        pair_ids.add(row.pair_id)
+    orphans = sorted(pair_ids - set(gold))
     if orphans:
         raise EvaluationError(
             "%d pair(s) have no gold label: %s" % (len(orphans), ", ".join(orphans[:10])),
             orphans,
         )
-    extra = len(set(gold) - set(pair_ids))
+    extra = len(set(gold) - pair_ids)
     if extra:
         warnings.warn("%d gold label(s) have no swept pair and are ignored" % extra)
-    restricted_gold = {pid: gold[pid] for pid in pair_ids}
 
-    points: list[SweepPoint] = []
+    valid: list[tuple[int, Thresholds]] = []
     for index, combo in enumerate(itertools.product(*axes)):
         try:
-            thresholds = Thresholds(*combo)
+            valid.append((index, Thresholds(*combo)))
         except ValueError as exc:
             warnings.warn(
                 "skipping grid point %s: %s" % (dict(zip(THRESHOLD_NAMES, combo)), exc)
             )
-            continue
-        decisions = {row.pair_id: unithood(row.evidence, thresholds).uh for row in rows}
-        table = score(decisions, restricted_gold)
-        points.append(SweepPoint(index, thresholds, table, compute_metrics(table)))
-    if not points:
+    if not valid:
         raise ValueError("every grid point was invalid")
+
+    # Score each row once; the thresholds passed do not change the scores.
+    # Tuples of (mi, id_x, id_y, idr, degenerate), split by gold label.
+    positives, negatives = [], []
+    for row in rows:
+        try:
+            s = unithood(row.evidence, valid[0][1])
+        except UndefinedEvidenceError as exc:
+            raise UndefinedEvidenceError("pair %s: %s" % (row.pair_id, exc)) from None
+        scores = (s.mi, s.id_x, s.id_y, s.idr, s.degenerate)
+        (positives if gold[row.pair_id] else negatives).append(scores)
+
+    points: list[SweepPoint] = []
+    for index, thresholds in valid:
+        tp = sum(merges(*scores, thresholds) for scores in positives)
+        fp = sum(merges(*scores, thresholds) for scores in negatives)
+        table = ContingencyTable(tp, fp, len(positives) - tp, len(negatives) - fp)
+        points.append(SweepPoint(index, thresholds, table, compute_metrics(table)))
 
     def order(point: SweepPoint):
         value = getattr(point.metrics, sort_key)

@@ -20,7 +20,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol
 
 import requests
 
@@ -255,7 +255,7 @@ class RemoteClientConfig:
 
 
 class _NoMatch(ValueError):
-    """A ``regex:`` count pattern found nothing; asking again cannot change that."""
+    """The body holds no count where the count path points; asking again cannot help."""
 
 
 def _default_fetch(url: str, timeout_ms: int) -> str:
@@ -272,8 +272,9 @@ class RemoteCountClient:
     globally across threads).  Failures are retried up to
     ``max_retries`` attempts and then raised as TransportError; a
     failure is never reported as a zero count.  Failures a retry cannot
-    change, an HTTP 4xx other than 429 or a ``regex:`` count pattern
-    that matches nothing, are raised after the first attempt.
+    change, an HTTP 4xx other than 429, a JSON ``count_path`` that does
+    not resolve or a ``regex:`` count pattern that matches nothing, are
+    raised after the first attempt.
     """
 
     provider_id = "remote"
@@ -313,14 +314,12 @@ class RemoteCountClient:
             if match is None:
                 raise _NoMatch("count pattern matched nothing")
             return int(match.group(1).replace(",", ""))
-        value: object = json.loads(body)
+        value: Any = json.loads(body)
         for part in path.split("."):
-            if isinstance(value, list):
-                value = value[int(part)]
-            elif isinstance(value, dict):
-                value = value[part]
-            else:
-                raise ValueError("count_path %r does not resolve" % path)
+            try:
+                value = value[int(part)] if isinstance(value, list) else value[part]
+            except (KeyError, IndexError, TypeError, ValueError):
+                raise _NoMatch("count_path %r does not resolve at %r" % (path, part)) from None
         return int(str(value).replace(",", ""))
 
     def count(self, phrase: str) -> int:

@@ -139,6 +139,14 @@ def decision_rule(
     )
 
 
+def merges(
+    mi: float, id_x: float, id_y: float, idr: float | None, degenerate: bool,
+    thresholds: Thresholds,
+) -> bool:
+    """``decision_rule``, except that degenerate evidence never merges."""
+    return not degenerate and decision_rule(mi, id_x, id_y, idr, thresholds)
+
+
 def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     """Score one pair's evidence and decide whether to merge it."""
     total = evidence.total
@@ -152,5 +160,5 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     id_x = independence(evidence.n_ax, evidence.n_s)
     id_y = independence(evidence.n_ay, evidence.n_s)
     idr = independence_ratio(id_x, id_y)
-    uh = False if degenerate else decision_rule(mi, id_x, id_y, idr, thresholds)
+    uh = merges(mi, id_x, id_y, idr, degenerate, thresholds)
     return UnithoodScores(p_s, p_ax, p_ay, mi, id_x, id_y, idr, uh, degenerate)

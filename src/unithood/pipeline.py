@@ -36,7 +36,7 @@ from .evidence import (
     load_corpus_file,
 )
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
-from .measures import Thresholds, decision_rule, unithood
+from .measures import Thresholds, UndefinedEvidenceError, decision_rule, unithood
 from .parse_ingest import read_rows
 
 MERGED = "MERGED"
@@ -381,7 +381,10 @@ def _decide_one(
         )
     else:
         evidence = gather_evidence(provider, pair.s, pair.a_x.surface, pair.a_y.surface)
-        scores = unithood(evidence, thresholds)
+        try:
+            scores = unithood(evidence, thresholds)
+        except UndefinedEvidenceError as exc:
+            raise UndefinedEvidenceError("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
         mi, id_x, id_y, idr, merged = scores.mi, scores.id_x, scores.id_y, scores.idr, scores.uh
     return DecisionRecord(
         pair_id, pair.sentence_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,

@@ -153,6 +153,22 @@ class TestDecide:
         assert code == 1  # all-zero evidence is undefined, reported as an error
         assert "error" in err
 
+    def test_zero_counts_error_names_pair_and_phrase(self, extracted, tmp_path, capsys):
+        _, pairs = extracted
+        (tmp_path / "counts.json").write_text("{}", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"provider": {"fixture": "counts.json"}, "missing_count_policy": "zero"}
+            )
+        )
+        code, _, err = run(capsys, "--config", config, "decide", pairs)
+        assert code == 1
+        assert (
+            "error: pair 1 ('National Institute of Mental Health'): all counts are zero"
+            in err
+        )
+
     def test_threshold_override_changes_decision(self, extracted, fixtures_dir, tmp_path, capsys):
         _, pairs = extracted
         decisions = tmp_path / "decisions.tsv"
@@ -362,6 +378,18 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", decorated, gold, '{"id_t": [6]}')
         assert code == 1
         assert message in err
+
+    def test_zero_counts_error_names_pair(self, tmp_path, capsys):
+        decorated = tmp_path / "decorated.tsv"
+        decorated.write_text(
+            "p1\ta\t\tb\ta b\t1\t2\t3\np2\tc\t\td\tc d\t0\t0\t0\n", encoding="utf-8"
+        )
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p1\tMERGED\np2\tNOTMERGED\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", decorated, gold, '{"id_t": [6]}')
+        assert code == 1
+        assert out == ""
+        assert "error: pair p2: all counts are zero" in err
 
     def test_grid_from_file(self, fixtures_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"

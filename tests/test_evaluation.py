@@ -1,18 +1,25 @@
+import itertools
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unithood import (
     ContingencyTable,
     EvaluationError,
     EvidenceSet,
     PairEvidence,
+    SweepPoint,
     Thresholds,
     compute_metrics,
     score,
     sweep,
     unithood,
 )
+from unithood.evaluation import METRIC_NAMES
+from unithood.measures import THRESHOLD_NAMES
 
 # The published evaluation table: 1005 pairs.
 TABLE = ContingencyTable(tp=449, fp=6, fn=40, tn=510)
@@ -210,3 +217,94 @@ class TestSweep:
         gold = {row.pair_id: True for row in rows}
         with pytest.raises(ValueError):
             sweep(rows, gold, {"id_t": [6.0]}, sort_key="vibes")
+
+    def test_duplicate_pair_id_rejected(self):
+        rows = random_rows(random.Random(26), n=5)
+        rows.append(PairEvidence("p3", EvidenceSet(1, 2, 3)))
+        gold = {row.pair_id: True for row in rows}
+        with pytest.raises(EvaluationError, match="'p3'"):
+            sweep(rows, gold, {"id_t": [6.0]})
+
+    def test_all_invalid_grid_wins_over_zero_count_row(self):
+        rows = [PairEvidence("z", EvidenceSet(0, 0, 0))]
+        with pytest.raises(ValueError, match="every grid point was invalid"):
+            with pytest.warns(UserWarning, match="skipping grid point"):
+                sweep(rows, {"z": True}, {"mi_plus": [0.01], "mi_minus": [0.02]})
+
+
+def brute_force_sweep(rows, gold, grid, sort_key):
+    """Decide every row afresh at every valid grid point, then score."""
+    axes = [grid.get(name, [getattr(Thresholds(), name)]) for name in THRESHOLD_NAMES]
+    points = []
+    for index, combo in enumerate(itertools.product(*axes)):
+        try:
+            t = Thresholds(*combo)
+        except ValueError:
+            continue
+        table = score({row.pair_id: unithood(row.evidence, t).uh for row in rows}, gold)
+        points.append(SweepPoint(index, t, table, compute_metrics(table)))
+    defined = [p for p in points if getattr(p.metrics, sort_key) is not None]
+    undefined = [p for p in points if getattr(p.metrics, sort_key) is None]
+    # sorted() is stable under reverse=True, so ties keep grid order
+    return sorted(defined, key=lambda p: getattr(p.metrics, sort_key), reverse=True) + undefined
+
+
+MAGNITUDES = st.builds(lambda m, e: m * 10**e, st.integers(1, 9), st.integers(0, 8))
+
+
+@st.composite
+def evidence_sets(draw):
+    n_s = draw(st.just(0) | MAGNITUDES)
+    sides = st.sampled_from(["zero", "equal", "above", "any"])
+
+    def side(kind):
+        if kind == "zero":
+            return 0  # degenerate evidence
+        if kind == "equal":
+            return n_s  # ID 0, so IDR is undefined on the right
+        extra = draw(MAGNITUDES)
+        return n_s + extra if kind == "above" else extra
+
+    evidence = EvidenceSet(n_s, side(draw(sides)), side(draw(sides)))
+    if evidence.total == 0:
+        evidence = EvidenceSet(1, 0, 0)
+    return evidence
+
+
+AXIS_VALUES = {
+    "mi_plus": [-1.0, -0.1, 0.0, 0.02, 0.9, 2.0, 5.0],
+    "mi_minus": [-2.0, -0.5, 0.0, 0.02, 0.5, 3.0],
+    "id_t": [-1.0, 0.0, 3.0, 6.0, 8.0],  # negative is invalid
+    "idr_plus": [0.5, 0.93, 1.0, 1.35, 3.0],
+    "idr_minus": [0.0, 0.5, 0.93, 1.2, 3.0],
+}
+
+
+@st.composite
+def grids(draw):
+    grid = {}
+    for name in THRESHOLD_NAMES:
+        axis = st.lists(st.sampled_from(AXIS_VALUES[name]), min_size=1, max_size=3)
+        values = draw(st.none() | axis)
+        if values is not None:
+            grid[name] = values
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(evidence_sets(), st.booleans()), min_size=1, max_size=12),
+    grids(),
+    st.sampled_from(METRIC_NAMES),
+)
+def test_sweep_matches_brute_force(labelled_evidence, grid, sort_key):
+    rows = [PairEvidence("p%d" % i, ev) for i, (ev, _) in enumerate(labelled_evidence)]
+    gold = {row.pair_id: label for row, (_, label) in zip(rows, labelled_evidence)}
+    expected = brute_force_sweep(rows, gold, grid, sort_key)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not expected:
+            with pytest.raises(ValueError, match="every grid point was invalid"):
+                sweep(rows, gold, grid, sort_key)
+            return
+        assert sweep(rows, gold, grid, sort_key) == expected

@@ -498,6 +498,49 @@ class TestRemoteCountClient:
             client.count("a")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "count_path, body, failed_part",
+        [
+            ("search.total", {"other": 1}, "search"),
+            ("search.total", {"search": 5}, "total"),
+            ("search.total", {"search": [3]}, "total"),
+            ("results.1.count", {"results": [{"count": 55}]}, "1"),
+        ],
+        ids=["missing-key", "not-a-container", "bad-list-index", "index-out-of-range"],
+    )
+    def test_unresolved_count_path_not_retried(self, count_path, body, failed_part):
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            return json.dumps(body)
+
+        client = RemoteCountClient(
+            remote_config(count_path=count_path, min_delay_ms=0, max_retries=3),
+            fetch=fetch,
+            sleep=lambda s: None,
+        )
+        with pytest.raises(TransportError) as err:
+            client.count("a")
+        assert len(calls) == 1
+        assert "count_path %r does not resolve at %r" % (count_path, failed_part) in str(
+            err.value
+        )
+
+    def test_unreadable_body_retried(self):
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            return "<html>busy</html>"
+
+        client = RemoteCountClient(
+            remote_config(min_delay_ms=0, max_retries=3), fetch=fetch, sleep=lambda s: None
+        )
+        with pytest.raises(TransportError):
+            client.count("a")
+        assert len(calls) == 3
+
 
 WORDS = ["a", "b", "ab", "ba", "c", "bc"]  # some words are parts of others
 

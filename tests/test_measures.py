@@ -224,11 +224,12 @@ class TestUnithood:
     def test_degenerate_side_never_merges(self):
         # even thresholds that would otherwise accept everything
         permissive = Thresholds(
-            mi_plus=1e-6, mi_minus=-1.0, id_t=0.0, idr_plus=10.0, idr_minus=-10.0
+            mi_plus=-0.5, mi_minus=-1.0, id_t=0.0, idr_plus=10.0, idr_minus=-10.0
         )
         scores = unithood(EvidenceSet(10, 0, 10), permissive)
         assert scores.degenerate is True
         assert scores.mi == 0.0
+        assert decision_rule(scores.mi, scores.id_x, scores.id_y, scores.idr, permissive)
         assert scores.uh is False
 
     def test_scores_invariants_randomized(self):

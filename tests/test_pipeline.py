@@ -44,6 +44,11 @@ def roundtrip(write_fn, items, read_fn):
     return read_fn(io.StringIO(out.getvalue()))
 
 
+def read_fixture(read_fn, path):
+    with open(path, encoding="utf-8") as handle:
+        return read_fn(handle)
+
+
 class TestConfig:
     def test_defaults(self):
         config = PipelineConfig()
@@ -210,14 +215,14 @@ class TestFileFormats:
         assert again.s == "bird flu virus"
 
     def test_decisions_round_trip(self, fixtures_dir):
-        pairs = read_pairs_file(open(fixtures_dir / "reference_pairs.tsv", encoding="utf-8"))
-        scores = read_scores_file(open(fixtures_dir / "reference_scores.tsv", encoding="utf-8"))
+        pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
+        scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs, Thresholds(), injected=scores)
         decisions = roundtrip(write_decisions_file, records, read_decisions_file)
         assert decisions == {r.pair_id: r.merged for r in records}
 
     def test_gold_file(self, fixtures_dir):
-        gold = read_gold_file(open(fixtures_dir / "reference_gold.tsv", encoding="utf-8"))
+        gold = read_fixture(read_gold_file, fixtures_dir / "reference_gold.tsv")
         assert gold == {"1": False, "2": True, "3": True, "4": True, "5": True}
 
     def test_gold_rejects_unknown_label(self):
@@ -225,7 +230,7 @@ class TestFileFormats:
             read_gold_file(io.StringIO("1\tMAYBE\n"))
 
     def test_decorated_round_trip(self, fixtures_dir):
-        rows = read_decorated_file(open(fixtures_dir / "decorated_pairs.tsv", encoding="utf-8"))
+        rows = read_fixture(read_decorated_file, fixtures_dir / "decorated_pairs.tsv")
         assert rows[0][0] == "p01"
         assert rows[0][1].n_ay == 26_000_000
         assert len(rows) == 13
@@ -285,8 +290,8 @@ class TestFileFormats:
 
 class TestDecidePairs:
     def test_injected_scores_reproduce_reference_decisions(self, fixtures_dir):
-        pairs = read_pairs_file(open(fixtures_dir / "reference_pairs.tsv", encoding="utf-8"))
-        scores = read_scores_file(open(fixtures_dir / "reference_scores.tsv", encoding="utf-8"))
+        pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
+        scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs, Thresholds(), injected=scores)
         assert [r.merged for r in records] == [True, False, False, False, False]
         assert [r.pair_id for r in records] == ["1", "2", "3", "4", "5"]
@@ -346,15 +351,15 @@ class TestDecidePairs:
         assert [r.s for r in records] == ["a of b", "b of c"]
 
     def test_pair_ids_are_sequential_across_sentences(self, fixtures_dir):
-        pairs = read_pairs_file(open(fixtures_dir / "reference_pairs.tsv", encoding="utf-8"))
-        scores = read_scores_file(open(fixtures_dir / "reference_scores.tsv", encoding="utf-8"))
+        pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
+        scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs + [two_candidate_pair()], Thresholds(), injected=scores,
                                provider=FixtureProvider.from_file(fixtures_dir / "counts.json"))
         assert [r.pair_id for r in records] == [str(i) for i in range(1, 7)]
 
     def test_decorated_output_skips_injected_rows(self, fixtures_dir):
-        pairs = read_pairs_file(open(fixtures_dir / "reference_pairs.tsv", encoding="utf-8"))
-        scores = read_scores_file(open(fixtures_dir / "reference_scores.tsv", encoding="utf-8"))
+        pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
+        scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs, Thresholds(), injected=scores)
         out = io.StringIO()
         write_decorated_file(records, out)
