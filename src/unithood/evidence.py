@@ -18,11 +18,10 @@ import sys
 import threading
 import time
 import urllib.parse
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Protocol
-
-import requests
 
 from .parse_ingest import ParseFileError, read_rows
 
@@ -128,14 +127,17 @@ class LocalIndexProvider:
     provider_id = "local-index"
 
     def __init__(self, documents: Iterable[str | Iterable[str]]):
-        self._postings: dict[str, set[int]] = {}
+        postings: defaultdict[str, set[int]] = defaultdict(set)
         self._padded: list[str] = []
         for doc_id, document in enumerate(documents):
-            tokens = document.split() if isinstance(document, str) else list(document)
-            tokens = [t.lower() for t in tokens]
+            if isinstance(document, str):
+                tokens = document.lower().split()
+            else:  # given tokens are kept whole, even with whitespace inside
+                tokens = [t.lower() for t in document]
             for token in tokens:
-                self._postings.setdefault(token, set()).add(doc_id)
+                postings[token].add(doc_id)
             self._padded.append(" " + " ".join(tokens) + " ")
+        self._postings = dict(postings)
 
     def count(self, phrase: str) -> int:
         tokens = _lookup_key(phrase).split()
@@ -259,9 +261,18 @@ class _NoMatch(ValueError):
 
 
 def _default_fetch(url: str, timeout_ms: int) -> str:
+    import requests  # only a remote fetch pays for importing it
+
     response = requests.get(url, timeout=timeout_ms / 1000.0)
     response.raise_for_status()
     return response.text
+
+
+def _retried_errors() -> tuple[type[Exception], ...]:
+    # A requests exception can only exist once requests is imported, and an
+    # except clause is evaluated only when something was raised.
+    requests = sys.modules.get("requests")
+    return (ValueError, KeyError, IndexError) + ((requests.RequestException,) if requests else ())
 
 
 class RemoteCountClient:
@@ -273,8 +284,9 @@ class RemoteCountClient:
     ``max_retries`` attempts and then raised as TransportError; a
     failure is never reported as a zero count.  Failures a retry cannot
     change, an HTTP 4xx other than 429, a JSON ``count_path`` that does
-    not resolve or a ``regex:`` count pattern that matches nothing, are
-    raised after the first attempt.
+    not resolve, a ``regex:`` count pattern that matches nothing or has
+    no group 1, or a count that is not a number, are raised after the
+    first attempt.
     """
 
     provider_id = "remote"
@@ -313,14 +325,20 @@ class RemoteCountClient:
             match = re.search(path[len("regex:"):], body)
             if match is None:
                 raise _NoMatch("count pattern matched nothing")
-            return int(match.group(1).replace(",", ""))
-        value: Any = json.loads(body)
-        for part in path.split("."):
-            try:
-                value = value[int(part)] if isinstance(value, list) else value[part]
-            except (KeyError, IndexError, TypeError, ValueError):
-                raise _NoMatch("count_path %r does not resolve at %r" % (path, part)) from None
-        return int(str(value).replace(",", ""))
+            if match.re.groups < 1:
+                raise _NoMatch("count_path %r has no group 1" % path)
+            value: Any = match.group(1)
+        else:
+            value = json.loads(body)
+            for part in path.split("."):
+                try:
+                    value = value[int(part)] if isinstance(value, list) else value[part]
+                except (KeyError, IndexError, TypeError, ValueError):
+                    raise _NoMatch("count_path %r does not resolve at %r" % (path, part)) from None
+        try:
+            return int(str(value).replace(",", ""))
+        except ValueError:
+            raise _NoMatch("count_path %r holds %r, not a count" % (path, value)) from None
 
     def count(self, phrase: str) -> int:
         if not normalize_phrase(phrase):
@@ -331,7 +349,7 @@ class RemoteCountClient:
             self._respect_rate_limit()
             try:
                 return self.extract_count(self._fetch(url))
-            except (requests.RequestException, ValueError, KeyError, IndexError) as exc:
+            except _retried_errors() as exc:
                 last_error = exc
                 status = getattr(getattr(exc, "response", None), "status_code", None) or 0
                 if isinstance(exc, _NoMatch) or (400 <= status < 500 and status != 429):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -444,3 +447,26 @@ class TestCountsWarm:
         code, _, err = run(capsys, "counts", "warm", pairs)
         assert code == 1
         assert "provider" in err
+
+
+def test_commands_do_not_import_requests(tmp_path, fixtures_dir):
+    """Only a remote fetch needs ``requests``; other commands never load it."""
+    script = (
+        "import sys\n"
+        "import unithood, unithood.cli\n"
+        "fixtures, out = sys.argv[1], sys.argv[2]\n"
+        "assert unithood.cli.main(['extract', fixtures + '/sample_parse.tsv',\n"
+        "                          out + '/candidates.tsv', out + '/pairs.tsv']) == 0\n"
+        "assert unithood.cli.main(['sweep', fixtures + '/decorated_pairs.tsv',\n"
+        "                          fixtures + '/sweep_gold.tsv', '{\"id_t\": [3, 6]}']) == 0\n"
+        "print('requests' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(fixtures_dir), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(fixtures_dir.parent / "src")},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"

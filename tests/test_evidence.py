@@ -541,17 +541,88 @@ class TestRemoteCountClient:
             client.count("a")
         assert len(calls) == 3
 
+    @pytest.mark.parametrize(
+        "count_path, body, message",
+        [
+            ("search.total", json.dumps({"search": {"total": "n/a"}}),
+             "count_path 'search.total' holds 'n/a', not a count"),
+            (r"regex:about (\w+) results", "about many results",
+             r"count_path 'regex:about (\\w+) results' holds 'many', not a count"),
+            (r"regex:about \d+ results", "about 12 results",
+             r"count_path 'regex:about \\d+ results' has no group 1"),
+        ],
+        ids=["json-not-a-number", "regex-not-a-number", "regex-without-group"],
+    )
+    def test_count_that_is_not_a_number_not_retried(self, count_path, body, message):
+        calls = []
 
-WORDS = ["a", "b", "ab", "ba", "c", "bc"]  # some words are parts of others
+        def fetch(url):
+            calls.append(url)
+            return body
+
+        client = RemoteCountClient(
+            remote_config(count_path=count_path, min_delay_ms=0, max_retries=3),
+            fetch=fetch,
+            sleep=lambda s: None,
+        )
+        with pytest.raises(TransportError) as err:
+            client.count("a")
+        assert len(calls) == 1
+        assert message in str(err.value)
+
+
+class FakeResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError("status %d" % self.status_code, response=self)
+
+
+class TestDefaultFetch:
+    """``RemoteCountClient`` without ``fetch`` goes through ``requests.get``."""
+
+    def client_against(self, monkeypatch, status_code, text=""):
+        calls = []
+
+        def fake_get(url, timeout):
+            calls.append((url, timeout))
+            return FakeResponse(status_code, text)
+
+        monkeypatch.setattr(requests, "get", fake_get)
+        config = remote_config(min_delay_ms=0, max_retries=3, timeout_ms=2500)
+        return RemoteCountClient(config, sleep=lambda s: None), calls
+
+    def test_json_body_gives_count(self, monkeypatch):
+        client, calls = self.client_against(
+            monkeypatch, 200, json.dumps({"search": {"total": 42}})
+        )
+        assert client.count("mental health") == 42
+        assert calls == [("https://api.example/search?q=%22mental+health%22", 2.5)]
+
+    @pytest.mark.parametrize("status_code, attempts", [(404, 1), (503, 3)])
+    def test_status_retry_policy(self, monkeypatch, status_code, attempts):
+        client, calls = self.client_against(monkeypatch, status_code)
+        with pytest.raises(TransportError, match="status %d" % status_code):
+            client.count("a")
+        assert len(calls) == attempts
+
+
+# Some words are parts of others; some change length or form when case
+# is folded (final sigma, dotted capital I, capital sharp s) or carry a
+# combining mark.
+WORDS = ["a", "b", "ab", "ba", "c", "bc", "σς", "Σa", "İ", "i", "ẞ", "e\u0301"]
 
 
 @st.composite
 def corpus_and_phrases(draw):
-    vocabulary = WORDS[: draw(st.integers(3, 6))]
+    vocabulary = draw(st.lists(st.sampled_from(WORDS), min_size=3, max_size=6, unique=True))
     word = st.builds(
         lambda w, upper: w.upper() if upper else w, st.sampled_from(vocabulary), st.booleans()
     )
-    gap = st.sampled_from([" ", "  ", "\t", " \n "])
+    gap = st.sampled_from([" ", "  ", "\t", " \n ", "\u00a0", "\u3000"])
     documents = draw(st.lists(st.lists(word, max_size=12), max_size=15))
     texts = [
         draw(gap) + "".join(w + draw(gap) for w in tokens) for tokens in documents
@@ -571,12 +642,18 @@ def corpus_and_phrases(draw):
     return texts, [draw(gap).join(p) for p in phrases]
 
 
+def lowered_tokens(text):
+    return [token.lower() for token in text.split()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(corpus_and_phrases())
 def test_local_index_matches_brute_force(case):
     texts, phrases = case
-    provider = LocalIndexProvider(texts)
-    documents = [text.lower().split() for text in texts]
+    from_texts = LocalIndexProvider(texts)
+    from_tokens = LocalIndexProvider([text.split() for text in texts])
+    documents = [lowered_tokens(text) for text in texts]
     for phrase in phrases + ["a a", "b b b"]:
-        expected = naive_document_frequency(documents, phrase.lower().split())
-        assert provider.count(phrase) == expected, phrase
+        expected = naive_document_frequency(documents, lowered_tokens(phrase))
+        assert from_texts.count(phrase) == expected, phrase
+        assert from_tokens.count(phrase) == expected, phrase

@@ -6,6 +6,10 @@ change that alters any output byte fails here.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +49,22 @@ def quick_start(tmp_path, fixtures_dir, capsys):
 )
 def test_quick_start_output_unchanged(quick_start, fixtures_dir, name):
     assert quick_start[name] == (fixtures_dir / "golden" / name).read_bytes()
+
+
+def test_readme_library_snippet_runs_cleanly(fixtures_dir):
+    """The README "Library use" block runs as shown, leaking nothing."""
+    root = fixtures_dir.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", snippet],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "National Institute of Mental Health" in result.stdout
