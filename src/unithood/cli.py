@@ -19,19 +19,11 @@ from typing import Sequence
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
 from .extractor import extract_candidates, form_pairs, sentence_connectors
-from .measures import THRESHOLD_DEFAULTS_DOC, UndefinedEvidenceError
-from .parse_ingest import ParseFileError, read_parse_file
+from .measures import THRESHOLD_DEFAULTS_DOC
+from .parse_ingest import read_parse_file
 
-_ERRORS = (
-    ParseFileError,
-    MissingCountError,
-    TransportError,
-    UndefinedEvidenceError,
-    evaluation.EvaluationError,
-    pipeline.ConfigError,
-    ValueError,
-    OSError,
-)
+# ParseFileError, UndefinedEvidenceError, EvaluationError and ConfigError are ValueErrors.
+_ERRORS = (MissingCountError, TransportError, ValueError, OSError)
 
 
 @contextlib.contextmanager
@@ -92,14 +84,12 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if args.scores:
         with open(args.scores, encoding="utf-8") as handle:
             injected = pipeline.read_scores_file(handle)
-    provider = pipeline.build_provider(config) if config.has_provider() else None
-    records = pipeline.decide_pairs(
-        pairs,
-        config.thresholds,
-        provider=provider,
-        injected=injected,
-        max_passes=config.max_merge_passes,
-    )
+    with (
+        pipeline.build_provider(config) if config.has_provider() else contextlib.nullcontext()
+    ) as provider:
+        records = pipeline.decide_pairs(
+            pairs, config.thresholds, provider, injected, config.max_merge_passes
+        )
     with _open_out(args.out) as handle:
         pipeline.write_decisions_file(records, handle)
     if args.decorated_out:
@@ -203,8 +193,8 @@ def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     with open(args.pairs_file, encoding="utf-8") as handle:
         pairs = pipeline.read_pairs_file(handle)
-    provider = pipeline.build_provider(config)
-    n = pipeline.warm_counts(pairs, provider)
+    with pipeline.build_provider(config) as provider:
+        n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)
     return 0
 

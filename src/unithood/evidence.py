@@ -15,13 +15,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-import threading
 import time
 import urllib.parse
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol, TextIO
 
 from .parse_ingest import ParseFileError, read_rows
 
@@ -171,20 +170,35 @@ class CountCache:
     counts ``inner`` returned; a failure is not stored, so the next call
     asks again.  With ``path`` the dict is loaded from, and each miss
     appended to, a TSV phrase<TAB>count<TAB>provider_id<TAB>fetched_at
-    (the last entry per key wins).  An unterminated last line that does
-    not parse, left by a crash mid-append, is skipped with a warning and
-    cut off before the next append; any other bad row raises.
+    (the last entry per key wins).  The file is opened on the first miss
+    and closed on leaving a ``with`` block or by ``close``; each line is
+    flushed as it is written, and ``fetched_at`` is the first one's time.
+    An unterminated last line that does not parse, left by a crash
+    mid-append, is skipped with a warning and cut off before the first
+    append; any other bad row raises.
     """
 
     def __init__(self, inner: CountProvider, path: str | Path | None = None):
         self.inner = inner
         self.provider_id = inner.provider_id
         self.path = None if path is None else Path(path)
-        self._lock = threading.Lock()
         self._counts: dict[tuple[str, str], int] = {}
+        self._handle: TextIO | None = None
+        self._fetched_at = ""
         self._repair: tuple[int, str] | None = None  # (truncate at byte, then write)
         if self.path is not None and self.path.exists():
             self._load(self.path)
+
+    def __enter__(self) -> "CountCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
@@ -211,18 +225,20 @@ class CountCache:
         return self._counts.get((self.provider_id, _lookup_key(phrase)))
 
     def put(self, phrase: str, count: int) -> None:
+        phrase = normalize_phrase(phrase)
         if self.path is not None:
-            fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-            line = "%s\t%d\t%s\t%s\n" % (normalize_phrase(phrase), count, self.provider_id, fetched_at)
-            with self._lock:
+            if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as handle:
-                    if self._repair is not None:
-                        handle.truncate(self._repair[0])
-                        line = self._repair[1] + line
-                    handle.write(line)
-                self._repair = None
-        self._counts[(self.provider_id, _lookup_key(phrase))] = count
+                self._handle = self.path.open("a", encoding="utf-8")
+                if self._repair is not None:
+                    self._handle.truncate(self._repair[0])
+                    self._handle.write(self._repair[1])
+                    self._repair = None
+                self._fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            line = "%s\t%d\t%s\t%s\n" % (phrase, count, self.provider_id, self._fetched_at)
+            self._handle.write(line)
+            self._handle.flush()
+        self._counts[(self.provider_id, phrase.lower())] = count
 
     def count(self, phrase: str) -> int:
         cached = self.get(phrase)
@@ -279,14 +295,13 @@ class RemoteCountClient:
     """Fetch total-result counts from a configurable search endpoint.
 
     Phrases are submitted as quoted exact-phrase queries.  Consecutive
-    requests are spaced at least ``min_delay_ms`` apart (enforced
-    globally across threads).  Failures are retried up to
-    ``max_retries`` attempts and then raised as TransportError; a
-    failure is never reported as a zero count.  Failures a retry cannot
-    change, an HTTP 4xx other than 429, a JSON ``count_path`` that does
-    not resolve, a ``regex:`` count pattern that matches nothing or has
-    no group 1, or a count that is not a number, are raised after the
-    first attempt.
+    requests are spaced at least ``min_delay_ms`` apart.  Failures are
+    retried up to ``max_retries`` attempts and then raised as
+    TransportError; a failure is never reported as a zero count.
+    Failures a retry cannot change, an HTTP 4xx other than 429, a JSON
+    ``count_path`` that does not resolve, a ``regex:`` count pattern that
+    matches nothing or has no group 1, or a count that is not a number,
+    are raised after the first attempt.
     """
 
     provider_id = "remote"
@@ -302,7 +317,6 @@ class RemoteCountClient:
         self._fetch = fetch or (lambda url: _default_fetch(url, config.timeout_ms))
         self._sleep = sleep
         self._clock = clock
-        self._lock = threading.Lock()
         self._last_request: float | None = None
 
     def build_url(self, phrase: str) -> str:
@@ -310,14 +324,13 @@ class RemoteCountClient:
         return self.config.endpoint_template.replace("{query}", query)
 
     def _respect_rate_limit(self) -> None:
-        with self._lock:
-            now = self._clock()
-            if self._last_request is not None:
-                wait = self.config.min_delay_ms / 1000.0 - (now - self._last_request)
-                if wait > 0:
-                    self._sleep(wait)
-                    now = self._clock()
-            self._last_request = now
+        now = self._clock()
+        if self._last_request is not None:
+            wait = self.config.min_delay_ms / 1000.0 - (now - self._last_request)
+            if wait > 0:
+                self._sleep(wait)
+                now = self._clock()
+        self._last_request = now
 
     def extract_count(self, body: str) -> int:
         path = self.config.count_path

@@ -156,7 +156,7 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     p_s = weight(evidence.n_s, total)
     p_ax = weight(evidence.n_ax, total)
     p_ay = weight(evidence.n_ay, total)
-    mi = mutual_information(evidence)
+    mi = 0.0 if degenerate else p_s / (p_ax * p_ay)
     id_x = independence(evidence.n_ax, evidence.n_s)
     id_y = independence(evidence.n_ay, evidence.n_s)
     idr = independence_ratio(id_x, id_y)

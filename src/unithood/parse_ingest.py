@@ -21,8 +21,6 @@ NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
 HEADER_COMMENT = "# sentence_id\toffset\tlemma\tpos\tdep_rel\thead_offset"
 
-_FORBIDDEN_CHARS = ("\t", "\n", "\r")
-
 T = TypeVar("T")
 
 
@@ -67,7 +65,7 @@ def read_rows(
 def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
     if not allow_empty and not value:
         raise ValueError("%s must be non-empty" % name)
-    if any(c in value for c in _FORBIDDEN_CHARS):
+    if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError("%s must not contain tabs or line breaks" % name)
 
 

@@ -151,11 +151,11 @@ def build_provider(config: PipelineConfig) -> CountCache:
 
 
 def _span_str(span: Sequence[int]) -> str:
-    return ",".join(str(o) for o in span)
+    return ",".join(map(str, span))
 
 
 def _parse_span(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    return tuple(map(int, text.split(",")))
 
 
 def _first(seen: set, key, what: str) -> None:
@@ -170,32 +170,31 @@ def write_candidates_file(candidates: Iterable[Candidate], stream: TextIO) -> No
         stream.write("%s\t%s\t%s\n" % (c.sentence_id, _span_str(c.span), c.surface))
 
 
+def _pair_row(p: CandidatePair) -> list[str]:
+    return [
+        p.sentence_id, _span_str(p.merged_span()), p.s,
+        _span_str(p.a_x.span), p.a_x.surface, p.b, _span_str(p.a_y.span), p.a_y.surface,
+    ]
+
+
 def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
     stream.write(
         "# sentence_id\tspan\tsurface\tax_span\tax_surface\tb\tay_span\tay_surface\n"
     )
     for p in pairs:
-        stream.write(
-            "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n"
-            % (
-                p.sentence_id,
-                _span_str(p.merged_span()),
-                p.s,
-                _span_str(p.a_x.span),
-                p.a_x.surface,
-                p.b,
-                _span_str(p.a_y.span),
-                p.a_y.surface,
-            )
-        )
+        stream.write("\t".join(_pair_row(p)) + "\n")
 
 
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
     def pair(columns: list[str]) -> CandidatePair:
-        sentence_id, _, _, ax_span, ax_surface, b, ay_span, ay_surface = columns
+        sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
         a_x = Candidate(sentence_id, _parse_span(ax_span), ax_surface)
         a_y = Candidate(sentence_id, _parse_span(ay_span), ay_surface)
-        return build_pair(a_x, b, a_y)
+        built = build_pair(a_x, b, a_y)
+        if _parse_span(span) != built.merged_span() or surface != built.s:
+            raise ValueError("span and surface %r do not match the pair's %r"
+                             % ([span, surface], _pair_row(built)[1:3]))
+        return built
 
     return list(read_rows(stream, 8, "pairs file", pair))
 

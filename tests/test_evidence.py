@@ -1,6 +1,7 @@
 import json
 import random
-import threading
+import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -167,37 +168,40 @@ def fixture_cache(path=None):
 
 class TestCountCache:
     def test_round_trip(self, tmp_path):
-        cache = fixture_cache(tmp_path / "cache.tsv")
-        assert cache.get("a b") is None
-        cache.put("a b", 12)
-        assert cache.get("a b") == 12
+        with fixture_cache(tmp_path / "cache.tsv") as cache:
+            assert cache.get("a b") is None
+            cache.put("a b", 12)
+            assert cache.get("a b") == 12
 
     def test_persisted_and_reloaded(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        fixture_cache(path).put("a b", 12)
+        with fixture_cache(path) as cache:
+            cache.put("a b", 12)
         assert fixture_cache(path).get("a b") == 12
 
     def test_last_entry_wins(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = fixture_cache(path)
-        cache.put("a b", 12)
-        cache.put("a b", 15)
+        with fixture_cache(path) as cache:
+            cache.put("a b", 12)
+            cache.put("a b", 15)
         assert fixture_cache(path).get("a b") == 15
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
     def test_keyed_by_provider(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        fixture_cache(path).put("a", 1)
+        with fixture_cache(path) as cache:
+            cache.put("a", 1)
         assert CountCache(LocalIndexProvider([]), path).get("a") is None
 
     def test_case_insensitive_lookup(self, tmp_path):
-        cache = fixture_cache(tmp_path / "cache.tsv")
-        cache.put("Mental Health", 9)
-        assert cache.get("mental health") == 9
+        with fixture_cache(tmp_path / "cache.tsv") as cache:
+            cache.put("Mental Health", 9)
+            assert cache.get("mental health") == 9
 
     def test_file_format(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        fixture_cache(path).put("a  b", 3)
+        with fixture_cache(path) as cache:
+            cache.put("a  b", 3)
         line = path.read_text(encoding="utf-8").splitlines()[0]
         phrase, count, provider_id, fetched_at = line.split("\t")
         assert phrase == "a b"
@@ -207,11 +211,11 @@ class TestCountCache:
 
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
-        cache = fixture_cache(path)
-        cache.put("a b", 3)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("c d\t4\tfix\n")
-        cache.put("e f", 5)
+        with fixture_cache(path) as cache:
+            cache.put("a b", 3)
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write("c d\t4\tfix\n")
+            cache.put("e f", 5)
         with pytest.raises(ParseFileError) as err:
             fixture_cache(path)
         assert str(err.value).startswith("count cache line 2: expected 4")
@@ -231,11 +235,11 @@ class TestCountCache:
     def test_torn_last_line_skipped_and_cut(self, tmp_path, capsys, torn):
         path = tmp_path / "cache.tsv"
         path.write_bytes(b"a b\t3\tfixture\tT\n" + torn)
-        cache = fixture_cache(path)
-        assert capsys.readouterr().err == "warning: %s line 2: skipped a torn last line\n" % path
-        assert cache.get("a b") == 3
-        assert cache.get("c d") is None
-        cache.put("e f", 5)
+        with fixture_cache(path) as cache:
+            assert capsys.readouterr().err == "warning: %s line 2: skipped a torn last line\n" % path
+            assert cache.get("a b") == 3
+            assert cache.get("c d") is None
+            cache.put("e f", 5)
         for reloaded in (cache, fixture_cache(path)):
             assert (reloaded.get("a b"), reloaded.get("c d"), reloaded.get("e f")) == (3, None, 5)
         assert capsys.readouterr().err == ""
@@ -247,11 +251,104 @@ class TestCountCache:
     def test_unterminated_valid_last_line_kept(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
         path.write_text("a b\t3\tfixture\tT", encoding="utf-8")
-        cache = fixture_cache(path)
-        cache.put("c d", 4)
+        with fixture_cache(path) as cache:
+            cache.put("c d", 4)
         reloaded = fixture_cache(path)
         assert (reloaded.get("a b"), reloaded.get("c d")) == (3, 4)
         assert capsys.readouterr().err == ""
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Record (path, mode, file object) for every Path.open call."""
+    calls = []
+    original = Path.open
+
+    def recording(self, mode="r", *args, **kwargs):
+        handle = original(self, mode, *args, **kwargs)
+        calls.append((self, mode, handle))
+        return handle
+
+    monkeypatch.setattr(Path, "open", recording)
+    return calls
+
+
+def appends(opened):
+    return [path for path, mode, _ in opened if "a" in mode]
+
+
+class TestCacheLifecycle:
+    def test_misses_open_the_file_once_with_one_stamp(self, tmp_path, opened, monkeypatch):
+        ticks, gmtime = iter(range(0, 10**6, 3600)), time.gmtime
+        monkeypatch.setattr(time, "gmtime", lambda: gmtime(next(ticks)))  # an hour per call
+        path = tmp_path / "sub" / "cache.tsv"
+        phrases = ["p%d" % i for i in range(20)]
+        with CountCache(FixtureProvider(dict.fromkeys(phrases, 4)), path) as cache:
+            for phrase in phrases:
+                assert cache.count(phrase) == 4
+        assert appends(opened) == [path]
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [row[0] for row in rows] == phrases
+        assert {row[3] for row in rows} == {"1970-01-01T00:00:00Z"}
+
+    def test_each_miss_visible_before_close(self, tmp_path, capsys):
+        path = tmp_path / "cache.tsv"
+        phrases = ["a", "b  c", "D"]
+        with CountCache(FixtureProvider(dict.fromkeys(phrases, 7)), path) as cache:
+            for n, phrase in enumerate(phrases, start=1):
+                cache.count(phrase)
+                reader = fixture_cache(path)
+                assert len(reader) == n
+                assert [reader.get(p) for p in phrases[:n]] == [7] * n
+        assert capsys.readouterr().err == ""
+
+    def test_all_hits_leave_the_file_alone(self, tmp_path, opened):
+        path = tmp_path / "cache.tsv"
+        path.write_text("a\t1\tfixture\tT\nb c\t2\tfixture\tT\n", encoding="utf-8")
+        before = path.read_bytes()
+        with fixture_cache(path) as cache:
+            assert [cache.count("a"), cache.count("B  c"), cache.count("a")] == [1, 2, 1]
+        assert appends(opened) == []
+        assert path.read_bytes() == before
+
+    def test_no_miss_creates_no_file(self, tmp_path):
+        with fixture_cache(tmp_path / "sub" / "cache.tsv") as cache:
+            assert cache.get("a") is None
+            with pytest.raises(MissingCountError):
+                cache.count("a")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "tail, kept",
+        [(b"c d\t4\tfix", ["a b"]), (b"c d\t4\tfixture\tT", ["a b", "c d"])],
+        ids=["torn", "unterminated"],
+    )
+    def test_repair_before_appends_through_the_held_handle(
+        self, tmp_path, opened, capsys, tail, kept
+    ):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"a b\t3\tfixture\tT\n" + tail)
+        with CountCache(FixtureProvider({"e f": 5, "g h": 6}), path) as cache:
+            assert [cache.count("e f"), cache.count("g h")] == [5, 6]
+        capsys.readouterr()
+        assert appends(opened) == [path]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == kept + ["e f", "g h"]
+        reloaded = fixture_cache(path)
+        assert [reloaded.get(p) for p in ("a b", "c d", "e f", "g h")] == [
+            3, 4 if "c d" in kept else None, 5, 6
+        ]
+        assert capsys.readouterr().err == ""
+
+    def test_with_closes_the_handle(self, tmp_path, opened):
+        cache = CountCache(FixtureProvider({"a": 1}), tmp_path / "cache.tsv")
+        with cache as entered:
+            assert entered is cache
+            cache.count("a")
+            ((_, _, handle),) = opened
+            assert not handle.closed
+        assert handle.closed
+        cache.close()  # closing again is harmless
 
 
 class TestCountMemo:
@@ -298,31 +395,16 @@ class CountingProvider:
 class TestCachedProvider:
     def test_transparent_values(self, tmp_path):
         inner = FixtureProvider({"a": 3, "b c": 4})
-        cached = CountCache(inner, tmp_path / "cache.tsv")
-        for phrase in ("a", "b c", "a"):
-            assert cached.count(phrase) == inner.count(phrase)
+        with CountCache(inner, tmp_path / "cache.tsv") as cached:
+            for phrase in ("a", "b c", "a"):
+                assert cached.count(phrase) == inner.count(phrase)
 
     def test_inner_called_once_per_phrase(self, tmp_path):
         inner = CountingProvider({"a": 3})
-        cached = CountCache(inner, tmp_path / "cache.tsv")
-        assert cached.count("a") == 3
-        assert cached.count("a") == 3
+        with CountCache(inner, tmp_path / "cache.tsv") as cached:
+            assert cached.count("a") == 3
+            assert cached.count("a") == 3
         assert inner.calls == 1
-
-    def test_concurrent_lookups(self, tmp_path):
-        inner = FixtureProvider({"a": 3})
-        cached = CountCache(inner, tmp_path / "cache.tsv")
-        results = []
-
-        def worker():
-            results.append(cached.count("a"))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == [3] * 8
 
 
 def remote_config(**overrides):
@@ -440,9 +522,9 @@ class TestRemoteCountClient:
             return body
 
         client = RemoteCountClient(remote_config(min_delay_ms=0), fetch=fetch)
-        cached = CountCache(client, tmp_path / "cache.tsv")
-        assert cached.count("a") == 9
-        assert cached.count("a") == 9
+        with CountCache(client, tmp_path / "cache.tsv") as cached:
+            assert cached.count("a") == 9
+            assert cached.count("a") == 9
         assert len(calls) == 1
 
     @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unithood import (
     EvidenceSet,
@@ -249,3 +251,13 @@ class TestUnithood:
             if evidence.n_ay <= evidence.n_s:
                 assert scores.id_y == 0.0
             assert (scores.idr is not None) == (scores.id_y > 0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.tuples(*[st.integers(0, 10**12)] * 3).filter(any),
+    st.sampled_from([Thresholds(), Thresholds(mi_plus=1e9, mi_minus=-1e9, id_t=0.0)]),
+)
+def test_unithood_mi_is_mutual_information(counts, thresholds):
+    evidence = EvidenceSet(*counts)
+    assert unithood(evidence, thresholds).mi == mutual_information(evidence)

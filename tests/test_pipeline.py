@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 
 import pytest
@@ -175,8 +176,8 @@ class TestConfig:
             fixture_path=config.fixture_path,
             cache_path=str(tmp_path / "cache.tsv"),
         )
-        provider = build_provider(config)
-        assert provider.count("mental health") == 14_000_000
+        with build_provider(config) as provider:
+            assert provider.count("mental health") == 14_000_000
         assert (tmp_path / "cache.tsv").exists()
 
     def test_no_provider_build_fails(self):
@@ -275,17 +276,41 @@ class TestFileFormats:
         "read_fn, text, kind",
         [
             (read_pairs_file, "s1\t1,2\ta b\t1\ta\t\t2\n", "pairs file"),
+            (read_pairs_file, "s1\t1,2,3\ta b\t1\ta\t\t2\tb\n", "pairs file"),
+            (read_pairs_file, "s1\t1,2\ta  b\t1\ta\t\t2\tb\n", "pairs file"),
             (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t-2\t3\n", "decorated pairs file"),
             (read_decisions_file, "1\ta\tof\tb\t1\t1\t1\t1\tMAYBE\ta of b\n",
              "decisions file"),
         ],
-        ids=["pairs-columns", "decorated-negative", "decisions-label"],
+        ids=["pairs-columns", "pairs-stale-span", "pairs-stale-surface", "decorated-negative",
+             "decisions-label"],
     )
     def test_bad_row_names_file_kind_and_line(self, read_fn, text, kind):
         with pytest.raises(ParseFileError) as err:
             read_fn(io.StringIO("# header\n\n" + text))
         assert err.value.line_number == 3
         assert str(err.value).startswith("%s line 3: " % kind)
+
+
+FIELD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6)
+
+
+@st.composite
+def candidate_pairs(draw):
+    sentence_id = draw(FIELD.filter(lambda t: t.strip() and not t.startswith("#")))
+    b = draw(st.one_of(st.just(""), st.sampled_from(["of", "and"]), FIELD))
+    steps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    split = draw(st.integers(1, len(steps) - 1))
+    ax_span = tuple(itertools.accumulate(steps[:split]))
+    ay_span = tuple(itertools.accumulate([ax_span[-1] + (2 if b else 1)] + steps[split:]))
+    a_x = Candidate(sentence_id, ax_span, draw(FIELD))
+    return build_pair(a_x, b, Candidate(sentence_id, ay_span, draw(FIELD)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(candidate_pairs(), max_size=5))
+def test_pairs_file_round_trip(pairs):
+    assert roundtrip(write_pairs_file, pairs, read_pairs_file) == pairs
 
 
 class TestDecidePairs:
@@ -369,13 +394,13 @@ class TestDecidePairs:
 
 class TestWarmCounts:
     def test_all_phrases_cached_once(self, tmp_path, fixtures_dir):
-        provider = CountCache(FixtureProvider.from_file(fixtures_dir / "counts.json"),
-                              tmp_path / "cache.tsv")
-        n = warm_counts([two_candidate_pair()], provider)
-        assert n == 3
-        assert len(provider) == 3
-        # warming again adds nothing
-        warm_counts([two_candidate_pair()], provider)
+        with CountCache(FixtureProvider.from_file(fixtures_dir / "counts.json"),
+                        tmp_path / "cache.tsv") as provider:
+            n = warm_counts([two_candidate_pair()], provider)
+            assert n == 3
+            assert len(provider) == 3
+            # warming again adds nothing
+            warm_counts([two_candidate_pair()], provider)
         lines = (tmp_path / "cache.tsv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 
