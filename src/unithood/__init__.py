@@ -10,8 +10,6 @@ information and independence measures to decide which pairs to merge.
 from .evaluation import (
     ContingencyTable,
     EvaluationError,
-    Metrics,
-    PairEvidence,
     SweepPoint,
     compute_metrics,
     score,
@@ -26,7 +24,6 @@ from .evidence import (
     RemoteClientConfig,
     RemoteCountClient,
     TransportError,
-    gather_evidence,
     normalize_phrase,
 )
 from .extractor import (
@@ -42,11 +39,9 @@ from .extractor import (
 from .measures import (
     Thresholds,
     UndefinedEvidenceError,
-    UnithoodScores,
     decision_rule,
     independence,
     independence_ratio,
-    mutual_information,
     unithood,
     weight,
 )
@@ -55,14 +50,8 @@ from .parse_ingest import (
     ParseFileError,
     ParseToken,
     read_parse_file,
-    write_parse_file,
 )
-from .pipeline import (
-    DecisionRecord,
-    PipelineConfig,
-    decide_pairs,
-    load_config,
-)
+from .pipeline import decide_pairs, load_config
 
 __version__ = "0.1.0"
 
@@ -71,25 +60,20 @@ __all__ = [
     "CandidatePair",
     "ContingencyTable",
     "CountCache",
-    "DecisionRecord",
     "EvaluationError",
     "EvidenceSet",
     "FixtureProvider",
     "LocalIndexProvider",
-    "Metrics",
     "MissingCountError",
-    "PairEvidence",
     "ParsedSentence",
     "ParseFileError",
     "ParseToken",
-    "PipelineConfig",
     "RemoteClientConfig",
     "RemoteCountClient",
     "SweepPoint",
     "Thresholds",
     "TransportError",
     "UndefinedEvidenceError",
-    "UnithoodScores",
     "build_pair",
     "compute_metrics",
     "decide_pairs",
@@ -97,12 +81,10 @@ __all__ = [
     "extract_candidates",
     "find_head_nouns",
     "form_pairs",
-    "gather_evidence",
     "independence",
     "independence_ratio",
     "load_config",
     "merge_pass",
-    "mutual_information",
     "normalize_phrase",
     "read_parse_file",
     "score",
@@ -110,5 +92,4 @@ __all__ = [
     "sweep",
     "unithood",
     "weight",
-    "write_parse_file",
 ]

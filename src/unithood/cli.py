@@ -52,7 +52,9 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         if name not in evaluation.THRESHOLD_NAMES:
             raise pipeline.ConfigError("unknown threshold %r" % name)
         overrides[name] = float(value)
-    return pipeline.apply_threshold_overrides(config, overrides)
+    return dataclasses.replace(
+        config, thresholds=dataclasses.replace(config.thresholds, **overrides)
+    )
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -151,6 +153,9 @@ def _read_grid(spec: str) -> dict[str, list[float]]:
     for name, values in raw.items():
         if not isinstance(values, list):
             raise ValueError("grid axis %r must be a list of numbers" % name)
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError("grid axis %r holds %s, not a number" % (name, json.dumps(v)))
         grid[name] = [float(v) for v in values]
     return grid
 
@@ -159,12 +164,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _read_grid(args.grid_spec)
     with open(args.decorated_file, encoding="utf-8") as handle:
         decorated = pipeline.read_decorated_file(handle)
-    rows = [evaluation.PairEvidence(pid, ev) for pid, ev in decorated]
     with open(args.gold_file, encoding="utf-8") as handle:
         gold = pipeline.read_gold_file(handle)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        points = evaluation.sweep(rows, gold, grid, args.sort_key)
+        points = evaluation.sweep(decorated, gold, grid, args.sort_key)
     for warning in caught:
         print("note: %s" % warning.message, file=sys.stderr)
     with _open_out(args.out) as handle:

@@ -102,14 +102,6 @@ def compute_metrics(table: ContingencyTable) -> Metrics:
 
 
 @dataclass(frozen=True)
-class PairEvidence:
-    """A pair id with its raw counts, ready for re-deciding at any thresholds."""
-
-    pair_id: str
-    evidence: EvidenceSet
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     grid_index: int
     thresholds: Thresholds
@@ -118,16 +110,18 @@ class SweepPoint:
 
 
 def sweep(
-    rows: Sequence[PairEvidence],
+    rows: Sequence[tuple[str, EvidenceSet]],
     gold: Mapping[str, bool],
     grid: Mapping[str, Sequence[float]],
     sort_key: str = "f_score",
 ) -> list[SweepPoint]:
     """Evaluate every grid point over fixed evidence.
 
+    Each row is a ``(pair_id, EvidenceSet)`` tuple, as
+    ``pipeline.read_decorated_file`` returns; pair ids must be unique.
     ``grid`` maps threshold names to candidate values; omitted names use
     the default thresholds.  Combinations violating the threshold
-    invariants are skipped with a warning.  Pair ids must be unique.
+    invariants are skipped with a warning.
     Each row is scored once, since MI, ID and IDR do not depend on the
     thresholds; each grid point then reruns only the decision rule.
     Results are sorted by the chosen metric, best first, ties kept in
@@ -149,10 +143,10 @@ def sweep(
         axes.append(values)
 
     pair_ids: set[str] = set()
-    for row in rows:
-        if row.pair_id in pair_ids:
-            raise EvaluationError("pair id %r occurs more than once" % row.pair_id)
-        pair_ids.add(row.pair_id)
+    for pair_id, _ in rows:
+        if pair_id in pair_ids:
+            raise EvaluationError("pair id %r occurs more than once" % pair_id)
+        pair_ids.add(pair_id)
     orphans = sorted(pair_ids - set(gold))
     if orphans:
         raise EvaluationError(
@@ -177,13 +171,13 @@ def sweep(
     # Score each row once; the thresholds passed do not change the scores.
     # Tuples of (mi, id_x, id_y, idr, degenerate), split by gold label.
     positives, negatives = [], []
-    for row in rows:
+    for pair_id, evidence in rows:
         try:
-            s = unithood(row.evidence, valid[0][1])
+            s = unithood(evidence, valid[0][1])
         except UndefinedEvidenceError as exc:
-            raise UndefinedEvidenceError("pair %s: %s" % (row.pair_id, exc)) from None
+            raise UndefinedEvidenceError("pair %s: %s" % (pair_id, exc)) from None
         scores = (s.mi, s.id_x, s.id_y, s.idr, s.degenerate)
-        (positives if gold[row.pair_id] else negatives).append(scores)
+        (positives if gold[pair_id] else negatives).append(scores)
 
     points: list[SweepPoint] = []
     for index, thresholds in valid:

@@ -96,6 +96,12 @@ class FixtureProvider:
         text = Path(path).read_text(encoding="utf-8")
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             counts = json.loads(text)
+            if not isinstance(counts, dict):
+                raise ValueError("count table %s must be a JSON object" % path)
+            for phrase, count in counts.items():
+                if type(count) is not int or count < 0:
+                    raise ValueError("count table %s: count for %r must be a whole, non-negative"
+                                     " number, got %s" % (path, phrase, json.dumps(count)))
         else:
             counts = dict(
                 read_rows(text.splitlines(), 2, "count table", lambda c: (c[0], int(c[1])))
@@ -171,8 +177,9 @@ class CountCache:
     asks again.  With ``path`` the dict is loaded from, and each miss
     appended to, a TSV phrase<TAB>count<TAB>provider_id<TAB>fetched_at
     (the last entry per key wins).  The file is opened on the first miss
-    and closed on leaving a ``with`` block or by ``close``; each line is
-    flushed as it is written, and ``fetched_at`` is the first one's time.
+    and closed on leaving a ``with`` block or by ``close``, after which an
+    append raises ValueError; each line is flushed as it is written, and
+    ``fetched_at`` is the first one's time.
     An unterminated last line that does not parse, left by a crash
     mid-append, is skipped with a warning and cut off before the first
     append; any other bad row raises.
@@ -184,6 +191,7 @@ class CountCache:
         self.path = None if path is None else Path(path)
         self._counts: dict[tuple[str, str], int] = {}
         self._handle: TextIO | None = None
+        self._closed = False
         self._fetched_at = ""
         self._repair: tuple[int, str] | None = None  # (truncate at byte, then write)
         if self.path is not None and self.path.exists():
@@ -199,6 +207,7 @@ class CountCache:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+        self._closed = True
 
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
@@ -228,6 +237,8 @@ class CountCache:
         phrase = normalize_phrase(phrase)
         if self.path is not None:
             if self._handle is None:
+                if self._closed:
+                    raise ValueError("count cache %s is closed" % self.path)
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("a", encoding="utf-8")
                 if self._repair is not None:

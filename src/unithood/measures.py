@@ -89,18 +89,6 @@ def weight(n_w: int, total: int) -> float:
     return share * math.exp(-share)
 
 
-def mutual_information(evidence: EvidenceSet) -> float:
-    """Ratio-form MI of the pair; 0 when the unit or either side is unseen."""
-    total = evidence.total
-    if total == 0:
-        raise UndefinedEvidenceError("all counts are zero")
-    if evidence.n_s == 0 or evidence.n_ax == 0 or evidence.n_ay == 0:
-        return 0.0
-    return weight(evidence.n_s, total) / (
-        weight(evidence.n_ax, total) * weight(evidence.n_ay, total)
-    )
-
-
 def independence(n_a: int, n_s: int) -> float:
     """How often a side occurs beyond the unit, on a log10 scale.
 

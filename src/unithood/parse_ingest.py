@@ -1,4 +1,4 @@
-"""Reader/writer for the tab-separated dependency-parse format.
+"""Reader for the tab-separated dependency-parse format.
 
 One token per line, six tab-separated columns:
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
-
-HEADER_COMMENT = "# sentence_id\toffset\tlemma\tpos\tdep_rel\thead_offset"
 
 T = TypeVar("T")
 
@@ -150,18 +148,3 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
         ParsedSentence(sid, tuple(sorted(tokens, key=lambda t: t.offset)))
         for sid, tokens in grouped.items()
     ]
-
-
-def write_parse_file(sentences: Iterable[ParsedSentence], stream: TextIO) -> None:
-    """Write sentences in the columnar format, starting with a header comment.
-
-    Reading the result back yields the same sentences, field for field,
-    provided sentence ids are unique.
-    """
-    stream.write(HEADER_COMMENT + "\n")
-    for sentence in sentences:
-        for t in sentence.tokens:
-            stream.write(
-                "%s\t%d\t%s\t%s\t%s\t%d\n"
-                % (sentence.sentence_id, t.offset, t.lemma, t.pos, t.dep_rel, t.head_offset)
-            )

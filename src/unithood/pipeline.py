@@ -20,7 +20,7 @@ File formats (all TSV, UTF-8, LF, "#" comment lines ignored):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -122,14 +122,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         )
     except TypeError as exc:
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
-
-
-def apply_threshold_overrides(
-    config: PipelineConfig, overrides: Mapping[str, float]
-) -> PipelineConfig:
-    if not overrides:
-        return config
-    return replace(config, thresholds=replace(config.thresholds, **overrides))
 
 
 def build_provider(config: PipelineConfig) -> CountCache:

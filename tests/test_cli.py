@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import unithood
 from unithood.cli import main
 
 
@@ -361,6 +362,19 @@ class TestSweep:
         assert code == 1
         assert "grid" in err
 
+    @pytest.mark.parametrize("value", ["null", '"x"', "[1]", "true"])
+    def test_grid_value_not_a_number(self, fixtures_dir, capsys, value):
+        code, out, err = run(
+            capsys,
+            "sweep",
+            fixtures_dir / "decorated_pairs.tsv",
+            fixtures_dir / "sweep_gold.tsv",
+            '{"id_t": [6], "mi_plus": [0.9, %s]}' % value,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: grid axis 'mi_plus' holds %s, not a number\n" % value
+
     @pytest.mark.parametrize(
         "decorated_row, message",
         [
@@ -470,3 +484,10 @@ def test_commands_do_not_import_requests(tmp_path, fixtures_dir):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from unithood import *", namespace)
+    assert sorted(set(unithood.__all__)) == sorted(unithood.__all__)  # no duplicates
+    assert [name for name in unithood.__all__ if name not in namespace] == []

@@ -10,7 +10,6 @@ from unithood import (
     ContingencyTable,
     EvaluationError,
     EvidenceSet,
-    PairEvidence,
     SweepPoint,
     Thresholds,
     compute_metrics,
@@ -133,7 +132,7 @@ def random_rows(rng, n=40):
     for i in range(n):
         n_s = rng.randint(0, 10**6)
         rows.append(
-            PairEvidence(
+            (
                 "p%d" % i,
                 EvidenceSet(
                     n_s,
@@ -150,11 +149,11 @@ class TestSweep:
         rng = random.Random(17)
         rows = random_rows(rng)
         t = Thresholds()
-        gold = {row.pair_id: unithood(row.evidence, t).uh for row in rows}
+        gold = {pid: unithood(ev, t).uh for pid, ev in rows}
         points = sweep(rows, gold, {"id_t": [6.0]})
         assert len(points) == 1
         direct = score(
-            {row.pair_id: unithood(row.evidence, t).uh for row in rows}, gold
+            {pid: unithood(ev, t).uh for pid, ev in rows}, gold
         )
         assert points[0].table == direct
         assert points[0].metrics.accuracy == 1.0
@@ -162,7 +161,7 @@ class TestSweep:
     def test_recall_monotone_in_id_t(self):
         rng = random.Random(18)
         rows = random_rows(rng, n=60)
-        gold = {row.pair_id: rng.random() < 0.5 for row in rows}
+        gold = {pid: rng.random() < 0.5 for pid, _ in rows}
         points = sweep(rows, gold, {"id_t": [3.0, 6.0, 9.0]})
         by_id_t = {p.thresholds.id_t: p.metrics.recall for p in points}
         recalls = [by_id_t[v] for v in (3.0, 6.0, 9.0) if by_id_t[v] is not None]
@@ -171,14 +170,14 @@ class TestSweep:
     def test_invalid_combination_skipped_with_note(self):
         rng = random.Random(19)
         rows = random_rows(rng, n=10)
-        gold = {row.pair_id: True for row in rows}
+        gold = {pid: True for pid, _ in rows}
         with pytest.warns(UserWarning, match="skipping grid point"):
             points = sweep(rows, gold, {"mi_plus": [0.9, 0.01], "mi_minus": [0.02]})
         assert len(points) == 1
 
     def test_all_invalid_raises(self):
         rows = random_rows(random.Random(20), n=5)
-        gold = {row.pair_id: True for row in rows}
+        gold = {pid: True for pid, _ in rows}
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
                 sweep(rows, gold, {"mi_plus": [0.01], "mi_minus": [0.02]})
@@ -189,13 +188,13 @@ class TestSweep:
 
     def test_empty_axis_rejected(self):
         rows = random_rows(random.Random(21), n=5)
-        gold = {row.pair_id: True for row in rows}
+        gold = {pid: True for pid, _ in rows}
         with pytest.raises(ValueError):
             sweep(rows, gold, {"id_t": []})
 
     def test_unknown_threshold_rejected(self):
         rows = random_rows(random.Random(22), n=5)
-        gold = {row.pair_id: True for row in rows}
+        gold = {pid: True for pid, _ in rows}
         with pytest.raises(ValueError):
             sweep(rows, gold, {"frobnication": [1.0]})
 
@@ -207,26 +206,26 @@ class TestSweep:
     def test_sorted_by_selected_key(self):
         rng = random.Random(24)
         rows = random_rows(rng, n=60)
-        gold = {row.pair_id: rng.random() < 0.5 for row in rows}
+        gold = {pid: rng.random() < 0.5 for pid, _ in rows}
         points = sweep(rows, gold, {"id_t": [0.0, 3.0, 6.0, 9.0]}, sort_key="recall")
         recalls = [p.metrics.recall for p in points if p.metrics.recall is not None]
         assert recalls == sorted(recalls, reverse=True)
 
     def test_bad_sort_key_rejected(self):
         rows = random_rows(random.Random(25), n=5)
-        gold = {row.pair_id: True for row in rows}
+        gold = {pid: True for pid, _ in rows}
         with pytest.raises(ValueError):
             sweep(rows, gold, {"id_t": [6.0]}, sort_key="vibes")
 
     def test_duplicate_pair_id_rejected(self):
         rows = random_rows(random.Random(26), n=5)
-        rows.append(PairEvidence("p3", EvidenceSet(1, 2, 3)))
-        gold = {row.pair_id: True for row in rows}
+        rows.append(("p3", EvidenceSet(1, 2, 3)))
+        gold = {pid: True for pid, _ in rows}
         with pytest.raises(EvaluationError, match="'p3'"):
             sweep(rows, gold, {"id_t": [6.0]})
 
     def test_all_invalid_grid_wins_over_zero_count_row(self):
-        rows = [PairEvidence("z", EvidenceSet(0, 0, 0))]
+        rows = [("z", EvidenceSet(0, 0, 0))]
         with pytest.raises(ValueError, match="every grid point was invalid"):
             with pytest.warns(UserWarning, match="skipping grid point"):
                 sweep(rows, {"z": True}, {"mi_plus": [0.01], "mi_minus": [0.02]})
@@ -241,7 +240,7 @@ def brute_force_sweep(rows, gold, grid, sort_key):
             t = Thresholds(*combo)
         except ValueError:
             continue
-        table = score({row.pair_id: unithood(row.evidence, t).uh for row in rows}, gold)
+        table = score({pid: unithood(ev, t).uh for pid, ev in rows}, gold)
         points.append(SweepPoint(index, t, table, compute_metrics(table)))
     defined = [p for p in points if getattr(p.metrics, sort_key) is not None]
     undefined = [p for p in points if getattr(p.metrics, sort_key) is None]
@@ -298,8 +297,8 @@ def grids(draw):
     st.sampled_from(METRIC_NAMES),
 )
 def test_sweep_matches_brute_force(labelled_evidence, grid, sort_key):
-    rows = [PairEvidence("p%d" % i, ev) for i, (ev, _) in enumerate(labelled_evidence)]
-    gold = {row.pair_id: label for row, (_, label) in zip(rows, labelled_evidence)}
+    rows = [("p%d" % i, ev) for i, (ev, _) in enumerate(labelled_evidence)]
+    gold = {pid: label for (pid, _), (_, label) in zip(rows, labelled_evidence)}
     expected = brute_force_sweep(rows, gold, grid, sort_key)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -84,6 +84,24 @@ class TestFixtureProvider:
         assert provider.count("a b") == 7
         assert provider.count("c") == 0
 
+    def test_json_list_names_file(self, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text('[["a b", 7]]', encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value) == "count table %s must be a JSON object" % path
+
+    @pytest.mark.parametrize("count", ["null", '"many"', "1.5", "-1", "true"])
+    def test_json_bad_count_names_file_and_phrase(self, tmp_path, count):
+        path = tmp_path / "counts.json"
+        path.write_text('{"c": 1, "a b": %s}' % count, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value) == (
+            "count table %s: count for 'a b' must be a whole, non-negative number, got %s"
+            % (path, count)
+        )
+
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
         path.write_text("# phrase\tcount\na b\t7\nc\tmany\n", encoding="utf-8")
@@ -349,6 +367,23 @@ class TestCacheLifecycle:
             assert not handle.closed
         assert handle.closed
         cache.close()  # closing again is harmless
+
+    @pytest.mark.parametrize("misses_before_close", [["a"], []], ids=["opened", "never-opened"])
+    def test_append_after_close_raises(self, tmp_path, opened, misses_before_close):
+        path = tmp_path / "cache.tsv"
+        with CountCache(FixtureProvider({"a": 1, "b": 2}), path) as cache:
+            for phrase in misses_before_close:
+                cache.count(phrase)
+        with pytest.raises(ValueError) as err:
+            cache.count("b")
+        assert str(err.value) == "count cache %s is closed" % path
+        assert appends(opened) == [path] * len(misses_before_close)
+        assert fixture_cache(path).get("b") is None
+
+    def test_memo_without_file_outlives_close(self):
+        cache = CountCache(FixtureProvider({"a": 1}))
+        cache.close()
+        assert [cache.count("a"), cache.count("a")] == [1, 1]
 
 
 class TestCountMemo:

@@ -13,7 +13,6 @@ from unithood import (
     decision_rule,
     independence,
     independence_ratio,
-    mutual_information,
     unithood,
     weight,
 )
@@ -69,36 +68,40 @@ class TestWeight:
             assert sum(Fraction(c, total) for c in counts) == 1
 
 
+def mi(evidence):
+    return unithood(evidence, Thresholds()).mi
+
+
 class TestMutualInformation:
     def test_zero_unit_count(self):
-        assert mutual_information(EvidenceSet(0, 10, 10)) == 0.0
+        assert mi(EvidenceSet(0, 10, 10)) == 0.0
 
     def test_known_value(self):
         # computed ahead of time from the weight arithmetic
-        assert mutual_information(EvidenceSet(100, 1000, 1000)) == pytest.approx(
+        assert mi(EvidenceSet(100, 1000, 1000)) == pytest.approx(
             0.5189821, abs=1e-6
         )
 
     def test_can_exceed_one(self):
-        assert mutual_information(EvidenceSet(5, 5, 5)) == pytest.approx(
+        assert mi(EvidenceSet(5, 5, 5)) == pytest.approx(
             4.1868373, abs=1e-6
         )
 
     def test_degenerate_side_gives_zero(self):
-        assert mutual_information(EvidenceSet(10, 0, 10)) == 0.0
-        assert mutual_information(EvidenceSet(10, 10, 0)) == 0.0
+        assert mi(EvidenceSet(10, 0, 10)) == 0.0
+        assert mi(EvidenceSet(10, 10, 0)) == 0.0
 
     def test_all_zero_undefined(self):
         with pytest.raises(UndefinedEvidenceError):
-            mutual_information(EvidenceSet(0, 0, 0))
+            mi(EvidenceSet(0, 0, 0))
 
     def test_zero_iff_unit_unseen(self):
         rng = random.Random(11)
         for _ in range(500):
             n_s = rng.randint(0, 1000)
             evidence = EvidenceSet(n_s, rng.randint(1, 10**6), rng.randint(1, 10**6))
-            mi = mutual_information(evidence)
-            assert (mi == 0.0) == (n_s == 0)
+            value = mi(evidence)
+            assert (value == 0.0) == (n_s == 0)
 
 
 class TestIndependence:
@@ -259,5 +262,11 @@ class TestUnithood:
     st.sampled_from([Thresholds(), Thresholds(mi_plus=1e9, mi_minus=-1e9, id_t=0.0)]),
 )
 def test_unithood_mi_is_mutual_information(counts, thresholds):
+    """MI against the formula written out: p(s) / (p(a_x) * p(a_y)), 0 if any count is 0."""
     evidence = EvidenceSet(*counts)
-    assert unithood(evidence, thresholds).mi == mutual_information(evidence)
+    total = sum(counts)
+    if 0 in counts:
+        expected = 0.0
+    else:
+        expected = weight(counts[0], total) / (weight(counts[1], total) * weight(counts[2], total))
+    assert unithood(evidence, thresholds).mi == expected

@@ -19,11 +19,11 @@ from unithood import (
     merge_pass,
     sentence_connectors,
 )
+from unithood.cli import _load_config, build_parser
 from unithood.evidence import CountCache
 from unithood.pipeline import (
     ConfigError,
     PipelineConfig,
-    apply_threshold_overrides,
     build_provider,
     decide_pairs,
     load_config,
@@ -147,7 +147,8 @@ class TestConfig:
             load_config(path)
 
     def test_threshold_overrides(self):
-        config = apply_threshold_overrides(PipelineConfig(), {"mi_plus": 2.0})
+        args = build_parser().parse_args(["decide", "pairs.tsv", "--threshold", "mi_plus=2.0"])
+        config = _load_config(args)
         assert config.thresholds.mi_plus == 2.0
         assert config.thresholds.mi_minus == 0.02
 
