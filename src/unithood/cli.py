@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -51,7 +52,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
             )
         if name not in evaluation.THRESHOLD_NAMES:
             raise pipeline.ConfigError("unknown threshold %r" % name)
-        overrides[name] = float(value)
+        overrides[name] = _threshold_value("threshold %r" % name, value)
     return dataclasses.replace(
         config, thresholds=dataclasses.replace(config.thresholds, **overrides)
     )
@@ -141,6 +142,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _threshold_value(where: str, value: float | str) -> float:
+    """A grid value or ``--threshold`` text as a finite float; errors name ``where``."""
+    try:
+        if math.isfinite(float(value)):
+            return float(value)
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+        pass
+    raise ValueError("%s holds %s, not a finite number" % (where, json.dumps(value)))
+
+
 def _read_grid(spec: str) -> dict[str, list[float]]:
     text = spec if spec.lstrip().startswith("{") else Path(spec).read_text(encoding="utf-8")
     try:
@@ -156,7 +167,7 @@ def _read_grid(spec: str) -> dict[str, list[float]]:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError("grid axis %r holds %s, not a number" % (name, json.dumps(v)))
-        grid[name] = [float(v) for v in values]
+        grid[name] = [_threshold_value("grid axis %r" % name, v) for v in values]
     return grid
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .evidence import EvidenceSet
-from .measures import THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, merges, unithood
+from .measures import THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, decision_masks, unithood
 
 METRIC_NAMES = ("precision", "recall", "f_score", "paper_f", "accuracy")
 
@@ -74,18 +75,10 @@ def score(decisions: Mapping[str, bool], gold: Mapping[str, bool]) -> Contingenc
     extra = len(set(gold) - set(decisions))
     if extra:
         warnings.warn("%d gold label(s) have no decision and are ignored" % extra)
-    tp = fp = fn = tn = 0
-    for pair_id, actual in decisions.items():
-        ideal = gold[pair_id]
-        if actual and ideal:
-            tp += 1
-        elif actual and not ideal:
-            fp += 1
-        elif not actual and ideal:
-            fn += 1
-        else:
-            tn += 1
-    return ContingencyTable(tp, fp, fn, tn)
+    cells = Counter((bool(actual), bool(gold[pair_id])) for pair_id, actual in decisions.items())
+    return ContingencyTable(
+        cells[True, True], cells[True, False], cells[False, True], cells[False, False]
+    )
 
 
 def compute_metrics(table: ContingencyTable) -> Metrics:
@@ -123,7 +116,8 @@ def sweep(
     the default thresholds.  Combinations violating the threshold
     invariants are skipped with a warning.
     Each row is scored once, since MI, ID and IDR do not depend on the
-    thresholds; each grid point then reruns only the decision rule.
+    thresholds; each grid point then decides every row at once with bit
+    masks (``measures.decision_masks``) and counts tp and fp by popcount.
     Results are sorted by the chosen metric, best first, ties kept in
     grid order.
     """
@@ -169,21 +163,23 @@ def sweep(
         raise ValueError("every grid point was invalid")
 
     # Score each row once; the thresholds passed do not change the scores.
-    # Tuples of (mi, id_x, id_y, idr, degenerate), split by gold label.
-    positives, negatives = [], []
-    for pair_id, evidence in rows:
+    scores, positive = [], 0  # bit i of a mask stands for row i
+    for i, (pair_id, evidence) in enumerate(rows):
         try:
-            s = unithood(evidence, valid[0][1])
+            scores.append(unithood(evidence, valid[0][1]))
         except UndefinedEvidenceError as exc:
             raise UndefinedEvidenceError("pair %s: %s" % (pair_id, exc)) from None
-        scores = (s.mi, s.id_x, s.id_y, s.idr, s.degenerate)
-        (positives if gold[pair_id] else negatives).append(scores)
+        if gold[pair_id]:
+            positive |= 1 << i
+    n_positive = positive.bit_count()
+    merged_rows = decision_masks(scores)
 
     points: list[SweepPoint] = []
     for index, thresholds in valid:
-        tp = sum(merges(*scores, thresholds) for scores in positives)
-        fp = sum(merges(*scores, thresholds) for scores in negatives)
-        table = ContingencyTable(tp, fp, len(positives) - tp, len(negatives) - fp)
+        merged = merged_rows(thresholds)
+        tp = (merged & positive).bit_count()
+        fp = merged.bit_count() - tp
+        table = ContingencyTable(tp, fp, n_positive - tp, len(rows) - n_positive - fp)
         points.append(SweepPoint(index, thresholds, table, compute_metrics(table)))
 
     def order(point: SweepPoint):

@@ -73,6 +73,15 @@ def gather_evidence(provider: CountProvider, s: str, a_x: str, a_y: str) -> Evid
     return EvidenceSet(provider.count(s), provider.count(a_x), provider.count(a_y))
 
 
+def _tsv_count(columns: list[str]) -> tuple[str, int]:
+    phrase, text = columns
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(
+            "count for %r must be a whole, non-negative number, got %s" % (phrase, text)
+        )
+    return phrase, int(text)
+
+
 class FixtureProvider:
     """Counts served from a fixed phrase -> count table.
 
@@ -103,9 +112,7 @@ class FixtureProvider:
                     raise ValueError("count table %s: count for %r must be a whole, non-negative"
                                      " number, got %s" % (path, phrase, json.dumps(count)))
         else:
-            counts = dict(
-                read_rows(text.splitlines(), 2, "count table", lambda c: (c[0], int(c[1])))
-            )
+            counts = dict(read_rows(text.splitlines(), 2, "count table %s" % path, _tsv_count))
         return cls(counts, missing_policy)
 
     def count(self, phrase: str) -> int:

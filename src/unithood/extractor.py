@@ -165,19 +165,13 @@ def extract_candidates(sentence: ParsedSentence) -> list[Candidate]:
     result is ordered by span start and candidates never share offsets.
     """
     by_offset = sentence.by_offset()
-    grown: list[tuple[tuple[int, ...], int]] = []
-    for head in sorted(find_head_nouns(sentence)):
-        grown.append((_grow(head, by_offset), head))
+    grown = [(_grow(head, by_offset), head) for head in sorted(find_head_nouns(sentence))]
 
     kept: list[tuple[tuple[int, ...], int]] = []
     covered: set[int] = set()
     for span, head in sorted(grown, key=lambda g: (-len(g[0]), g[0][0])):
         members = set(span)
-        if members <= covered:
-            continue
-        if members & covered:
-            # Partial overlap cannot arise from single-headed dependency
-            # links; guard anyway so output spans stay disjoint.
+        if members & covered:  # inside a kept span, or overlapping one (no single head does)
             continue
         kept.append((span, head))
         covered |= members

@@ -15,12 +15,12 @@ mediocre MI when both sides are highly independent and about equally so
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 from .evidence import EvidenceSet
-
-E_INV = math.exp(-1.0)
 
 
 class UndefinedEvidenceError(ValueError):
@@ -127,12 +127,37 @@ def decision_rule(
     )
 
 
-def merges(
-    mi: float, id_x: float, id_y: float, idr: float | None, degenerate: bool,
-    thresholds: Thresholds,
-) -> bool:
-    """``decision_rule``, except that degenerate evidence never merges."""
-    return not degenerate and decision_rule(mi, id_x, id_y, idr, thresholds)
+# Per threshold, the test a scored row must pass; see decision_masks.
+_PASSES = {
+    "mi_plus": lambda s, v: s.mi > v,
+    "mi_minus": lambda s, v: s.mi >= v,
+    "id_t": lambda s, v: s.id_x >= v and s.id_y >= v,
+    "idr_plus": lambda s, v: s.idr is not None and s.idr <= v,
+    "idr_minus": lambda s, v: s.idr is not None and s.idr >= v,
+}
+
+
+def decision_masks(scores: Sequence[UnithoodScores]) -> Callable[[Thresholds], int]:
+    """The merge decision for many scored rows at once, as bitsets.
+
+    Returns a function from thresholds to the int whose bit i is set
+    exactly when row i merges.  Each threshold's mask of passing rows is
+    built once per distinct value, so a grid point costs a few ANDs and ORs.
+    """
+    @functools.cache
+    def passing(name: str, value: float) -> int:
+        return sum(1 << i for i, s in enumerate(scores) if _PASSES[name](s, value))
+
+    live = sum(1 << i for i, s in enumerate(scores) if not s.degenerate)
+
+    def merged(t: Thresholds) -> int:
+        above = passing("mi_plus", t.mi_plus)
+        # The band's bound mi <= mi_plus needs no mask: `above` takes every row it drops.
+        band = passing("mi_minus", t.mi_minus) & passing("id_t", t.id_t)
+        band &= passing("idr_plus", t.idr_plus) & passing("idr_minus", t.idr_minus)
+        return live & (above | band)
+
+    return merged
 
 
 def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
@@ -148,5 +173,5 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     id_x = independence(evidence.n_ax, evidence.n_s)
     id_y = independence(evidence.n_ay, evidence.n_s)
     idr = independence_ratio(id_x, id_y)
-    uh = merges(mi, id_x, id_y, idr, degenerate, thresholds)
+    uh = not degenerate and decision_rule(mi, id_x, id_y, idr, thresholds)
     return UnithoodScores(p_s, p_ax, p_ay, mi, id_x, id_y, idr, uh, degenerate)

@@ -108,9 +108,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     cache_path = raw.get("cache_path")
     try:
         thresholds = Thresholds(**raw.get("thresholds", {}))
-        remote = (
-            RemoteClientConfig(**provider["remote"]) if "remote" in provider else None
-        )
+        remote = RemoteClientConfig(**provider["remote"]) if "remote" in provider else None
         return PipelineConfig(
             thresholds=thresholds,
             fixture_path=resolve(provider["fixture"]) if "fixture" in provider else None,
@@ -216,21 +214,9 @@ def _fmt(value: float | None) -> str:
 def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
     stream.write("# pair_id\ta_x\tb\ta_y\tid_x\tid_y\tidr\tmi\tdecision\ts\n")
     for r in records:
-        stream.write(
-            "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n"
-            % (
-                r.pair_id,
-                r.a_x,
-                r.b,
-                r.a_y,
-                _fmt(r.id_x),
-                _fmt(r.id_y),
-                _fmt(r.idr),
-                _fmt(r.mi),
-                MERGED if r.merged else NOTMERGED,
-                r.s,
-            )
-        )
+        scores = [_fmt(v) for v in (r.id_x, r.id_y, r.idr, r.mi)]
+        verdict = MERGED if r.merged else NOTMERGED
+        stream.write("\t".join([r.pair_id, r.a_x, r.b, r.a_y, *scores, verdict, r.s]) + "\n")
 
 
 def _read_verdicts(

@@ -197,6 +197,17 @@ class TestDecide:
         assert code == 1
         assert "name=value" in err
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "1e400"])
+    def test_threshold_value_error_names_threshold(self, extracted, fixtures_dir, capsys, value):
+        _, pairs = extracted
+        config = fixtures_dir / "config.json"
+        code, out, err = run(
+            capsys, "--config", config, "decide", pairs, "--threshold", "mi_plus=%s" % value
+        )
+        assert code == 1
+        assert out == ""
+        assert err == 'error: threshold \'mi_plus\' holds "%s", not a finite number\n' % value
+
     def test_decorated_out(self, extracted, fixtures_dir, tmp_path, capsys):
         _, pairs = extracted
         decorated = tmp_path / "decorated.tsv"
@@ -362,7 +373,10 @@ class TestSweep:
         assert code == 1
         assert "grid" in err
 
-    @pytest.mark.parametrize("value", ["null", '"x"', "[1]", "true"])
+    @pytest.mark.parametrize(
+        "value",
+        ["null", '"x"', "[1]", "true", "NaN", pytest.param("1" + "0" * 400, id="int-too-large")],
+    )
     def test_grid_value_not_a_number(self, fixtures_dir, capsys, value):
         code, out, err = run(
             capsys,
@@ -373,7 +387,9 @@ class TestSweep:
         )
         assert code == 1
         assert out == ""
-        assert err == "error: grid axis 'mi_plus' holds %s, not a number\n" % value
+        # JSON non-numbers fail the type check, non-finite numbers the float conversion
+        reason = "not a finite number" if value == "NaN" or value.isdigit() else "not a number"
+        assert err == "error: grid axis 'mi_plus' holds %s, %s\n" % (value, reason)
 
     @pytest.mark.parametrize(
         "decorated_row, message",

@@ -104,10 +104,14 @@ class TestFixtureProvider:
 
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
-        path.write_text("# phrase\tcount\na b\t7\nc\tmany\n", encoding="utf-8")
-        with pytest.raises(ParseFileError) as err:
-            FixtureProvider.from_file(path)
-        assert str(err.value).startswith("count table line 3: ")
+        for count in ("many", "-3", "1.5"):
+            path.write_text("# phrase\tcount\na b\t7\nc d\t%s\n" % count, encoding="utf-8")
+            with pytest.raises(ParseFileError) as err:
+                FixtureProvider.from_file(path)
+            assert str(err.value) == (
+                "count table %s line 3: count for 'c d' must be a whole, non-negative number,"
+                " got %s" % (path, count)
+            )
 
 
 def naive_document_frequency(documents, phrase_tokens):

@@ -16,7 +16,7 @@ from unithood import (
     unithood,
     weight,
 )
-from unithood.measures import THRESHOLD_DEFAULTS_DOC, THRESHOLD_NAMES
+from unithood.measures import THRESHOLD_DEFAULTS_DOC, THRESHOLD_NAMES, decision_masks
 
 E_INV = math.exp(-1.0)
 
@@ -270,3 +270,48 @@ def test_unithood_mi_is_mutual_information(counts, thresholds):
     else:
         expected = weight(counts[0], total) / (weight(counts[1], total) * weight(counts[2], total))
     assert unithood(evidence, thresholds).mi == expected
+
+
+COUNTS = st.integers(0, 10**9)  # IDs up to 9
+
+
+def _row(n_s, n_ax, n_ay):
+    """None stands for a side seen exactly as often as the unit (ID 0)."""
+    evidence = EvidenceSet(n_s, n_s if n_ax is None else n_ax, n_s if n_ay is None else n_ay)
+    return evidence if evidence.total else EvidenceSet(1, 0, 0)
+
+
+# Degenerate rows (a side count of 0) and rows whose IDR is undefined
+# (n_ay == n_s, so ID_y is 0) are drawn on purpose.
+MASK_ROW = st.tuples(COUNTS, st.none() | COUNTS, st.none() | COUNTS).map(lambda c: _row(*c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decision_masks_match_unithood_bit_by_bit(data):
+    """The mask form of the rule against ``unithood(...).uh``, row by row,
+    at widths of several machine words.  Thresholds are drawn from the
+    rows' own scores, so some sit exactly on a score, and from ranges
+    reaching below zero."""
+    n = data.draw(st.integers(0, 200))  # a list strategy would seldom pass one word
+    rows = data.draw(st.lists(MASK_ROW, min_size=n, max_size=n))
+    scored = [unithood(evidence, Thresholds()) for evidence in rows]
+
+    def pool(values, low):
+        ties = sorted({v for v in values if v is not None})
+        floats = st.floats(low, 10.0)
+        return st.sampled_from(ties) | floats if ties else floats
+
+    mi = pool([s.mi for s in scored], -2.0)
+    ids = pool([s.id_x for s in scored] + [s.id_y for s in scored], 0.0)
+    idr = pool([s.idr for s in scored], -2.0)
+    merged = decision_masks(scored)
+    for _ in range(data.draw(st.integers(1, 6))):  # several points share the memo
+        mi_minus, mi_plus = sorted(data.draw(st.lists(mi, min_size=2, max_size=2, unique=True)))
+        idr_minus, idr_plus = sorted(data.draw(st.lists(idr, min_size=2, max_size=2, unique=True)))
+        t = Thresholds(mi_plus, mi_minus, data.draw(ids), idr_plus, idr_minus)
+        mask = merged(t)
+        assert mask >> len(rows) == 0
+        assert [bool(mask >> i & 1) for i in range(len(rows))] == [
+            unithood(evidence, t).uh for evidence in rows
+        ]
