@@ -21,7 +21,7 @@ from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
 from .extractor import extract_candidates, form_pairs, sentence_connectors
 from .measures import THRESHOLD_DEFAULTS_DOC
-from .parse_ingest import read_parse_file
+from .parse_ingest import read_json_object, read_parse_file
 
 # ParseFileError, UndefinedEvidenceError, EvaluationError and ConfigError are ValueErrors.
 _ERRORS = (MissingCountError, TransportError, ValueError, OSError)
@@ -153,12 +153,10 @@ def _threshold_value(where: str, value: float | str) -> float:
 
 
 def _read_grid(spec: str) -> dict[str, list[float]]:
-    text = spec if spec.lstrip().startswith("{") else Path(spec).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError("grid spec is not valid JSON: %s" % exc) from exc
-    if not isinstance(raw, dict) or not raw:
+    inline = spec.lstrip().startswith("{")
+    text = spec if inline else Path(spec).read_text(encoding="utf-8")
+    raw = read_json_object(text, "grid spec" if inline else "grid spec %s" % spec)
+    if not raw:
         raise ValueError("grid spec must be a non-empty JSON object")
     grid = {}
     for name, values in raw.items():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Protocol, TextIO
 
-from .parse_ingest import ParseFileError, read_rows
+from .parse_ingest import ParseFileError, read_json_object, read_rows
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -69,10 +69,6 @@ class EvidenceSet:
         return self.n_s + self.n_ax + self.n_ay
 
 
-def gather_evidence(provider: CountProvider, s: str, a_x: str, a_y: str) -> EvidenceSet:
-    return EvidenceSet(provider.count(s), provider.count(a_x), provider.count(a_y))
-
-
 def _tsv_count(columns: list[str]) -> tuple[str, int]:
     phrase, text = columns
     if not (text.isascii() and text.isdigit()):
@@ -102,18 +98,25 @@ class FixtureProvider:
     @classmethod
     def from_file(cls, path: str | Path, missing_policy: str = "error") -> "FixtureProvider":
         """Load a JSON object {phrase: count} or a TSV of phrase<TAB>count."""
-        text = Path(path).read_text(encoding="utf-8")
+        text, source = Path(path).read_text(encoding="utf-8"), "count table %s" % path
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
-            counts = json.loads(text)
-            if not isinstance(counts, dict):
-                raise ValueError("count table %s must be a JSON object" % path)
-            for phrase, count in counts.items():
-                if type(count) is not int or count < 0:
-                    raise ValueError("count table %s: count for %r must be a whole, non-negative"
-                                     " number, got %s" % (path, phrase, json.dumps(count)))
+            rows = read_json_object(text, source).items()
         else:
-            counts = dict(read_rows(text.splitlines(), 2, "count table %s" % path, _tsv_count))
-        return cls(counts, missing_policy)
+            rows = list(read_rows(text.splitlines(), 2, source, _tsv_count))
+        for phrase, count in rows:
+            if type(count) is not int or count < 0:
+                raise ValueError("%s: count for %r must be a whole, non-negative number, got %s"
+                                 % (source, phrase, json.dumps(count)))
+        provider = cls(dict(rows), missing_policy)
+        if len(provider._counts) < len(rows):  # two rows share a lookup key; find them
+            phrases: dict[str, str] = {}
+            for phrase, _ in rows:
+                key = _lookup_key(phrase)
+                if key in phrases:
+                    raise ValueError("%s: phrases %r and %r normalize to one key"
+                                     % (source, phrases[key], phrase))
+                phrases[key] = phrase
+        return provider
 
     def count(self, phrase: str) -> int:
         key = _lookup_key(phrase)

@@ -33,15 +33,13 @@ class Candidate:
     """A term candidate: a span of token offsets within one sentence.
 
     ``surface`` is the member lemmas joined by single spaces in offset
-    order.  ``head_offset`` is the head noun the candidate was grown
-    from; it is None for leftover-noun singletons and for candidates
-    produced by merging.
+    order.  These three fields are all the candidates and pairs files
+    carry, so a candidate read back from a file equals the extracted one.
     """
 
     sentence_id: str
     span: tuple[int, ...]
     surface: str
-    head_offset: int | None = None
 
     def __post_init__(self):
         if not self.span:
@@ -86,20 +84,12 @@ class CandidatePair:
     def sentence_id(self) -> str:
         return self.a_x.sentence_id
 
-    @property
-    def connector_offset(self) -> int | None:
-        return self.a_x.end + 1 if self.b else None
-
     def merged_span(self) -> tuple[int, ...]:
         middle = (self.a_x.end + 1,) if self.b else ()
         return self.a_x.span + middle + self.a_y.span
 
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.a_x.span, self.a_y.span)
-
-
-def _is_modifier_dependent(token: ParseToken) -> bool:
-    return token.dep_rel in NP_INTERNAL_RELS or token.pos in MEMBER_TAGS
 
 
 def find_head_nouns(sentence: ParsedSentence) -> set[int]:
@@ -120,7 +110,8 @@ def find_head_nouns(sentence: ParsedSentence) -> set[int]:
         if not token.is_noun or token.dep_rel == "poss":
             continue
         has_modifier = any(
-            _is_modifier_dependent(d) for d in dependents.get(token.offset, ())
+            d.dep_rel in NP_INTERNAL_RELS or d.pos in MEMBER_TAGS
+            for d in dependents.get(token.offset, ())
         )
         externally_governed = token.dep_rel not in NP_INTERNAL_RELS
         if has_modifier or externally_governed:
@@ -152,10 +143,6 @@ def _grow(head: int, by_offset: Mapping[int, ParseToken]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _surface(span: Sequence[int], by_offset: Mapping[int, ParseToken]) -> str:
-    return " ".join(by_offset[offset].lemma for offset in span)
-
-
 def extract_candidates(sentence: ParsedSentence) -> list[Candidate]:
     """Run the head-driven filter over one sentence.
 
@@ -165,26 +152,19 @@ def extract_candidates(sentence: ParsedSentence) -> list[Candidate]:
     result is ordered by span start and candidates never share offsets.
     """
     by_offset = sentence.by_offset()
-    grown = [(_grow(head, by_offset), head) for head in sorted(find_head_nouns(sentence))]
+    grown = [_grow(head, by_offset) for head in sorted(find_head_nouns(sentence))]
 
-    kept: list[tuple[tuple[int, ...], int]] = []
+    candidates: list[Candidate] = []
     covered: set[int] = set()
-    for span, head in sorted(grown, key=lambda g: (-len(g[0]), g[0][0])):
-        members = set(span)
-        if members & covered:  # inside a kept span, or overlapping one (no single head does)
-            continue
-        kept.append((span, head))
-        covered |= members
-
-    candidates = [
-        Candidate(sentence.sentence_id, span, _surface(span, by_offset), head)
-        for span, head in kept
-    ]
+    for span in sorted(grown, key=lambda g: (-len(g), g[0])):
+        # Skip a span inside a kept one, or overlapping one (no single head does).
+        if covered.isdisjoint(span):
+            surface = " ".join(by_offset[offset].lemma for offset in span)
+            candidates.append(Candidate(sentence.sentence_id, span, surface))
+            covered.update(span)
     for token in sentence.tokens:
         if token.is_noun and token.offset not in covered and token.dep_rel != "poss":
-            candidates.append(
-                Candidate(sentence.sentence_id, (token.offset,), token.lemma, None)
-            )
+            candidates.append(Candidate(sentence.sentence_id, (token.offset,), token.lemma))
     candidates.sort(key=lambda c: c.start)
     return candidates
 
@@ -227,30 +207,22 @@ def form_pairs(
 
 
 def merge_pass(
-    pairs: Sequence[CandidatePair],
-    decisions: Mapping[CandidatePair, bool],
-    candidates: Sequence[Candidate],
+    accepted: Sequence[CandidatePair], candidates: Sequence[Candidate]
 ) -> list[Candidate]:
-    """Apply one round of accepted merges to the candidate list.
+    """Apply one round of merges to the candidate list.
 
-    Each accepted pair is replaced by a single candidate covering both
-    sides plus the connector token.  When a candidate appears in two
-    accepted pairs, the leftmost pair wins and the other is deferred to
-    a later pass.  With all decisions False the input list is returned
-    unchanged.
+    Each pair in ``accepted``, whatever their order, is replaced by a
+    single candidate covering both sides plus the connector token.  When
+    a candidate appears in two accepted pairs, the leftmost pair wins and
+    the other is deferred to a later pass.  With nothing accepted the
+    candidates are returned in span order.
     """
-    for pair in pairs:
-        if pair not in decisions:
-            raise ValueError("no decision for pair %r" % (pair.s,))
-    accepted = sorted(
-        (p for p in pairs if decisions[p]), key=lambda p: (p.a_x.start, p.a_y.start)
-    )
     replacement: dict[Candidate, Candidate] = {}
     consumed: set[Candidate] = set()
-    for pair in accepted:
+    for pair in sorted(accepted, key=lambda p: (p.a_x.start, p.a_y.start)):
         if pair.a_x in consumed or pair.a_y in consumed:
             continue
-        merged = Candidate(pair.sentence_id, pair.merged_span(), pair.s, None)
+        merged = Candidate(pair.sentence_id, pair.merged_span(), pair.s)
         replacement[pair.a_x] = merged
         consumed.update((pair.a_x, pair.a_y))
     result: list[Candidate] = []

@@ -14,8 +14,10 @@ scope".  Files are UTF-8 with LF line endings.
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
@@ -58,6 +60,25 @@ def read_rows(
             yield convert(columns)
         except ValueError as exc:
             raise ParseFileError(str(exc), line_number, kind) from None
+
+
+def read_json_object(text: str, source: str) -> dict[str, Any]:
+    """Parse one JSON object, rejecting a key repeated in any object; errors name ``source``."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
+            raise ValueError("%s repeats key %r" % (source, repeated))
+        return obj
+
+    try:
+        value = json.loads(text, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s is not valid JSON: %s" % (source, exc)) from None
+    if not isinstance(value, dict):
+        raise ValueError("%s must be a JSON object" % source)
+    return value
 
 
 def _check_field(name: str, value: str, allow_empty: bool = True) -> None:

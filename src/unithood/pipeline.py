@@ -19,7 +19,6 @@ File formats (all TSV, UTF-8, LF, "#" comment lines ignored):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -32,12 +31,11 @@ from .evidence import (
     RemoteClientConfig,
     RemoteCountClient,
     _lookup_key,
-    gather_evidence,
     load_corpus_file,
 )
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
 from .measures import Thresholds, UndefinedEvidenceError, decision_rule, unithood
-from .parse_ingest import read_rows
+from .parse_ingest import read_json_object, read_rows
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
@@ -87,11 +85,15 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Load a JSON config file; relative paths resolve against its directory."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_json_object(path.read_text(encoding="utf-8"), "config %s" % path)
+    except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    unknown = set(raw) - {"thresholds", "provider", "cache_path", "missing_count_policy",
+                          "max_merge_passes"}
+    if unknown:
+        raise ConfigError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
     base = path.parent
 
     def resolve(p: str) -> str:
@@ -194,7 +196,6 @@ class DecisionRecord:
     """One decided pair, in the order it was evaluated."""
 
     pair_id: str
-    sentence_id: str
     a_x: str
     b: str
     a_y: str
@@ -283,14 +284,6 @@ def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], Scores
 # The decide loop
 
 
-def _dedup_candidates(pairs: Sequence[CandidatePair]) -> list[Candidate]:
-    seen: dict[tuple[int, ...], Candidate] = {}
-    for pair in pairs:
-        for candidate in (pair.a_x, pair.a_y):
-            seen.setdefault(candidate.span, candidate)
-    return sorted(seen.values(), key=lambda c: c.start)
-
-
 def decide_pairs(
     pairs: Sequence[CandidatePair],
     thresholds: Thresholds,
@@ -312,31 +305,27 @@ def decide_pairs(
         by_sentence.setdefault(pair.sentence_id, []).append(pair)
 
     records: list[DecisionRecord] = []
-    for sentence_id, sentence_pairs in by_sentence.items():
+    for sentence_pairs in by_sentence.values():
         # Connector lemmas come from the extracted pairs, so a gap token
         # that was never a valid connector can never become one here.
-        connectors = {
-            pair.connector_offset: pair.b
-            for pair in sentence_pairs
-            if pair.connector_offset is not None
-        }
-        candidates = _dedup_candidates(sentence_pairs)
+        connectors = {p.a_x.end + 1: p.b for p in sentence_pairs if p.b}
+        by_span: dict[tuple[int, ...], Candidate] = {}
+        for pair in sentence_pairs:
+            for candidate in (pair.a_x, pair.a_y):
+                by_span.setdefault(candidate.span, candidate)
+        candidates = sorted(by_span.values(), key=lambda c: c.start)
         decided: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for _ in range(max_passes):
             current = form_pairs(candidates, connectors)
-            decisions: dict[CandidatePair, bool] = {}
             for pair in current:
-                key = pair.key()
-                if key not in decided:
+                if pair.key() not in decided:
                     pair_id = str(len(records) + 1)
-                    record = _decide_one(pair_id, pair, thresholds, provider, injected)
-                    records.append(record)
-                    decided[key] = record.merged
-                decisions[pair] = decided[key]
-            merged_candidates = merge_pass(current, decisions, candidates)
-            if len(merged_candidates) == len(candidates):
+                    records.append(_decide_one(pair_id, pair, thresholds, provider, injected))
+                    decided[pair.key()] = records[-1].merged
+            merged = merge_pass([p for p in current if decided[p.key()]], candidates)
+            if len(merged) == len(candidates):
                 break
-            candidates = merged_candidates
+            candidates = merged
     return records
 
 
@@ -357,16 +346,14 @@ def _decide_one(
             "no count provider configured and no injected scores for %r" % pair.s
         )
     else:
-        evidence = gather_evidence(provider, pair.s, pair.a_x.surface, pair.a_y.surface)
+        evidence = EvidenceSet(*map(provider.count, (pair.s, pair.a_x.surface, pair.a_y.surface)))
         try:
             scores = unithood(evidence, thresholds)
         except UndefinedEvidenceError as exc:
             raise UndefinedEvidenceError("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
         mi, id_x, id_y, idr, merged = scores.mi, scores.id_x, scores.id_y, scores.idr, scores.uh
-    return DecisionRecord(
-        pair_id, pair.sentence_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-        mi, id_x, id_y, idr, merged, evidence,
-    )
+    return DecisionRecord(pair_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
+                          mi, id_x, id_y, idr, merged, evidence)
 
 
 def warm_counts(pairs: Sequence[CandidatePair], provider: CountProvider) -> int:

@@ -374,6 +374,26 @@ class TestSweep:
         assert "grid" in err
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"id_t": [3], "id_t": [6]}', "grid spec repeats key 'id_t'"),
+            ("grid.json", "grid spec {dir}/grid.json repeats key 'id_t'"),
+        ],
+        ids=["inline", "file"],
+    )
+    def test_grid_repeated_key(self, fixtures_dir, tmp_path, capsys, spec, message):
+        (tmp_path / "grid.json").write_text('{"id_t": [3], "id_t": [6]}', encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "sweep",
+            fixtures_dir / "decorated_pairs.tsv",
+            fixtures_dir / "sweep_gold.tsv",
+            spec if spec.startswith("{") else tmp_path / spec,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: %s\n" % message.format(dir=tmp_path)
+
+    @pytest.mark.parametrize(
         "value",
         ["null", '"x"', "[1]", "true", "NaN", pytest.param("1" + "0" * 400, id="int-too-large")],
     )

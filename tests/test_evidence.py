@@ -102,6 +102,25 @@ class TestFixtureProvider:
             % (path, count)
         )
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("counts.tsv", "a b\t1\nA  b\t2\n", ": phrases 'a b' and 'A  b' normalize to one key"),
+            ("counts.tsv", "a b\t1\na b\t2\n", ": phrases 'a b' and 'a b' normalize to one key"),
+            ("counts.json", '{"a b": 1, "A  b": 2}',
+             ": phrases 'a b' and 'A  b' normalize to one key"),
+            ("counts.json", '{"a b": 1, "a b": 2}', " repeats key 'a b'"),
+            ("counts.json", '{"a b": 1,}', " is not valid JSON: Expecting property name"),
+        ],
+        ids=["tsv-normalized", "tsv-repeated", "json-normalized", "json-repeated", "json-malformed"],
+    )
+    def test_rejected_table_names_file(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value).startswith("count table %s%s" % (path, message))
+
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
         for count in ("many", "-3", "1.5"):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unithood import (
     Candidate,
@@ -90,7 +92,6 @@ class TestExtractCandidates:
         )
         candidates = extract_candidates(sentence)
         assert [c.surface for c in candidates] == ["press"]
-        assert candidates[0].head_offset is None
 
 
 class TestFormPairs:
@@ -206,41 +207,34 @@ class TestMergePass:
 
     def test_all_false_is_identity(self):
         candidates, pairs = self.pair_chain()
-        out = merge_pass(pairs, {p: False for p in pairs}, candidates)
+        out = merge_pass([], candidates)
         assert out == candidates
 
     def test_single_merge(self):
         candidates, pairs = self.pair_chain()
-        decisions = {pairs[0]: True, pairs[1]: False}
-        out = merge_pass(pairs, decisions, candidates)
+        out = merge_pass([pairs[0]], candidates)
         assert [c.surface for c in out] == ["a of b", "c"]
         assert out[0].span == (1, 2, 3)
-        assert out[0].head_offset is None
 
     def test_chain_leftmost_wins(self):
         candidates, pairs = self.pair_chain()
-        out = merge_pass(pairs, {p: True for p in pairs}, candidates)
+        out = merge_pass(pairs, candidates)
         assert [c.surface for c in out] == ["a of b", "c"]
 
     def test_candidate_count_drops_by_applied_merges(self):
         candidates, pairs = self.pair_chain()
-        out = merge_pass(pairs, {pairs[0]: True, pairs[1]: False}, candidates)
+        out = merge_pass([pairs[0]], candidates)
         assert len(out) == len(candidates) - 1
 
     def test_unpaired_candidates_survive(self):
         candidates, pairs = self.pair_chain()
         extra = Candidate("t", (9,), "z")
-        out = merge_pass(pairs, {p: True for p in pairs}, candidates + [extra])
+        out = merge_pass(pairs, candidates + [extra])
         assert extra in out
-
-    def test_missing_decision_raises(self):
-        candidates, pairs = self.pair_chain()
-        with pytest.raises(ValueError):
-            merge_pass(pairs, {pairs[0]: True}, candidates)
 
     def test_merged_output_never_overlaps(self):
         candidates, pairs = self.pair_chain()
-        out = merge_pass(pairs, {p: True for p in pairs}, candidates)
+        out = merge_pass(pairs, candidates)
         seen = set()
         for candidate in out:
             assert not (set(candidate.span) & seen)
@@ -274,6 +268,22 @@ def random_sentence(rng: random.Random) -> ParsedSentence:
     return sentence_from(rows, sentence_id="r")
 
 
+@st.composite
+def chained_candidates(draw):
+    """Candidates left to right, each right after the last or one connector later,
+    with a random subset of the pairs they form as the accepted ones."""
+    candidates, connectors, end = [], {}, 0
+    for width in draw(st.lists(st.integers(1, 3), max_size=8)):
+        if draw(st.booleans()):
+            end += 1
+            connectors[end] = draw(st.sampled_from(["of", "and"]))
+        span = tuple(range(end + 1, end + 1 + width))
+        candidates.append(Candidate("h", span, " ".join("w%d" % o for o in span)))
+        end = span[-1]
+    pairs = form_pairs(candidates, connectors)
+    return candidates, [p for p in pairs if draw(st.booleans())]
+
+
 class TestRandomizedInvariants:
     def test_candidates_never_share_offsets(self):
         rng = random.Random(20240811)
@@ -301,8 +311,7 @@ class TestRandomizedInvariants:
             heads = find_head_nouns(sentence)
             for candidate in extract_candidates(sentence):
                 if len(candidate.span) > 1:
-                    assert candidate.head_offset in heads
-                    assert candidate.head_offset in candidate.span
+                    assert heads & set(candidate.span)
 
     def test_pair_gap_is_zero_or_one_qualifying_token(self):
         rng = random.Random(4242)
@@ -329,10 +338,21 @@ class TestRandomizedInvariants:
             sentence = random_sentence(rng)
             candidates = extract_candidates(sentence)
             pairs = form_pairs(candidates, sentence_connectors(sentence))
-            decisions = {p: rng.random() < 0.5 for p in pairs}
-            out = merge_pass(pairs, decisions, candidates)
+            out = merge_pass([p for p in pairs if rng.random() < 0.5], candidates)
             assert len(out) <= len(candidates)
             seen = set()
             for candidate in out:
                 assert not (set(candidate.span) & seen)
                 seen |= set(candidate.span)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chained_candidates(), st.data())
+    def test_merge_pass_ignores_input_order(self, chain, data):
+        candidates, accepted = chain
+        out = merge_pass(accepted, candidates)
+        shuffled = merge_pass(
+            data.draw(st.permutations(accepted)), data.draw(st.permutations(candidates))
+        )
+        assert shuffled == out
+        offsets = [o for c in out for o in c.span]
+        assert len(offsets) == len(set(offsets))

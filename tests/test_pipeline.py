@@ -125,6 +125,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"provider": {"fixture": "a"}, "provider": {"corpus": "b"}}',
+             "config {path} repeats key 'provider'"),
+            ('{"provider": {"fixture": "a"}, "thresholds": {"id_t": 3, "id_t": 6}}',
+             "config {path} repeats key 'id_t'"),
+            ('{"provider": {"fixture": "a"}, "max_merge_pases": 2, "cache_pth": "c.tsv"}',
+             "unknown config key(s): cache_pth, max_merge_pases"),
+        ],
+        ids=["repeated-provider", "repeated-threshold", "unknown-keys"],
+    )
+    def test_rejected_config_names_the_problem(self, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message.format(path=path)
+
     def test_min_merge_passes(self):
         with pytest.raises(ConfigError):
             PipelineConfig(max_merge_passes=0)
@@ -476,7 +495,7 @@ def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
     for _ in range(5):
         expected += [p for p in current if p.key() not in decided]
         decided |= {p.key() for p in current}
-        merged = merge_pass(current, dict.fromkeys(current, True), candidates)
+        merged = merge_pass(current, candidates)
         if len(merged) == len(candidates):
             break
         candidates = merged
