@@ -17,10 +17,12 @@ import re
 import sys
 import time
 import urllib.parse
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Protocol, TextIO
+from typing import Any, Callable, Collection, Iterable, Mapping, Protocol, TextIO
 
 from .parse_ingest import ParseFileError, read_json_object, read_rows
 
@@ -81,18 +83,28 @@ def _tsv_count(columns: list[str]) -> tuple[str, int]:
 class FixtureProvider:
     """Counts served from a fixed phrase -> count table.
 
+    ``counts`` is a mapping or a collection of (phrase, count) pairs, whose
+    counts are whole, non-negative ints and whose phrases differ in lookup key.
     ``missing_policy`` is "error" (default, to expose fixture gaps) or
     "zero".
     """
 
     provider_id = "fixture"
 
-    def __init__(self, counts: Mapping[str, int], missing_policy: str = "error"):
+    def __init__(self, counts: Mapping[str, int] | Collection[tuple[str, int]],
+                 missing_policy: str = "error"):
         if missing_policy not in ("error", "zero"):
             raise ValueError("missing_policy must be 'error' or 'zero'")
-        self._counts = {_lookup_key(p): int(c) for p, c in counts.items()}
-        if any(c < 0 for c in self._counts.values()):
-            raise ValueError("fixture counts must be non-negative")
+        rows = counts.items() if isinstance(counts, Mapping) else counts
+        for phrase, count in rows:
+            if type(count) is not int or count < 0:
+                raise ValueError("count for %r must be a whole, non-negative number, got %s"
+                                 % (phrase, json.dumps(count, default=repr)))
+        self._counts = {_lookup_key(p): c for p, c in rows}
+        if len(self._counts) < len(rows):  # two rows share a lookup key; name them
+            key = Counter(_lookup_key(p) for p, _ in rows).most_common(1)[0][0]
+            first, second = [p for p, _ in rows if _lookup_key(p) == key][:2]
+            raise ValueError("phrases %r and %r normalize to one key" % (first, second))
         self.missing_policy = missing_policy
 
     @classmethod
@@ -103,20 +115,10 @@ class FixtureProvider:
             rows = read_json_object(text, source).items()
         else:
             rows = list(read_rows(text.splitlines(), 2, source, _tsv_count))
-        for phrase, count in rows:
-            if type(count) is not int or count < 0:
-                raise ValueError("%s: count for %r must be a whole, non-negative number, got %s"
-                                 % (source, phrase, json.dumps(count)))
-        provider = cls(dict(rows), missing_policy)
-        if len(provider._counts) < len(rows):  # two rows share a lookup key; find them
-            phrases: dict[str, str] = {}
-            for phrase, _ in rows:
-                key = _lookup_key(phrase)
-                if key in phrases:
-                    raise ValueError("%s: phrases %r and %r normalize to one key"
-                                     % (source, phrases[key], phrase))
-                phrases[key] = phrase
-        return provider
+        try:
+            return cls(rows, missing_policy)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (source, exc)) from None
 
     def count(self, phrase: str) -> int:
         key = _lookup_key(phrase)
@@ -134,25 +136,38 @@ class LocalIndexProvider:
 
     A phrase counts once per document containing it as a contiguous
     token subsequence, however many times it occurs there.  Matching is
-    case-insensitive.  Lookups intersect the per-token posting sets
-    rarest first, copying only the smallest, and verify the survivors
-    with a padded-string containment check.
+    case-insensitive.  A token's postings are an int whose bit d marks
+    document d, or the list of its document ids for a rarer token.
+    Lookups AND the bitmasks, intersect the lists rarest first, and verify
+    the surviving documents with a padded-string containment check.
     """
 
     provider_id = "local-index"
+    # A bitmask costs N/8 bytes for N documents and a set of ids about 50 bytes
+    # per id, so a token found in at least one document in 400 keeps a bitmask,
+    # no larger than a set to intersect.  A rarer token keeps its list of ids,
+    # 8 bytes each; a lookup copies only the rarest list into a set.
+    _DOCS_PER_MASKED_ID = 400
 
     def __init__(self, documents: Iterable[str | Iterable[str]]):
-        postings: defaultdict[str, set[int]] = defaultdict(set)
+        postings: dict[str, Any] = defaultdict(list)  # document ids, 8 bytes each
         self._padded: list[str] = []
         for doc_id, document in enumerate(documents):
             if isinstance(document, str):
                 tokens = document.lower().split()
             else:  # given tokens are kept whole, even with whitespace inside
                 tokens = [t.lower() for t in document]
-            for token in tokens:
-                postings[token].add(doc_id)
+            for token in set(tokens):
+                postings[token].append(doc_id)
             self._padded.append(" " + " ".join(tokens) + " ")
-        self._postings = dict(postings)
+        n_docs = len(self._padded)
+        for token, doc_ids in postings.items():  # one token at a time: a transient peak counts
+            if n_docs <= self._DOCS_PER_MASKED_ID * len(doc_ids):
+                flags = bytearray((n_docs + 7) // 8)
+                for d in doc_ids:
+                    flags[d >> 3] |= 1 << (d & 7)
+                postings[token] = int.from_bytes(flags, "little")  # bit d is document d
+        self._postings = postings
 
     def count(self, phrase: str) -> int:
         tokens = _lookup_key(phrase).split()
@@ -161,11 +176,17 @@ class LocalIndexProvider:
         postings = [self._postings.get(token) for token in tokens]
         if not all(postings):
             return 0
-        rarest, *others = sorted(postings, key=len)
-        if not others:
-            return len(rarest)
+        lists = sorted((p for p in postings if type(p) is list), key=len)
+        mask = reduce(and_, (p for p in postings if type(p) is int), -1)
+        if len(tokens) == 1:
+            return len(lists[0]) if lists else mask.bit_count()
         needle = " " + " ".join(tokens) + " "
-        return sum(1 for d in rarest.intersection(*others) if needle in self._padded[d])
+        if not lists:  # character d of bin(mask)[:1:-1] is bit d
+            return sum(needle in self._padded[m.start()]
+                       for m in re.finditer("1", bin(mask)[:1:-1]))
+        # A given token may hold whitespace, so containment alone does not imply the masked tokens.
+        return sum(1 for d in set(lists[0]).intersection(*lists[1:])
+                   if needle in self._padded[d] and mask >> d & 1)
 
 
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:

@@ -178,6 +178,8 @@ def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
 
 
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
+    surfaces: dict[tuple[str, tuple[int, ...]], str] = {}  # decide_pairs keys candidates by span
+
     def pair(columns: list[str]) -> CandidatePair:
         sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
         a_x = Candidate(sentence_id, _parse_span(ax_span), ax_surface)
@@ -186,6 +188,10 @@ def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
         if _parse_span(span) != built.merged_span() or surface != built.s:
             raise ValueError("span and surface %r do not match the pair's %r"
                              % ([span, surface], _pair_row(built)[1:3]))
+        for c in (a_x, a_y):
+            if surfaces.setdefault((sentence_id, c.span), c.surface) != c.surface:
+                raise ValueError("candidate span %s is %r here but %r in an earlier row" % (
+                    _span_str(c.span), c.surface, surfaces[sentence_id, c.span]))
         return built
 
     return list(read_rows(stream, 8, "pairs file", pair))

@@ -121,6 +121,22 @@ class TestFixtureProvider:
             FixtureProvider.from_file(path)
         assert str(err.value).startswith("count table %s%s" % (path, message))
 
+    def test_constructor_rejects_phrases_sharing_a_key(self):
+        with pytest.raises(ValueError) as err:
+            FixtureProvider({"a b": 1, "A  b": 2})
+        assert str(err.value) == "phrases 'a b' and 'A  b' normalize to one key"
+
+    @pytest.mark.parametrize(
+        "count, shown",
+        [(1.5, "1.5"), (-1, "-1"), (True, "true"), (None, "null"), ("3", '"3"')],
+        ids=["float", "negative", "bool", "none", "text"],
+    )
+    def test_constructor_rejects_a_count_that_is_not_a_whole_number(self, count, shown):
+        with pytest.raises(ValueError) as err:
+            FixtureProvider([("a", 1), ("b c", count)])
+        assert str(err.value) == (
+            "count for 'b c' must be a whole, non-negative number, got %s" % shown)
+
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
         for count in ("many", "-3", "1.5"):
@@ -797,3 +813,54 @@ def test_local_index_matches_brute_force(case):
         expected = naive_document_frequency(documents, lowered_tokens(phrase))
         assert from_texts.count(phrase) == expected, phrase
         assert from_tokens.count(phrase) == expected, phrase
+
+
+def both_posting_forms_corpus(seed):
+    """Over 400 documents where a few tokens are common and 300 are rare.
+
+    A token keeps a bitmask when it is in at least one document in 400 and a
+    list of document ids otherwise, so the rare tokens fall on both sides.
+    """
+    rng = random.Random(seed)
+    common, rare = ["a", "b", "ab", "c"], ["r%d" % i for i in range(300)]
+    documents = [
+        [rng.choice(common) if rng.random() < 0.8 else rng.choice(rare)
+         for _ in range(rng.randint(0, 8))]
+        for _ in range(rng.randint(900, 1300))
+    ]
+    phrases = {tuple(rng.choice(common + rare + ["zz"]) for _ in range(rng.randint(1, 4)))
+               for _ in range(60)}
+    for tokens in rng.sample([d for d in documents if d], 90):  # phrases that occur
+        start = rng.randrange(len(tokens))
+        phrases.add(tuple(tokens[start : start + rng.randint(1, 4)]))
+    return documents, sorted(phrases)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_index_with_both_posting_forms_matches_brute_force(seed):
+    documents, phrases = both_posting_forms_corpus(seed)
+    rng = random.Random(seed)
+    texts = ["".join(rng.choice([" ", "  ", "\t"]) + (t.upper() if rng.random() < 0.2 else t)
+                     for t in tokens) for tokens in documents]
+    from_texts = LocalIndexProvider(texts)
+    from_tokens = LocalIndexProvider([text.split() for text in texts])
+    forms = {type(postings) for postings in from_texts._postings.values()}
+    assert forms == {int, list}  # the premise: both forms occur, and phrases mix them
+    mixed = 0
+    for phrase in phrases:
+        expected = naive_document_frequency(documents, list(phrase))
+        assert from_texts.count(" ".join(phrase)) == expected, phrase
+        assert from_tokens.count(" ".join(phrase).upper()) == expected, phrase
+        mixed += len({type(from_texts._postings.get(t)) for t in phrase} - {type(None)}) == 2
+    assert mixed >= 10
+
+
+@pytest.mark.parametrize("b_documents", [999, 1], ids=["b-bitmask", "b-list"])
+def test_local_index_checks_every_token_of_a_phrase(b_documents):
+    # "a" keeps a list of ids, and "b" a bitmask or a list. The first document
+    # holds the text " a b " only because a given token has whitespace inside,
+    # so it does not hold the token "b".
+    filler = [["c"]] * (1000 - b_documents)
+    provider = LocalIndexProvider([["a", "b x"]] + [["b"]] * b_documents + filler)
+    assert provider.count("a b") == 0
+    assert provider.count("b") == b_documents
