@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -20,7 +18,7 @@ from typing import Sequence
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
 from .extractor import extract_candidates, form_pairs, sentence_connectors
-from .measures import THRESHOLD_DEFAULTS_DOC
+from .measures import THRESHOLD_DEFAULTS_DOC, threshold_value
 from .parse_ingest import read_json_object, read_parse_file
 
 # ParseFileError, UndefinedEvidenceError, EvaluationError and ConfigError are ValueErrors.
@@ -50,9 +48,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
             raise pipeline.ConfigError(
                 "threshold override must look like name=value, got %r" % item
             )
-        if name not in evaluation.THRESHOLD_NAMES:
-            raise pipeline.ConfigError("unknown threshold %r" % name)
-        overrides[name] = _threshold_value("threshold %r" % name, value)
+        overrides[name] = threshold_value(name, value, text=True)
     return dataclasses.replace(
         config, thresholds=dataclasses.replace(config.thresholds, **overrides)
     )
@@ -142,31 +138,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _threshold_value(where: str, value: float | str) -> float:
-    """A grid value or ``--threshold`` text as a finite float; errors name ``where``."""
-    try:
-        if math.isfinite(float(value)):
-            return float(value)
-    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
-        pass
-    raise ValueError("%s holds %s, not a finite number" % (where, json.dumps(value)))
-
-
-def _read_grid(spec: str) -> dict[str, list[float]]:
+def _read_grid(spec: str) -> dict[str, list]:
     inline = spec.lstrip().startswith("{")
     text = spec if inline else Path(spec).read_text(encoding="utf-8")
     raw = read_json_object(text, "grid spec" if inline else "grid spec %s" % spec)
     if not raw:
         raise ValueError("grid spec must be a non-empty JSON object")
-    grid = {}
     for name, values in raw.items():
         if not isinstance(values, list):
             raise ValueError("grid axis %r must be a list of numbers" % name)
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError("grid axis %r holds %s, not a number" % (name, json.dumps(v)))
-        grid[name] = [_threshold_value("grid axis %r" % name, v) for v in values]
-    return grid
+    return raw  # evaluation.sweep checks each name and value
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .evidence import EvidenceSet
-from .measures import THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, decision_masks, unithood
+from .measures import (THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError,
+                       decision_masks, threshold_value, unithood)
 
 METRIC_NAMES = ("precision", "recall", "f_score", "paper_f", "accuracy")
 
@@ -56,6 +57,24 @@ class Metrics:
     accuracy: float | None
 
 
+def _check_ids(pair_ids: Sequence[str], gold: Mapping[str, bool]) -> None:
+    """Pair ids must be present, unique and gold-labelled; unused gold labels only warn."""
+    if not pair_ids:
+        raise EvaluationError("no pairs to evaluate")
+    unique = set(pair_ids)
+    if len(unique) < len(pair_ids):
+        repeated = Counter(pair_ids).most_common(1)[0][0]
+        raise EvaluationError("pair id %r occurs more than once" % repeated)
+    orphans = sorted(unique - set(gold))
+    if orphans:
+        raise EvaluationError(
+            "%d pair(s) have no gold label: %s" % (len(orphans), ", ".join(orphans[:10])),
+            orphans,
+        )
+    if len(gold) > len(unique):
+        warnings.warn("%d gold label(s) have no pair and are ignored" % (len(gold) - len(unique)))
+
+
 def score(decisions: Mapping[str, bool], gold: Mapping[str, bool]) -> ContingencyTable:
     """Tabulate actual decisions against ideal labels.
 
@@ -63,18 +82,7 @@ def score(decisions: Mapping[str, bool], gold: Mapping[str, bool]) -> Contingenc
     raise EvaluationError.  Gold labels without a decision are ignored
     with a warning.
     """
-    orphans = sorted(set(decisions) - set(gold))
-    if orphans:
-        raise EvaluationError(
-            "%d decided pair(s) have no gold label: %s"
-            % (len(orphans), ", ".join(orphans[:10])),
-            orphans,
-        )
-    if not decisions:
-        raise EvaluationError("no pairs to evaluate")
-    extra = len(set(gold) - set(decisions))
-    if extra:
-        warnings.warn("%d gold label(s) have no decision and are ignored" % extra)
+    _check_ids(list(decisions), gold)
     cells = Counter((bool(actual), bool(gold[pair_id])) for pair_id, actual in decisions.items())
     return ContingencyTable(
         cells[True, True], cells[True, False], cells[False, True], cells[False, False]
@@ -112,44 +120,26 @@ def sweep(
 
     Each row is a ``(pair_id, EvidenceSet)`` tuple, as
     ``pipeline.read_decorated_file`` returns; pair ids must be unique.
-    ``grid`` maps threshold names to candidate values; omitted names use
-    the default thresholds.  Combinations violating the threshold
-    invariants are skipped with a warning.
+    ``grid`` maps threshold names to values for ``measures.threshold_value``;
+    omitted names use the default thresholds.  Combinations violating the
+    threshold invariants are skipped with a warning.
     Each row is scored once, since MI, ID and IDR do not depend on the
     thresholds; each grid point then decides every row at once with bit
     masks (``measures.decision_masks``) and counts tp and fp by popcount.
     Results are sorted by the chosen metric, best first, ties kept in
     grid order.
     """
-    if not rows:
-        raise EvaluationError("no pairs to sweep over")
+    _check_ids([pair_id for pair_id, _ in rows], gold)
     if sort_key not in METRIC_NAMES:
         raise ValueError("sort_key must be one of %s" % (METRIC_NAMES,))
-    unknown = set(grid) - set(THRESHOLD_NAMES)
-    if unknown:
-        raise ValueError("unknown threshold name(s): %s" % ", ".join(sorted(unknown)))
+    grid = {name: [threshold_value(name, v, "grid axis") for v in grid[name]] for name in grid}
     defaults = Thresholds()
     axes = []
     for name in THRESHOLD_NAMES:
-        values = list(grid.get(name, [getattr(defaults, name)]))
+        values = grid.get(name, [getattr(defaults, name)])
         if not values:
             raise ValueError("grid axis %r is empty" % name)
         axes.append(values)
-
-    pair_ids: set[str] = set()
-    for pair_id, _ in rows:
-        if pair_id in pair_ids:
-            raise EvaluationError("pair id %r occurs more than once" % pair_id)
-        pair_ids.add(pair_id)
-    orphans = sorted(pair_ids - set(gold))
-    if orphans:
-        raise EvaluationError(
-            "%d pair(s) have no gold label: %s" % (len(orphans), ", ".join(orphans[:10])),
-            orphans,
-        )
-    extra = len(set(gold) - pair_ids)
-    if extra:
-        warnings.warn("%d gold label(s) have no swept pair and are ignored" % extra)
 
     valid: list[tuple[int, Thresholds]] = []
     for index, combo in enumerate(itertools.product(*axes)):

@@ -16,9 +16,10 @@ mediocre MI when both sides are highly independent and about equally so
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .evidence import EvidenceSet
 
@@ -57,6 +58,24 @@ class Thresholds:
 
 THRESHOLD_NAMES = tuple(f.name for f in fields(Thresholds))
 THRESHOLD_DEFAULTS_DOC = " ".join("%s=%g" % (f.name, f.default) for f in fields(Thresholds))
+
+
+def threshold_value(name: str, value: Any, where: str = "threshold", text: bool = False) -> float:
+    """Threshold ``name``'s value as a finite float; errors name ``where`` and ``name``.
+
+    A JSON value must be a number, not a bool, a string or null; ``text``,
+    as in ``--threshold mi_plus=0.5``, goes through ``float()``.
+    """
+    if name not in THRESHOLD_NAMES:
+        raise ValueError("unknown threshold %r" % name)
+    number = text or (isinstance(value, (int, float)) and not isinstance(value, bool))
+    try:
+        if number and math.isfinite(float(value)):
+            return float(value)
+    except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+        pass
+    reason = "not a finite number" if number else "not a number"
+    raise ValueError("%s %r holds %s, %s" % (where, name, json.dumps(value), reason))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
@@ -37,14 +37,18 @@ def read_rows(
     n_columns: int,
     kind: str,
     convert: Callable[[list[str]], T],
+    key: Callable[[T], Hashable] | None = None,
+    repeated: str = "",
 ) -> Iterator[T]:
     """Yield ``convert(columns)`` for each data row of a TSV stream.
 
     LF or CRLF line endings are accepted; blank lines and lines starting
-    with ``#`` are skipped.  A row with the wrong column count, or one
-    whose conversion raises ValueError, raises ParseFileError naming
+    with ``#`` are skipped.  A row with the wrong column count, one whose
+    conversion raises ValueError, or one whose ``key(row)`` an earlier row
+    had (message ``repeated % key(row)``) raises ParseFileError naming
     ``kind`` and the line.
     """
+    first_line: dict[Hashable, int] = {}
     for line_number, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if line.endswith("\r"):
@@ -57,9 +61,12 @@ def read_rows(
                 raise ValueError(
                     "expected %d tab-separated columns, got %d" % (n_columns, len(columns))
                 )
-            yield convert(columns)
+            row = convert(columns)
+            if key is not None and first_line.setdefault(key(row), line_number) != line_number:
+                raise ValueError(repeated % key(row))
         except ValueError as exc:
             raise ParseFileError(str(exc), line_number, kind) from None
+        yield row
 
 
 def read_json_object(text: str, source: str) -> dict[str, Any]:
@@ -145,8 +152,6 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
     the wrong column count, non-integer offsets, invalid token fields,
     or an offset that repeats within a sentence.
     """
-    seen: set[tuple[str, int]] = set()
-
     def token_row(columns: list[str]) -> tuple[str, ParseToken]:
         sentence_id, offset_s, lemma, pos, dep_rel, head_s = columns
         try:
@@ -156,14 +161,12 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
             raise ValueError(
                 "offset and head_offset must be integers, got %r / %r" % (offset_s, head_s)
             ) from None
-        token = ParseToken(offset, lemma, pos, dep_rel, head_offset)
-        if (sentence_id, offset) in seen:
-            raise ValueError("duplicate offset %d in sentence %r" % (offset, sentence_id))
-        seen.add((sentence_id, offset))
-        return sentence_id, token
+        return sentence_id, ParseToken(offset, lemma, pos, dep_rel, head_offset)
 
     grouped: dict[str, list[ParseToken]] = {}
-    for sentence_id, token in read_rows(stream, 6, "parse file", token_row):
+    rows = read_rows(stream, 6, "parse file", token_row, lambda row: (row[1].offset, row[0]),
+                     "duplicate offset %d in sentence %r")
+    for sentence_id, token in rows:
         grouped.setdefault(sentence_id, []).append(token)
     return [
         ParsedSentence(sid, tuple(sorted(tokens, key=lambda t: t.offset)))

@@ -20,6 +20,7 @@ File formats (all TSV, UTF-8, LF, "#" comment lines ignored):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -34,7 +35,7 @@ from .evidence import (
     load_corpus_file,
 )
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
-from .measures import Thresholds, UndefinedEvidenceError, decision_rule, unithood
+from .measures import Thresholds, UndefinedEvidenceError, decision_rule, threshold_value, unithood
 from .parse_ingest import read_json_object, read_rows
 
 MERGED = "MERGED"
@@ -72,8 +73,8 @@ class PipelineConfig:
             raise ConfigError("config must name at most one count provider")
         if self.missing_count_policy not in ("error", "zero"):
             raise ConfigError("missing_count_policy must be 'error' or 'zero'")
-        if self.max_merge_passes < 1:
-            raise ConfigError("max_merge_passes must be >= 1")
+        if type(self.max_merge_passes) is not int or self.max_merge_passes < 1:  # refuses a bool
+            raise ConfigError("max_merge_passes must be an integer >= 1")
         if self.remote is not None and self.cache_path is None:
             raise ConfigError("the remote provider requires a cache_path")
 
@@ -99,17 +100,19 @@ def load_config(path: str | Path) -> PipelineConfig:
     def resolve(p: str) -> str:
         return str((base / p)) if not Path(p).is_absolute() else p
 
+    for key in ("provider", "thresholds"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError("%s must be a JSON object" % key)
     provider = raw.get("provider", {})
-    if not isinstance(provider, dict):
-        raise ConfigError("provider must be a JSON object")
     unknown = set(provider) - {"fixture", "corpus", "remote"}
     if unknown:
         raise ConfigError("unknown provider kind(s): %s" % ", ".join(sorted(unknown)))
     if len(provider) != 1:
         raise ConfigError("config must name exactly one count provider")
     cache_path = raw.get("cache_path")
+    values = raw.get("thresholds", {})
     try:
-        thresholds = Thresholds(**raw.get("thresholds", {}))
+        thresholds = Thresholds(**{name: threshold_value(name, values[name]) for name in values})
         remote = RemoteClientConfig(**provider["remote"]) if "remote" in provider else None
         return PipelineConfig(
             thresholds=thresholds,
@@ -120,7 +123,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             missing_count_policy=raw.get("missing_count_policy", "error"),
             max_merge_passes=raw.get("max_merge_passes", 3),
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError too
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
 
 
@@ -150,10 +153,8 @@ def _parse_span(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))
 
 
-def _first(seen: set, key, what: str) -> None:
-    if key in seen:
-        raise ValueError("duplicate %s %r" % (what, key))
-    seen.add(key)
+# Pair-id rows are (pair_id, value) tuples; a read_rows key and its message.
+_PAIR_ID_KEY = (itemgetter(0), "duplicate pair id %r")
 
 
 def write_candidates_file(candidates: Iterable[Candidate], stream: TextIO) -> None:
@@ -229,16 +230,13 @@ def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
 def _read_verdicts(
     stream: Iterable[str], n_columns: int, column: int, kind: str, what: str
 ) -> dict[str, bool]:
-    seen: set[str] = set()
-
     def verdict(columns: list[str]) -> tuple[str, bool]:
         pair_id, text = columns[0], columns[column]
-        _first(seen, pair_id, "pair id")
         if text not in (MERGED, NOTMERGED):
             raise ValueError("unknown %s %r for pair %s" % (what, text, pair_id))
         return pair_id, text == MERGED
 
-    return dict(read_rows(stream, n_columns, kind, verdict))
+    return dict(read_rows(stream, n_columns, kind, verdict, *_PAIR_ID_KEY))
 
 
 def read_decisions_file(stream: Iterable[str]) -> dict[str, bool]:
@@ -261,29 +259,22 @@ def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
 
 
 def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
-    seen: set[str] = set()
-
     def row(columns: list[str]) -> tuple[str, EvidenceSet]:
-        pair_id = columns[0]
-        _first(seen, pair_id, "pair id")
         n_s, n_ax, n_ay = (int(v) for v in columns[5:8])
-        return pair_id, EvidenceSet(n_s, n_ax, n_ay)
+        return columns[0], EvidenceSet(n_s, n_ax, n_ay)
 
-    return list(read_rows(stream, 8, "decorated pairs file", row))
+    return list(read_rows(stream, 8, "decorated pairs file", row, *_PAIR_ID_KEY))
 
 
 def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], Scores]:
     """Map each surface triple (a_x, b, a_y) to its (mi, id_x, id_y, idr)."""
-    seen: set[tuple[str, str, str]] = set()
-
     def row(columns: list[str]) -> tuple[tuple[str, str, str], Scores]:
-        triple = (columns[0], columns[1], columns[2])
-        _first(seen, triple, "surface triple")
         mi, id_x, id_y = (float(v) for v in columns[3:6])
         idr = None if columns[6] == "NA" else float(columns[6])
-        return triple, (mi, id_x, id_y, idr)
+        return (columns[0], columns[1], columns[2]), (mi, id_x, id_y, idr)
 
-    return dict(read_rows(stream, 7, "scores file", row))
+    return dict(read_rows(stream, 7, "scores file", row, itemgetter(0),
+                          "duplicate surface triple (%r, %r, %r)"))
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,18 @@ class TestDecide:
         assert out == ""
         assert err == 'error: threshold \'mi_plus\' holds "%s", not a finite number\n' % value
 
+    @pytest.mark.parametrize("passes", ["2.5", "true"])
+    def test_bad_max_merge_passes_fails_cleanly(self, extracted, fixtures_dir, tmp_path, capsys,
+                                                passes):
+        _, pairs = extracted
+        config = tmp_path / "config.json"
+        config.write_text('{"provider": {"fixture": "%s"}, "max_merge_passes": %s}'
+                          % (fixtures_dir / "counts.json", passes), encoding="utf-8")
+        code, out, err = run(capsys, "--config", config, "decide", pairs)
+        assert (code, out) == (1, "")
+        message = "invalid config %s: max_merge_passes must be an integer >= 1" % config
+        assert err == "error: %s\n" % message
+
     def test_decorated_out(self, extracted, fixtures_dir, tmp_path, capsys):
         _, pairs = extracted
         decorated = tmp_path / "decorated.tsv"
@@ -247,6 +259,38 @@ class TestDecide:
         code, _, err = run(capsys, "decide", pairs, "--scores", scores)
         assert code == 1
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("id_t", "true"), ("id_t", '"x"'), ("id_t", "null"), ("id_t", "1e400"), ("id_x", "1")],
+    ids=["true", "string", "null", "overflow", "unknown-name"],
+)
+@pytest.mark.parametrize("source", ["config", "grid", "--threshold"])
+def test_bad_threshold_fails_naming_it(extracted, fixtures_dir, tmp_path, capsys, source, name,
+                                       value):
+    # Config files, grid specs and --threshold go through one check, so each
+    # names the threshold; an unknown name reads the same from all three.
+    _, pairs = extracted
+    config = tmp_path / "config.json"
+    if source == "config":
+        config.write_text('{"provider": {"fixture": "%s"}, "thresholds": {"%s": %s}}'
+                          % (fixtures_dir / "counts.json", name, value), encoding="utf-8")
+        argv = ["--config", config, "decide", pairs]
+    elif source == "grid":
+        argv = ["sweep", fixtures_dir / "decorated_pairs.tsv", fixtures_dir / "sweep_gold.tsv",
+                '{"%s": [%s]}' % (name, value)]
+    else:
+        argv = ["--config", fixtures_dir / "config.json", "decide", pairs,
+                "--threshold", "%s=%s" % (name, value)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'%s'" % name in err
+    if source == "config":
+        assert err.startswith("error: invalid config %s: " % config)
+    if name == "id_x":
+        assert err.endswith(" unknown threshold 'id_x'\n")
 
 
 class TestEval:

@@ -17,6 +17,7 @@ from unithood import (
     extract_candidates,
     form_pairs,
     merge_pass,
+    read_parse_file,
     sentence_connectors,
 )
 from unithood.cli import _load_config, build_parser
@@ -134,8 +135,13 @@ class TestConfig:
              "config {path} repeats key 'id_t'"),
             ('{"provider": {"fixture": "a"}, "max_merge_pases": 2, "cache_pth": "c.tsv"}',
              "unknown config key(s): cache_pth, max_merge_pases"),
+            ('{"provider": {"fixture": "a"}, "max_merge_passes": 2.5}',
+             "invalid config {path}: max_merge_passes must be an integer >= 1"),
+            ('{"provider": {"fixture": "a"}, "max_merge_passes": true}',
+             "invalid config {path}: max_merge_passes must be an integer >= 1"),
         ],
-        ids=["repeated-provider", "repeated-threshold", "unknown-keys"],
+        ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
+             "passes-bool"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "config.json"
@@ -145,8 +151,9 @@ class TestConfig:
         assert str(err.value) == message.format(path=path)
 
     def test_min_merge_passes(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(max_merge_passes=0)
+        for passes in (0, 2.5, True):  # a bool is no pass count, though bool is an int
+            with pytest.raises(ConfigError, match="max_merge_passes"):
+                PipelineConfig(max_merge_passes=passes)
 
     def test_remote_requires_cache(self, tmp_path):
         path = tmp_path / "config.json"
@@ -261,36 +268,47 @@ class TestFileFormats:
         assert scores[("a", "of", "b")] == (0.5, 6.5, 0.0, None)
 
     @pytest.mark.parametrize(
-        "read_fn, rows",
+        "read_fn, rows, message",
         [
-            (read_gold_file, ["1\tMERGED", "2\tMERGED", "1\tNOTMERGED"]),
+            (read_gold_file, ["1\tMERGED", "2\tMERGED", "1\tNOTMERGED"],
+             "gold file line 4: duplicate pair id '1'"),
             (
                 read_decisions_file,
                 ["1\ta\tof\tb\t1\t1\t1\t1\tMERGED\ta of b",
                  "2\ta\tof\tc\t1\t1\t1\t1\tMERGED\ta of c",
                  "1\ta\tof\tb\t1\t1\t1\t1\tNOTMERGED\ta of b"],
+                "decisions file line 4: duplicate pair id '1'",
             ),
             (
                 read_decorated_file,
                 ["1\ta\tof\tb\ta of b\t1\t2\t3",
                  "2\ta\tof\tc\ta of c\t1\t2\t3",
                  "1\ta\tof\tb\ta of b\t1\t2\t3"],
+                "decorated pairs file line 4: duplicate pair id '1'",
             ),
             (
                 read_scores_file,
                 ["a\tof\tb\t0.5\t6.5\t1\tNA",
                  "a\t\tb\t0.5\t6.5\t1\tNA",
                  "a\tof\tb\t0.7\t6.5\t1\tNA"],
+                "scores file line 4: duplicate surface triple ('a', 'of', 'b')",
+            ),
+            (
+                read_parse_file,
+                ["s1\t1\tdog\tNN\tnsubj\t0",
+                 "s2\t1\tdog\tNN\tnsubj\t0",
+                 "s1\t1\tcat\tNN\tdobj\t0"],
+                "parse file line 4: duplicate offset 1 in sentence 's1'",
             ),
         ],
-        ids=["gold", "decisions", "decorated", "scores"],
+        ids=["gold", "decisions", "decorated", "scores", "parse-offsets"],
     )
-    def test_repeated_key_fails_naming_second_line(self, read_fn, rows):
+    def test_repeated_key_fails_naming_second_line(self, read_fn, rows, message):
         text = "# header\n" + "\n".join(rows) + "\n"
         with pytest.raises(ParseFileError) as err:
             read_fn(io.StringIO(text))
         assert err.value.line_number == 4
-        assert "duplicate" in str(err.value)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "read_fn, text, kind",
