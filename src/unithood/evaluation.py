@@ -134,12 +134,11 @@ def sweep(
         raise ValueError("sort_key must be one of %s" % (METRIC_NAMES,))
     grid = {name: [threshold_value(name, v, "grid axis") for v in grid[name]] for name in grid}
     defaults = Thresholds()
-    axes = []
-    for name in THRESHOLD_NAMES:
-        values = grid.get(name, [getattr(defaults, name)])
-        if not values:
+    for name in grid:
+        if not grid[name]:
+            threshold_value(name, 0.0)  # no value checked this name; an unknown one fails here
             raise ValueError("grid axis %r is empty" % name)
-        axes.append(values)
+    axes = [grid.get(name, [getattr(defaults, name)]) for name in THRESHOLD_NAMES]
 
     valid: list[tuple[int, Thresholds]] = []
     for index, combo in enumerate(itertools.product(*axes)):

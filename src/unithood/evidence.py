@@ -24,7 +24,7 @@ from operator import and_
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Protocol, TextIO
 
-from .parse_ingest import ParseFileError, read_json_object, read_rows
+from .parse_ingest import ParseFileError, check_setting, read_json_object, read_rows
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -33,7 +33,10 @@ def normalize_phrase(phrase: str) -> str:
 
 
 def _lookup_key(phrase: str) -> str:
-    return normalize_phrase(phrase).lower()
+    key = normalize_phrase(phrase).lower()
+    if not key:
+        raise ValueError("phrase is empty after normalization")
+    return key
 
 
 class MissingCountError(LookupError):
@@ -71,13 +74,13 @@ class EvidenceSet:
         return self.n_s + self.n_ax + self.n_ay
 
 
-def _tsv_count(columns: list[str]) -> tuple[str, int]:
-    phrase, text = columns
+def _parse_count(phrase: str, text: str) -> int:
+    """A count as text: ASCII digits only, so no sign, '_', point or other script's digits."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(
             "count for %r must be a whole, non-negative number, got %s" % (phrase, text)
         )
-    return phrase, int(text)
+    return int(text)
 
 
 class FixtureProvider:
@@ -114,7 +117,7 @@ class FixtureProvider:
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             rows = read_json_object(text, source).items()
         else:
-            rows = list(read_rows(text.splitlines(), 2, source, _tsv_count))
+            rows = list(read_rows(text.splitlines(), 2, source, lambda c: (c[0], _parse_count(*c))))
         try:
             return cls(rows, missing_policy)
         except ValueError as exc:
@@ -122,8 +125,6 @@ class FixtureProvider:
 
     def count(self, phrase: str) -> int:
         key = _lookup_key(phrase)
-        if not key:
-            raise ValueError("phrase is empty after normalization")
         if key in self._counts:
             return self._counts[key]
         if self.missing_policy == "zero":
@@ -171,8 +172,6 @@ class LocalIndexProvider:
 
     def count(self, phrase: str) -> int:
         tokens = _lookup_key(phrase).split()
-        if not tokens:
-            raise ValueError("phrase is empty after normalization")
         postings = [self._postings.get(token) for token in tokens]
         if not all(postings):
             return 0
@@ -197,20 +196,21 @@ def load_corpus_file(path: str | Path) -> LocalIndexProvider:
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:
     phrase, count, provider_id, _fetched_at = columns
-    return provider_id, phrase, int(count)
+    return provider_id, _lookup_key(phrase), _parse_count(phrase, count)
 
 
 class CountCache:
     """The one count layer: ``inner``'s counts, memoized and optionally persisted.
 
-    One dict keyed by (provider, normalized lower-case phrase) holds the
-    counts ``inner`` returned; a failure is not stored, so the next call
-    asks again.  With ``path`` the dict is loaded from, and each miss
-    appended to, a TSV phrase<TAB>count<TAB>provider_id<TAB>fetched_at
-    (the last entry per key wins).  The file is opened on the first miss
-    and closed on leaving a ``with`` block or by ``close``, after which an
-    append raises ValueError; each line is flushed as it is written, and
-    ``fetched_at`` is the first one's time.
+    One dict keyed by normalized lower-case phrase holds the counts
+    ``inner`` returned; a failure is not stored, so the next call asks
+    again.  With ``path`` the dict is loaded from, and each miss appended
+    to, a TSV phrase<TAB>count<TAB>provider_id<TAB>fetched_at (the last
+    entry per key wins; other providers' rows are checked, not kept).
+    The file is opened on the first miss and closed on leaving a ``with``
+    block or by ``close``, after which an append raises ValueError; each
+    line is flushed as it is written, and ``fetched_at`` is the first
+    one's time.
     An unterminated last line that does not parse, left by a crash
     mid-append, is skipped with a warning and cut off before the first
     append; any other bad row raises.
@@ -220,7 +220,7 @@ class CountCache:
         self.inner = inner
         self.provider_id = inner.provider_id
         self.path = None if path is None else Path(path)
-        self._counts: dict[tuple[str, str], int] = {}
+        self._counts: dict[str, int] = {}
         self._handle: TextIO | None = None
         self._closed = False
         self._fetched_at = ""
@@ -255,14 +255,15 @@ class CountCache:
                 self._repair = (end, "")
 
     def _store(self, lines: list[str]) -> None:
-        for provider_id, phrase, count in read_rows(lines, 4, "count cache", _cache_row):
-            self._counts[(provider_id, _lookup_key(phrase))] = count
+        for provider_id, key, count in read_rows(lines, 4, "count cache", _cache_row):
+            if provider_id == self.provider_id:
+                self._counts[key] = count
 
     def __len__(self) -> int:
         return len(self._counts)
 
     def get(self, phrase: str) -> int | None:
-        return self._counts.get((self.provider_id, _lookup_key(phrase)))
+        return self._counts.get(_lookup_key(phrase))
 
     def put(self, phrase: str, count: int) -> None:
         phrase = normalize_phrase(phrase)
@@ -280,7 +281,7 @@ class CountCache:
             line = "%s\t%d\t%s\t%s\n" % (phrase, count, self.provider_id, self._fetched_at)
             self._handle.write(line)
             self._handle.flush()
-        self._counts[(self.provider_id, phrase.lower())] = count
+        self._counts[phrase.lower()] = count
 
     def count(self, phrase: str) -> int:
         cached = self.get(phrase)
@@ -310,8 +311,8 @@ class RemoteClientConfig:
     def __post_init__(self):
         if "{query}" not in self.endpoint_template:
             raise ValueError("endpoint_template must contain a {query} placeholder")
-        if self.min_delay_ms < 0 or self.max_retries < 1 or self.timeout_ms <= 0:
-            raise ValueError("invalid remote client settings")
+        for name, low in (("min_delay_ms", 0), ("max_retries", 1), ("timeout_ms", 1)):
+            check_setting(name, getattr(self, name), low)
 
 
 class _NoMatch(ValueError):
@@ -326,20 +327,14 @@ def _default_fetch(url: str, timeout_ms: int) -> str:
     return response.text
 
 
-def _retried_errors() -> tuple[type[Exception], ...]:
-    # A requests exception can only exist once requests is imported, and an
-    # except clause is evaluated only when something was raised.
-    requests = sys.modules.get("requests")
-    return (ValueError, KeyError, IndexError) + ((requests.RequestException,) if requests else ())
-
-
 class RemoteCountClient:
     """Fetch total-result counts from a configurable search endpoint.
 
     Phrases are submitted as quoted exact-phrase queries.  Consecutive
-    requests are spaced at least ``min_delay_ms`` apart.  Failures are
-    retried up to ``max_retries`` attempts and then raised as
-    TransportError; a failure is never reported as a zero count.
+    requests are spaced at least ``min_delay_ms`` apart.  A failure, that
+    is a ValueError, KeyError, IndexError or OSError (every requests error
+    is an OSError), is retried up to ``max_retries`` attempts and then
+    raised as TransportError; it is never reported as a zero count.
     Failures a retry cannot change, an HTTP 4xx other than 429, a JSON
     ``count_path`` that does not resolve, a ``regex:`` count pattern that
     matches nothing or has no group 1, or a count that is not a number,
@@ -391,20 +386,19 @@ class RemoteCountClient:
                 except (KeyError, IndexError, TypeError, ValueError):
                     raise _NoMatch("count_path %r does not resolve at %r" % (path, part)) from None
         try:
-            return int(str(value).replace(",", ""))
+            return _parse_count(path, str(value).replace(",", "").strip())
         except ValueError:
             raise _NoMatch("count_path %r holds %r, not a count" % (path, value)) from None
 
     def count(self, phrase: str) -> int:
-        if not normalize_phrase(phrase):
-            raise ValueError("phrase is empty after normalization")
+        _lookup_key(phrase)  # an empty phrase fails here, not at the endpoint
         url = self.build_url(phrase)
         last_error: Exception | None = None
         for _ in range(self.config.max_retries):
             self._respect_rate_limit()
             try:
                 return self.extract_count(self._fetch(url))
-            except _retried_errors() as exc:
+            except (ValueError, KeyError, IndexError, OSError) as exc:
                 last_error = exc
                 status = getattr(getattr(exc, "response", None), "status_code", None) or 0
                 if isinstance(exc, _NoMatch) or (400 <= status < 500 and status != 429):

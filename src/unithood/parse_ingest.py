@@ -88,6 +88,11 @@ def read_json_object(text: str, source: str) -> dict[str, Any]:
     return value
 
 
+def check_setting(name: str, value: Any, low: int, error: type[ValueError] = ValueError) -> None:
+    if type(value) is not int or value < low:  # refuses a bool, though bool is an int
+        raise error("%s must be an integer >= %d" % (name, low))
+
+
 def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
     if not allow_empty and not value:
         raise ValueError("%s must be non-empty" % name)

@@ -19,6 +19,7 @@ File formats (all TSV, UTF-8, LF, "#" comment lines ignored):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -36,7 +37,7 @@ from .evidence import (
 )
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
 from .measures import Thresholds, UndefinedEvidenceError, decision_rule, threshold_value, unithood
-from .parse_ingest import read_json_object, read_rows
+from .parse_ingest import check_setting, read_json_object, read_rows
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
@@ -73,8 +74,7 @@ class PipelineConfig:
             raise ConfigError("config must name at most one count provider")
         if self.missing_count_policy not in ("error", "zero"):
             raise ConfigError("missing_count_policy must be 'error' or 'zero'")
-        if type(self.max_merge_passes) is not int or self.max_merge_passes < 1:  # refuses a bool
-            raise ConfigError("max_merge_passes must be an integer >= 1")
+        check_setting("max_merge_passes", self.max_merge_passes, 1, ConfigError)
         if self.remote is not None and self.cache_path is None:
             raise ConfigError("the remote provider requires a cache_path")
 
@@ -271,6 +271,8 @@ def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], Scores
     def row(columns: list[str]) -> tuple[tuple[str, str, str], Scores]:
         mi, id_x, id_y = (float(v) for v in columns[3:6])
         idr = None if columns[6] == "NA" else float(columns[6])
+        if not all(map(math.isfinite, (mi, id_x, id_y, idr or 0.0))):
+            raise ValueError("scores must be finite, got %s" % ", ".join(columns[3:7]))
         return (columns[0], columns[1], columns[2]), (mi, id_x, id_y, idr)
 
     return dict(read_rows(stream, 7, "scores file", row, itemgetter(0),

@@ -263,8 +263,9 @@ class TestDecide:
 
 @pytest.mark.parametrize(
     "name, value",
-    [("id_t", "true"), ("id_t", '"x"'), ("id_t", "null"), ("id_t", "1e400"), ("id_x", "1")],
-    ids=["true", "string", "null", "overflow", "unknown-name"],
+    [("id_t", "true"), ("id_t", '"x"'), ("id_t", "null"), ("id_t", "1e400"), ("id_x", "1"),
+     ("id_x", "[]")],
+    ids=["true", "string", "null", "overflow", "unknown-name", "unknown-name-no-values"],
 )
 @pytest.mark.parametrize("source", ["config", "grid", "--threshold"])
 def test_bad_threshold_fails_naming_it(extracted, fixtures_dir, tmp_path, capsys, source, name,
@@ -277,9 +278,10 @@ def test_bad_threshold_fails_naming_it(extracted, fixtures_dir, tmp_path, capsys
         config.write_text('{"provider": {"fixture": "%s"}, "thresholds": {"%s": %s}}'
                           % (fixtures_dir / "counts.json", name, value), encoding="utf-8")
         argv = ["--config", config, "decide", pairs]
-    elif source == "grid":
+    elif source == "grid":  # a list value is the whole axis
+        axis = value if value.startswith("[") else "[%s]" % value
         argv = ["sweep", fixtures_dir / "decorated_pairs.tsv", fixtures_dir / "sweep_gold.tsv",
-                '{"%s": [%s]}' % (name, value)]
+                '{"%s": %s}' % (name, axis)]
     else:
         argv = ["--config", fixtures_dir / "config.json", "decide", pairs,
                 "--threshold", "%s=%s" % (name, value)]

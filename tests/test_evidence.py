@@ -111,8 +111,11 @@ class TestFixtureProvider:
              ": phrases 'a b' and 'A  b' normalize to one key"),
             ("counts.json", '{"a b": 1, "a b": 2}', " repeats key 'a b'"),
             ("counts.json", '{"a b": 1,}', " is not valid JSON: Expecting property name"),
+            ("counts.tsv", "a b\t1\n\t5\n", ": phrase is empty after normalization"),
+            ("counts.json", '{"a b": 1, "": 5}', ": phrase is empty after normalization"),
         ],
-        ids=["tsv-normalized", "tsv-repeated", "json-normalized", "json-repeated", "json-malformed"],
+        ids=["tsv-normalized", "tsv-repeated", "json-normalized", "json-repeated", "json-malformed",
+             "tsv-empty-phrase", "json-empty-phrase"],
     )
     def test_rejected_table_names_file(self, tmp_path, name, text, message):
         path = tmp_path / name
@@ -139,7 +142,7 @@ class TestFixtureProvider:
 
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
-        for count in ("many", "-3", "1.5"):
+        for count in ("many", "-3", "1.5", "-5", "+5", "1_0", "\u0663"):
             path.write_text("# phrase\tcount\na b\t7\nc d\t%s\n" % count, encoding="utf-8")
             with pytest.raises(ParseFileError) as err:
                 FixtureProvider.from_file(path)
@@ -277,6 +280,23 @@ class TestCountCache:
             fixture_cache(path)
         assert str(err.value).startswith("count cache line 2: expected 4")
 
+    @pytest.mark.parametrize("provider_id", ["fixture", "local-index"])
+    @pytest.mark.parametrize(
+        "phrase, count, message",
+        [("a b", text, "count for 'a b' must be a whole, non-negative number, got %s" % text)
+         for text in ("-5", "+5", "1_0", "1.5", "\u0663")]
+        + [(" ", "4", "phrase is empty after normalization")],
+        ids=["negative", "plus-sign", "underscore", "point", "arabic-digit", "empty-phrase"],
+    )
+    def test_bad_row_names_line(self, tmp_path, phrase, count, message, provider_id):
+        # Rows of another provider are not kept in memory, but are checked all the same.
+        path = tmp_path / "cache.tsv"
+        path.write_text("c d\t3\tfixture\tT\n%s\t%s\t%s\tT\n" % (phrase, count, provider_id),
+                        encoding="utf-8")
+        with pytest.raises(ParseFileError) as err:
+            fixture_cache(path)
+        assert str(err.value) == "count cache line 2: " + message
+
     def test_malformed_terminated_last_line_fails(self, tmp_path):
         path = tmp_path / "cache.tsv"
         path.write_text("a b\t3\tfixture\tT\nc d\t4\tfix\n", encoding="utf-8")
@@ -286,8 +306,9 @@ class TestCountCache:
 
     @pytest.mark.parametrize(
         "torn",
-        [b"c d\t4\tfix", "c d\t4\tfixture\tcaf\u00e9".encode("utf-8")[:-1]],
-        ids=["short-row", "split-character"],
+        [b"c d\t4\tfix", "c d\t4\tfixture\tcaf\u00e9".encode("utf-8")[:-1],
+         b"c d\t-4\tfixture\tT", b" \t4\tfixture\tT"],
+        ids=["short-row", "split-character", "negative-count", "empty-phrase"],
     )
     def test_torn_last_line_skipped_and_cut(self, tmp_path, capsys, torn):
         path = tmp_path / "cache.tsv"
@@ -621,7 +642,9 @@ class TestRemoteCountClient:
         assert len(calls) == attempts
 
     @pytest.mark.parametrize(
-        "failure", [requests.ConnectionError("refused"), requests.Timeout("slow")]
+        "failure",
+        [requests.ConnectionError("refused"), requests.Timeout("slow"), TimeoutError("slow"),
+         OSError("down")],
     )
     def test_transport_failures_retried(self, failure):
         calls = []
@@ -706,10 +729,19 @@ class TestRemoteCountClient:
              r"count_path 'regex:about (\\w+) results' holds 'many', not a count"),
             (r"regex:about \d+ results", "about 12 results",
              r"count_path 'regex:about \\d+ results' has no group 1"),
-        ],
-        ids=["json-not-a-number", "regex-not-a-number", "regex-without-group"],
+            ("search.total", json.dumps({"search": {"total": -7}}),
+             "count_path 'search.total' holds -7, not a count"),
+            ("search.total", json.dumps({"search": {"total": "1_000"}}),
+             "count_path 'search.total' holds '1_000', not a count"),
+        ]
+        + [(r"regex:about (\S+) results", "about %s results" % text,
+            r"count_path 'regex:about (\\S+) results' holds %r, not a count" % text)
+           for text in ("-5", "+5", "1_0", "1.5", "\u0663")],
+        ids=["json-not-a-number", "regex-not-a-number", "regex-without-group", "json-negative",
+             "json-underscore", "regex-negative", "regex-plus-sign", "regex-underscore",
+             "regex-point", "regex-arabic-digit"],
     )
-    def test_count_that_is_not_a_number_not_retried(self, count_path, body, message):
+    def test_count_that_is_not_a_number_not_retried(self, tmp_path, count_path, body, message):
         calls = []
 
         def fetch(url):
@@ -721,10 +753,12 @@ class TestRemoteCountClient:
             fetch=fetch,
             sleep=lambda s: None,
         )
-        with pytest.raises(TransportError) as err:
-            client.count("a")
+        with CountCache(client, tmp_path / "cache.tsv") as cached:
+            with pytest.raises(TransportError) as err:
+                cached.count("a")
         assert len(calls) == 1
         assert message in str(err.value)
+        assert not (tmp_path / "cache.tsv").exists()
 
 
 class FakeResponse:

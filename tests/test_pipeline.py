@@ -139,9 +139,15 @@ class TestConfig:
              "invalid config {path}: max_merge_passes must be an integer >= 1"),
             ('{"provider": {"fixture": "a"}, "max_merge_passes": true}',
              "invalid config {path}: max_merge_passes must be an integer >= 1"),
+            ('{"provider": {"remote": {"endpoint_template": "u{query}", "count_path": "t",'
+             ' "max_retries": 2.5}}, "cache_path": "c.tsv"}',
+             "invalid config {path}: max_retries must be an integer >= 1"),
+            ('{"provider": {"remote": {"endpoint_template": "u{query}", "count_path": "t",'
+             ' "max_retries": true}}, "cache_path": "c.tsv"}',
+             "invalid config {path}: max_retries must be an integer >= 1"),
         ],
         ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
-             "passes-bool"],
+             "passes-bool", "retries-float", "retries-bool"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "config.json"
@@ -319,9 +325,12 @@ class TestFileFormats:
             (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t-2\t3\n", "decorated pairs file"),
             (read_decisions_file, "1\ta\tof\tb\t1\t1\t1\t1\tMAYBE\ta of b\n",
              "decisions file"),
+            (read_scores_file, "a\tof\tb\tnan\t6.5\t1\tNA\n", "scores file"),
+            (read_scores_file, "a\tof\tb\tinf\t6.5\t1\tNA\n", "scores file"),
+            (read_scores_file, "a\tof\tb\t0.5\t6.5\t1\t-inf\n", "scores file"),
         ],
         ids=["pairs-columns", "pairs-stale-span", "pairs-stale-surface", "decorated-negative",
-             "decisions-label"],
+             "decisions-label", "scores-nan", "scores-inf", "scores-idr-inf"],
     )
     def test_bad_row_names_file_kind_and_line(self, read_fn, text, kind):
         with pytest.raises(ParseFileError) as err:
