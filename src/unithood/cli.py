@@ -13,7 +13,7 @@ import dataclasses
 import sys
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
@@ -25,13 +25,17 @@ from .parse_ingest import read_json_object, read_parse_file
 _ERRORS = (MissingCountError, TransportError, ValueError, OSError)
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
+def _read(path: str, reader: Callable[[TextIO], Any]) -> Any:
+    with open(path, encoding="utf-8") as handle:
+        return reader(handle)
+
+
+def _write(path: str | None, writer: Callable[[Any, TextIO], None], rows: Any) -> None:
     if path is None or path == "-":
-        yield sys.stdout
+        writer(rows, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+            writer(rows, handle)
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
@@ -55,18 +59,15 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    with open(args.parse_file, encoding="utf-8") as handle:
-        sentences = read_parse_file(handle)
+    sentences = _read(args.parse_file, read_parse_file)
     all_candidates = []
     all_pairs = []
     for sentence in sentences:
         candidates = extract_candidates(sentence)
         all_candidates.extend(candidates)
         all_pairs.extend(form_pairs(candidates, sentence_connectors(sentence)))
-    with _open_out(args.out_candidates) as handle:
-        pipeline.write_candidates_file(all_candidates, handle)
-    with _open_out(args.out_pairs) as handle:
-        pipeline.write_pairs_file(all_pairs, handle)
+    _write(args.out_candidates, pipeline.write_candidates_file, all_candidates)
+    _write(args.out_pairs, pipeline.write_pairs_file, all_pairs)
     print(
         "extracted %d candidate(s) and %d pair(s) from %d sentence(s)"
         % (len(all_candidates), len(all_pairs), len(sentences)),
@@ -77,24 +78,18 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    with open(args.pairs_file, encoding="utf-8") as handle:
-        pairs = pipeline.read_pairs_file(handle)
-    injected = None
-    if args.scores:
-        with open(args.scores, encoding="utf-8") as handle:
-            injected = pipeline.read_scores_file(handle)
+    pairs = _read(args.pairs_file, pipeline.read_pairs_file)
+    injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
         pipeline.build_provider(config) if config.has_provider() else contextlib.nullcontext()
     ) as provider:
         records = pipeline.decide_pairs(
             pairs, config.thresholds, provider, injected, config.max_merge_passes
         )
-    with _open_out(args.out) as handle:
-        pipeline.write_decisions_file(records, handle)
+    _write(args.out, pipeline.write_decisions_file, records)
     if args.decorated_out:
         skipped = sum(1 for r in records if r.evidence is None)
-        with _open_out(args.decorated_out) as handle:
-            pipeline.write_decorated_file(records, handle)
+        _write(args.decorated_out, pipeline.write_decorated_file, records)
         if skipped:
             print(
                 "%d pair(s) decided from injected scores carry no raw counts "
@@ -110,31 +105,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _percent(value: float | None) -> str:
-    return "NA" if value is None else "%.2f%%" % (value * 100.0)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.decisions_file, encoding="utf-8") as handle:
-        decisions = pipeline.read_decisions_file(handle)
-    with open(args.gold_file, encoding="utf-8") as handle:
-        gold = pipeline.read_gold_file(handle)
+    decisions = _read(args.decisions_file, pipeline.read_decisions_file)
+    gold = _read(args.gold_file, pipeline.read_gold_file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = evaluation.score(decisions, gold)
     for warning in caught:
         print("warning: %s" % warning.message, file=sys.stderr)
-    metrics = evaluation.compute_metrics(table)
-    print("tp\t%d" % table.tp)
-    print("fp\t%d" % table.fp)
-    print("fn\t%d" % table.fn)
-    print("tn\t%d" % table.tn)
-    print("total\t%d" % table.total)
-    print("precision\t%s" % _percent(metrics.precision))
-    print("recall\t%s" % _percent(metrics.recall))
-    print("f1\t%s" % _percent(metrics.f_score))
-    print("paper_f\t%s" % _percent(metrics.paper_f))
-    print("accuracy\t%s" % _percent(metrics.accuracy))
+    pipeline.write_eval_report(table, sys.stdout)
     return 0
 
 
@@ -152,41 +131,21 @@ def _read_grid(spec: str) -> dict[str, list]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _read_grid(args.grid_spec)
-    with open(args.decorated_file, encoding="utf-8") as handle:
-        decorated = pipeline.read_decorated_file(handle)
-    with open(args.gold_file, encoding="utf-8") as handle:
-        gold = pipeline.read_gold_file(handle)
+    decorated = _read(args.decorated_file, pipeline.read_decorated_file)
+    gold = _read(args.gold_file, pipeline.read_gold_file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         points = evaluation.sweep(decorated, gold, grid, args.sort_key)
     for warning in caught:
         print("note: %s" % warning.message, file=sys.stderr)
-    with _open_out(args.out) as handle:
-        handle.write(
-            "# mi_plus\tmi_minus\tid_t\tidr_plus\tidr_minus\ttp\tfp\tfn\ttn"
-            "\tprecision\trecall\tf1\tpaper_f\taccuracy\n"
-        )
-        for point in points:
-            t, table, m = point.thresholds, point.table, point.metrics
-            handle.write(
-                "\t".join(
-                    ["%g" % v for v in (t.mi_plus, t.mi_minus, t.id_t, t.idr_plus, t.idr_minus)]
-                    + ["%d" % v for v in (table.tp, table.fp, table.fn, table.tn)]
-                    + [
-                        "NA" if v is None else "%.4f" % v
-                        for v in (m.precision, m.recall, m.f_score, m.paper_f, m.accuracy)
-                    ]
-                )
-                + "\n"
-            )
+    _write(args.out, pipeline.write_sweep_file, points)
     print("swept %d grid point(s)" % len(points), file=sys.stderr)
     return 0
 
 
 def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    with open(args.pairs_file, encoding="utf-8") as handle:
-        pairs = pipeline.read_pairs_file(handle)
+    pairs = _read(args.pairs_file, pipeline.read_pairs_file)
     with pipeline.build_provider(config) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)

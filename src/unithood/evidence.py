@@ -24,7 +24,7 @@ from operator import and_
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Protocol, TextIO
 
-from .parse_ingest import ParseFileError, check_setting, read_json_object, read_rows
+from .parse_ingest import ParseFileError, check_setting, parse_whole, read_json_object, read_rows
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -74,15 +74,6 @@ class EvidenceSet:
         return self.n_s + self.n_ax + self.n_ay
 
 
-def _parse_count(phrase: str, text: str) -> int:
-    """A count as text: ASCII digits only, so no sign, '_', point or other script's digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(
-            "count for %r must be a whole, non-negative number, got %s" % (phrase, text)
-        )
-    return int(text)
-
-
 class FixtureProvider:
     """Counts served from a fixed phrase -> count table.
 
@@ -117,7 +108,8 @@ class FixtureProvider:
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             rows = read_json_object(text, source).items()
         else:
-            rows = list(read_rows(text.splitlines(), 2, source, lambda c: (c[0], _parse_count(*c))))
+            rows = list(read_rows(text.splitlines(), 2, source,
+                                 lambda c: (c[0], parse_whole(c[1], "count for %r", c[0]))))
         try:
             return cls(rows, missing_policy)
         except ValueError as exc:
@@ -196,7 +188,7 @@ def load_corpus_file(path: str | Path) -> LocalIndexProvider:
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:
     phrase, count, provider_id, _fetched_at = columns
-    return provider_id, _lookup_key(phrase), _parse_count(phrase, count)
+    return provider_id, _lookup_key(phrase), parse_whole(count, "count for %r", phrase)
 
 
 class CountCache:
@@ -266,7 +258,7 @@ class CountCache:
         return self._counts.get(_lookup_key(phrase))
 
     def put(self, phrase: str, count: int) -> None:
-        phrase = normalize_phrase(phrase)
+        key, phrase = _lookup_key(phrase), normalize_phrase(phrase)
         if self.path is not None:
             if self._handle is None:
                 if self._closed:
@@ -281,7 +273,7 @@ class CountCache:
             line = "%s\t%d\t%s\t%s\n" % (phrase, count, self.provider_id, self._fetched_at)
             self._handle.write(line)
             self._handle.flush()
-        self._counts[phrase.lower()] = count
+        self._counts[key] = count
 
     def count(self, phrase: str) -> int:
         cached = self.get(phrase)
@@ -309,6 +301,9 @@ class RemoteClientConfig:
     timeout_ms: int = 10000
 
     def __post_init__(self):
+        for name in ("endpoint_template", "count_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError("%s must be a string" % name)
         if "{query}" not in self.endpoint_template:
             raise ValueError("endpoint_template must contain a {query} placeholder")
         for name, low in (("min_delay_ms", 0), ("max_retries", 1), ("timeout_ms", 1)):
@@ -386,7 +381,7 @@ class RemoteCountClient:
                 except (KeyError, IndexError, TypeError, ValueError):
                     raise _NoMatch("count_path %r does not resolve at %r" % (path, part)) from None
         try:
-            return _parse_count(path, str(value).replace(",", "").strip())
+            return parse_whole(str(value).replace(",", "").strip(), "count")
         except ValueError:
             raise _NoMatch("count_path %r holds %r, not a count" % (path, value)) from None
 

@@ -88,6 +88,13 @@ def read_json_object(text: str, source: str) -> dict[str, Any]:
     return value
 
 
+def parse_whole(text: str, what: str, *args: Any) -> int:
+    """``text`` as ASCII digits only, so no sign, '_' or space; errors name ``what % args``."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError("%s must be a whole, non-negative number, got %s" % (what % args, text))
+
+
 def check_setting(name: str, value: Any, low: int, error: type[ValueError] = ValueError) -> None:
     if type(value) is not int or value < low:  # refuses a bool, though bool is an int
         raise error("%s must be an integer >= %d" % (name, low))
@@ -154,19 +161,13 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
 
     Sentences are returned in order of first appearance of their id;
     tokens are sorted by offset.  Raises ParseFileError for rows with
-    the wrong column count, non-integer offsets, invalid token fields,
-    or an offset that repeats within a sentence.
+    the wrong column count, an offset that is not ASCII digits, invalid
+    token fields, or an offset that repeats within a sentence.
     """
     def token_row(columns: list[str]) -> tuple[str, ParseToken]:
-        sentence_id, offset_s, lemma, pos, dep_rel, head_s = columns
-        try:
-            offset = int(offset_s)
-            head_offset = int(head_s)
-        except ValueError:
-            raise ValueError(
-                "offset and head_offset must be integers, got %r / %r" % (offset_s, head_s)
-            ) from None
-        return sentence_id, ParseToken(offset, lemma, pos, dep_rel, head_offset)
+        sentence_id, offset, lemma, pos, dep_rel, head_offset = columns
+        return sentence_id, ParseToken(parse_whole(offset, "offset"), lemma, pos, dep_rel,
+                                       parse_whole(head_offset, "head_offset"))
 
     grouped: dict[str, list[ParseToken]] = {}
     rows = read_rows(stream, 6, "parse file", token_row, lambda row: (row[1].offset, row[0]),

@@ -1,27 +1,14 @@
 """Pipeline orchestration: configuration, file formats, the decide loop.
 
-File formats (all TSV, UTF-8, LF, "#" comment lines ignored):
-
-  candidates   sentence_id, span (comma-joined offsets), surface
-  pairs        sentence_id, span, surface, ax_span, ax_surface, b, ay_span,
-               ay_surface -- the first three columns describe the would-be
-               merged unit, the rest carry the decomposition the decide
-               step needs
-  decisions    pair_id, a_x, b, a_y, id_x, id_y, idr, mi,
-               decision (MERGED|NOTMERGED), s -- reals with 4 decimals
-  decorated    pair_id, a_x, b, a_y, s, n_s, n_ax, n_ay -- raw counts for
-               threshold sweeps
-  gold         pair_id, MERGED|NOTMERGED
-  scores       a_x, b, a_y, mi, id_x, id_y, idr -- externally supplied
-               scores keyed by the pair's surfaces, used instead of count
-               evidence when raw counts are unavailable
+Every file format is TSV, UTF-8 and LF, with "#" comment lines ignored;
+the *_COLUMNS tuples below declare each one's columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -35,9 +22,11 @@ from .evidence import (
     _lookup_key,
     load_corpus_file,
 )
+from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
-from .measures import Thresholds, UndefinedEvidenceError, decision_rule, threshold_value, unithood
-from .parse_ingest import check_setting, read_json_object, read_rows
+from .measures import (THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, decision_rule,
+                       threshold_value, unithood)
+from .parse_ingest import check_setting, parse_whole, read_json_object, read_rows
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
@@ -142,7 +131,28 @@ def build_provider(config: PipelineConfig) -> CountCache:
 
 
 # ---------------------------------------------------------------------------
-# TSV helpers
+# File formats: each one's columns, the "# " header of every file written here
+
+CANDIDATE_COLUMNS = ("sentence_id", "span", "surface")  # span: comma-joined offsets
+# A pairs row starts with the would-be merged unit, described as a candidate;
+# the rest carry the decomposition the decide step needs.
+PAIR_COLUMNS = CANDIDATE_COLUMNS + ("ax_span", "ax_surface", "b", "ay_span", "ay_surface")
+# Reals with 4 decimals; decision is MERGED or NOTMERGED.
+DECISION_COLUMNS = ("pair_id", "a_x", "b", "a_y", "id_x", "id_y", "idr", "mi", "decision", "s")
+# Raw counts, so a sweep can decide each pair again under other thresholds.
+DECORATED_COLUMNS = ("pair_id", "a_x", "b", "a_y", "s", "n_s", "n_ax", "n_ay")
+GOLD_COLUMNS = ("pair_id", "label")  # label is MERGED or NOTMERGED
+# Externally supplied scores keyed by the pair's surfaces, used instead of
+# count evidence when raw counts are unavailable; idr may be NA.
+SCORE_COLUMNS = ("a_x", "b", "a_y", "mi", "id_x", "id_y", "idr")
+_CELLS = ("tp", "fp", "fn", "tn")  # a ContingencyTable's fields
+_METRICS = ("precision", "recall", "f1", "paper_f", "accuracy")  # METRIC_NAMES in reports
+SWEEP_COLUMNS = THRESHOLD_NAMES + _CELLS + _METRICS
+
+
+def _write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    stream.write("# %s\n" % "\t".join(columns))
+    stream.writelines("\t".join(row) + "\n" for row in rows)
 
 
 def _span_str(span: Sequence[int]) -> str:
@@ -150,7 +160,7 @@ def _span_str(span: Sequence[int]) -> str:
 
 
 def _parse_span(text: str) -> tuple[int, ...]:
-    return tuple(map(int, text.split(",")))
+    return tuple(parse_whole(v, "span offset") for v in text.split(","))
 
 
 # Pair-id rows are (pair_id, value) tuples; a read_rows key and its message.
@@ -158,9 +168,8 @@ _PAIR_ID_KEY = (itemgetter(0), "duplicate pair id %r")
 
 
 def write_candidates_file(candidates: Iterable[Candidate], stream: TextIO) -> None:
-    stream.write("# sentence_id\tspan\tsurface\n")
-    for c in candidates:
-        stream.write("%s\t%s\t%s\n" % (c.sentence_id, _span_str(c.span), c.surface))
+    _write_rows(stream, CANDIDATE_COLUMNS,
+                ((c.sentence_id, _span_str(c.span), c.surface) for c in candidates))
 
 
 def _pair_row(p: CandidatePair) -> list[str]:
@@ -171,11 +180,7 @@ def _pair_row(p: CandidatePair) -> list[str]:
 
 
 def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
-    stream.write(
-        "# sentence_id\tspan\tsurface\tax_span\tax_surface\tb\tay_span\tay_surface\n"
-    )
-    for p in pairs:
-        stream.write("\t".join(_pair_row(p)) + "\n")
+    _write_rows(stream, PAIR_COLUMNS, map(_pair_row, pairs))
 
 
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
@@ -195,7 +200,7 @@ def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
                     _span_str(c.span), c.surface, surfaces[sentence_id, c.span]))
         return built
 
-    return list(read_rows(stream, 8, "pairs file", pair))
+    return list(read_rows(stream, len(PAIR_COLUMNS), "pairs file", pair))
 
 
 @dataclass(frozen=True)
@@ -220,62 +225,79 @@ def _fmt(value: float | None) -> str:
 
 
 def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    stream.write("# pair_id\ta_x\tb\ta_y\tid_x\tid_y\tidr\tmi\tdecision\ts\n")
-    for r in records:
-        scores = [_fmt(v) for v in (r.id_x, r.id_y, r.idr, r.mi)]
-        verdict = MERGED if r.merged else NOTMERGED
-        stream.write("\t".join([r.pair_id, r.a_x, r.b, r.a_y, *scores, verdict, r.s]) + "\n")
+    _write_rows(stream, DECISION_COLUMNS, (
+        [r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, (r.id_x, r.id_y, r.idr, r.mi)),
+         MERGED if r.merged else NOTMERGED, r.s] for r in records))
 
 
 def _read_verdicts(
-    stream: Iterable[str], n_columns: int, column: int, kind: str, what: str
+    stream: Iterable[str], columns: Sequence[str], name: str, kind: str, what: str
 ) -> dict[str, bool]:
-    def verdict(columns: list[str]) -> tuple[str, bool]:
-        pair_id, text = columns[0], columns[column]
+    column = columns.index(name)
+
+    def verdict(row: list[str]) -> tuple[str, bool]:
+        pair_id, text = row[0], row[column]
         if text not in (MERGED, NOTMERGED):
             raise ValueError("unknown %s %r for pair %s" % (what, text, pair_id))
         return pair_id, text == MERGED
 
-    return dict(read_rows(stream, n_columns, kind, verdict, *_PAIR_ID_KEY))
+    return dict(read_rows(stream, len(columns), kind, verdict, *_PAIR_ID_KEY))
 
 
 def read_decisions_file(stream: Iterable[str]) -> dict[str, bool]:
-    return _read_verdicts(stream, 10, 8, "decisions file", "decision")
+    return _read_verdicts(stream, DECISION_COLUMNS, "decision", "decisions file", "decision")
 
 
 def read_gold_file(stream: Iterable[str]) -> dict[str, bool]:
-    return _read_verdicts(stream, 2, 1, "gold file", "gold label")
+    return _read_verdicts(stream, GOLD_COLUMNS, "label", "gold file", "gold label")
 
 
 def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    stream.write("# pair_id\ta_x\tb\ta_y\ts\tn_s\tn_ax\tn_ay\n")
-    for r in records:
-        if r.evidence is None:
-            continue
-        stream.write(
-            "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\n"
-            % (r.pair_id, r.a_x, r.b, r.a_y, r.s, r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay)
-        )
+    _write_rows(stream, DECORATED_COLUMNS, (
+        [r.pair_id, r.a_x, r.b, r.a_y, r.s,
+         *("%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]
+        for r in records if r.evidence is not None))
 
 
 def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
+    first = DECORATED_COLUMNS.index("n_s")
+    counts = DECORATED_COLUMNS[first:]
+
     def row(columns: list[str]) -> tuple[str, EvidenceSet]:
-        n_s, n_ax, n_ay = (int(v) for v in columns[5:8])
-        return columns[0], EvidenceSet(n_s, n_ax, n_ay)
+        return columns[0], EvidenceSet(*map(parse_whole, columns[first:], counts))
 
-    return list(read_rows(stream, 8, "decorated pairs file", row, *_PAIR_ID_KEY))
+    return list(read_rows(stream, len(DECORATED_COLUMNS), "decorated pairs file", row,
+                          *_PAIR_ID_KEY))
 
 
-def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, str, str], Scores]:
+def write_sweep_file(points: Iterable[SweepPoint], stream: TextIO) -> None:
+    _write_rows(stream, SWEEP_COLUMNS, (
+        ["%g" % getattr(p.thresholds, name) for name in THRESHOLD_NAMES]
+        + ["%d" % getattr(p.table, name) for name in _CELLS]
+        + [_fmt(getattr(p.metrics, name)) for name in METRIC_NAMES]
+        for p in points))
+
+
+def write_eval_report(table: ContingencyTable, stream: TextIO) -> None:
+    """eval's report, with no header: a name<TAB>value line each, the metrics in percent."""
+    rows = [(name, "%d" % getattr(table, name)) for name in _CELLS + ("total",)]
+    for name, value in zip(_METRICS, attrgetter(*METRIC_NAMES)(compute_metrics(table))):
+        rows.append((name, "NA" if value is None else "%.2f%%" % (value * 100.0)))
+    stream.writelines("%s\t%s\n" % row for row in rows)
+
+
+def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Scores]:
     """Map each surface triple (a_x, b, a_y) to its (mi, id_x, id_y, idr)."""
-    def row(columns: list[str]) -> tuple[tuple[str, str, str], Scores]:
-        mi, id_x, id_y = (float(v) for v in columns[3:6])
-        idr = None if columns[6] == "NA" else float(columns[6])
-        if not all(map(math.isfinite, (mi, id_x, id_y, idr or 0.0))):
-            raise ValueError("scores must be finite, got %s" % ", ".join(columns[3:7]))
-        return (columns[0], columns[1], columns[2]), (mi, id_x, id_y, idr)
+    first = SCORE_COLUMNS.index("mi")
 
-    return dict(read_rows(stream, 7, "scores file", row, itemgetter(0),
+    def row(columns: list[str]) -> tuple[tuple[str, ...], Scores]:
+        mi, id_x, id_y, idr = columns[first:]
+        scores = (float(mi), float(id_x), float(id_y), None if idr == "NA" else float(idr))
+        if not all(math.isfinite(v) for v in scores if v is not None):
+            raise ValueError("scores must be finite, got %s" % ", ".join(columns[first:]))
+        return tuple(columns[:first]), scores
+
+    return dict(read_rows(stream, len(SCORE_COLUMNS), "scores file", row, itemgetter(0),
                           "duplicate surface triple (%r, %r, %r)"))
 
 
@@ -287,7 +309,7 @@ def decide_pairs(
     pairs: Sequence[CandidatePair],
     thresholds: Thresholds,
     provider: CountProvider | None = None,
-    injected: Mapping[tuple[str, str, str], Scores] | None = None,
+    injected: Mapping[tuple[str, ...], Scores] | None = None,
     max_passes: int = 3,
 ) -> list[DecisionRecord]:
     """Decide every pair, merging accepted ones and re-pairing to fixpoint.
@@ -333,7 +355,7 @@ def _decide_one(
     pair: CandidatePair,
     thresholds: Thresholds,
     provider: CountProvider | None,
-    injected: Mapping[tuple[str, str, str], Scores],
+    injected: Mapping[tuple[str, ...], Scores],
 ) -> DecisionRecord:
     key = (pair.a_x.surface, pair.b, pair.a_y.surface)
     evidence = None

@@ -460,7 +460,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "decorated_row, message",
         [
-            ("p2\ta\t\tb\ta b\tx\t2\t3\n", "decorated pairs file line 3: invalid literal"),
+            ("p2\ta\t\tb\ta b\tx\t2\t3\n",
+             "decorated pairs file line 3: n_s must be a whole, non-negative number, got x"),
             ("p1\ta\t\tb\ta b\t1\t2\t3\n", "decorated pairs file line 3: duplicate pair id"),
         ],
         ids=["bad-count", "duplicate-pair-id"],

@@ -269,6 +269,13 @@ class TestCountCache:
         assert provider_id == "fixture"
         assert fetched_at.endswith("Z")
 
+    def test_put_rejects_empty_phrase_before_writing(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with fixture_cache(path) as cache:
+            with pytest.raises(ValueError, match="phrase is empty after normalization"):
+                cache.put("  ", 3)
+        assert not path.exists()
+
     def test_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "cache.tsv"
         with fixture_cache(path) as cache:

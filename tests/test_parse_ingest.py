@@ -81,10 +81,21 @@ class TestReadParseFile:
         assert err.value.line_number == 1
         assert "6" in str(err.value)
 
-    def test_non_integer_offset(self):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s1\tone\tdog\tNN\tnsubj\t0", "offset must be a whole, non-negative number, got one"),
+            ("s1\t+1\tdog\tNN\tnsubj\t0", "offset must be a whole, non-negative number, got +1"),
+            ("s1\t2\tcat\tNN\tdobj\t1_0",
+             "head_offset must be a whole, non-negative number, got 1_0"),
+        ],
+        ids=["word", "plus-sign", "underscore-head"],
+    )
+    def test_non_integer_offset(self, row, message):
         with pytest.raises(ParseFileError) as err:
-            read_text("# header\ns1\tone\tdog\tNN\tnsubj\t0\n")
+            read_text("# header\n%s\n" % row)
         assert err.value.line_number == 2
+        assert str(err.value) == "parse file line 2: " + message
 
     def test_duplicate_offset(self):
         text = "s1\t1\tdog\tNN\tnsubj\t0\ns1\t1\tcat\tNN\tdobj\t0\n"

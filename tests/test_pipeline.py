@@ -145,9 +145,15 @@ class TestConfig:
             ('{"provider": {"remote": {"endpoint_template": "u{query}", "count_path": "t",'
              ' "max_retries": true}}, "cache_path": "c.tsv"}',
              "invalid config {path}: max_retries must be an integer >= 1"),
+            ('{"provider": {"remote": {"endpoint_template": "u{query}", "count_path": 5}},'
+             ' "cache_path": "c.tsv"}',
+             "invalid config {path}: count_path must be a string"),
+            ('{"provider": {"remote": {"endpoint_template": 5, "count_path": "t"}},'
+             ' "cache_path": "c.tsv"}',
+             "invalid config {path}: endpoint_template must be a string"),
         ],
         ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
-             "passes-bool", "retries-float", "retries-bool"],
+             "passes-bool", "retries-float", "retries-bool", "count-path-int", "endpoint-int"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "config.json"
@@ -322,15 +328,22 @@ class TestFileFormats:
             (read_pairs_file, "s1\t1,2\ta b\t1\ta\t\t2\n", "pairs file"),
             (read_pairs_file, "s1\t1,2,3\ta b\t1\ta\t\t2\tb\n", "pairs file"),
             (read_pairs_file, "s1\t1,2\ta  b\t1\ta\t\t2\tb\n", "pairs file"),
+            (read_pairs_file, "s1\t1,+2\ta b\t1\ta\t\t2\tb\n", "pairs file"),
+            (read_pairs_file, "s1\t1,2\ta b\t1\ta\t\t\u0662\tb\n", "pairs file"),
             (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t-2\t3\n", "decorated pairs file"),
+            (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t+5\t3\n", "decorated pairs file"),
+            (read_decorated_file, "1\ta\tof\tb\ta of b\t1_0\t2\t3\n", "decorated pairs file"),
+            (read_decorated_file, "1\ta\tof\tb\ta of b\t1\t2\t\u0663\n", "decorated pairs file"),
             (read_decisions_file, "1\ta\tof\tb\t1\t1\t1\t1\tMAYBE\ta of b\n",
              "decisions file"),
             (read_scores_file, "a\tof\tb\tnan\t6.5\t1\tNA\n", "scores file"),
             (read_scores_file, "a\tof\tb\tinf\t6.5\t1\tNA\n", "scores file"),
             (read_scores_file, "a\tof\tb\t0.5\t6.5\t1\t-inf\n", "scores file"),
         ],
-        ids=["pairs-columns", "pairs-stale-span", "pairs-stale-surface", "decorated-negative",
-             "decisions-label", "scores-nan", "scores-inf", "scores-idr-inf"],
+        ids=["pairs-columns", "pairs-stale-span", "pairs-stale-surface", "pairs-plus-sign",
+             "pairs-arabic-digit", "decorated-negative", "decorated-plus-sign",
+             "decorated-underscore", "decorated-arabic-digit", "decisions-label", "scores-nan",
+             "scores-inf", "scores-idr-inf"],
     )
     def test_bad_row_names_file_kind_and_line(self, read_fn, text, kind):
         with pytest.raises(ParseFileError) as err:
