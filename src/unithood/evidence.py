@@ -129,61 +129,63 @@ class LocalIndexProvider:
 
     A phrase counts once per document containing it as a contiguous
     token subsequence, however many times it occurs there.  Matching is
-    case-insensitive.  A token's postings are an int whose bit d marks
-    document d, or the list of its document ids for a rarer token.
-    Lookups AND the bitmasks, intersect the lists rarest first, and verify
-    the surviving documents with a padded-string containment check.
+    case-insensitive.  Each token has a one-character code, a document is
+    kept as the string of its tokens' codes, and a phrase occurs exactly
+    where its codes do.  A token's postings are a bitmask, bit d for document
+    d, or its id list when it occurs fewer than N/400 times in N documents.
     """
 
     provider_id = "local-index"
-    # A bitmask costs N/8 bytes for N documents and a set of ids about 50 bytes
-    # per id, so a token found in at least one document in 400 keeps a bitmask,
-    # no larger than a set to intersect.  A rarer token keeps its list of ids,
-    # 8 bytes each; a lookup copies only the rarest list into a set.
+    # A token with at least one occurrence per 400 documents keeps a bitmask,
+    # N/8 bytes for N documents; a rarer one keeps its ids, 8 bytes each and fewer
+    # than N/400 to check in a lookup.  Occurrences decide, so the scan keeps repeats.
     _DOCS_PER_MASKED_ID = 400
+    _MAX_TOKENS = 0x110000  # chr's range: one code per distinct token
 
     def __init__(self, documents: Iterable[str | Iterable[str]]):
-        postings: dict[str, Any] = defaultdict(list)  # document ids, 8 bytes each
-        self._padded: list[str] = []
+        codes: dict[str, str] = {}
+        postings: dict[str, Any] = defaultdict(list)  # a document id per occurrence
+        self._docs: list[str] = []
         for doc_id, document in enumerate(documents):
-            if isinstance(document, str):
-                tokens = document.lower().split()
-            else:  # given tokens are kept whole, even with whitespace inside
-                tokens = [t.lower() for t in document]
-            for token in set(tokens):
+            tokens = (document.lower().split() if isinstance(document, str)
+                      else [t.lower() for t in document])  # a given token stays whole, spaces too
+            for token in tokens:
                 postings[token].append(doc_id)
-            self._padded.append(" " + " ".join(tokens) + " ")
-        n_docs = len(self._padded)
+            if len(postings) > len(codes):  # a new token: codes go in order of first sight
+                if len(postings) > self._MAX_TOKENS:
+                    raise ValueError("a local index holds at most %d tokens" % self._MAX_TOKENS)
+                for token in tokens:
+                    codes.setdefault(token, chr(len(codes)))
+            self._docs.append("".join(map(codes.__getitem__, tokens)))
         for token, doc_ids in postings.items():  # one token at a time: a transient peak counts
-            if n_docs <= self._DOCS_PER_MASKED_ID * len(doc_ids):
-                flags = bytearray((n_docs + 7) // 8)
+            if len(self._docs) <= self._DOCS_PER_MASKED_ID * len(doc_ids):
+                flags = bytearray(doc_ids[-1] // 8 + 1)  # ids ascend, so the last is the largest
                 for d in doc_ids:
                     flags[d >> 3] |= 1 << (d & 7)
                 postings[token] = int.from_bytes(flags, "little")  # bit d is document d
-        self._postings = postings
+            else:
+                postings[token] = list(dict.fromkeys(doc_ids))  # each document once
+        self._postings, self._codes = postings, codes
 
     def count(self, phrase: str) -> int:
         tokens = _lookup_key(phrase).split()
         postings = [self._postings.get(token) for token in tokens]
         if not all(postings):
             return 0
-        lists = sorted((p for p in postings if type(p) is list), key=len)
-        mask = reduce(and_, (p for p in postings if type(p) is int), -1)
         if len(tokens) == 1:
-            return len(lists[0]) if lists else mask.bit_count()
-        needle = " " + " ".join(tokens) + " "
-        if not lists:  # character d of bin(mask)[:1:-1] is bit d
-            return sum(needle in self._padded[m.start()]
-                       for m in re.finditer("1", bin(mask)[:1:-1]))
-        # A given token may hold whitespace, so containment alone does not imply the masked tokens.
-        return sum(1 for d in set(lists[0]).intersection(*lists[1:])
-                   if needle in self._padded[d] and mask >> d & 1)
+            return len(postings[0]) if type(postings[0]) is list else postings[0].bit_count()
+        needle, docs = "".join(map(self._codes.__getitem__, tokens)), self._docs
+        lists = [p for p in postings if type(p) is list]
+        if lists:
+            return sum(needle in docs[d] for d in min(lists, key=len))
+        mask = reduce(and_, postings)  # character d of bin(mask)[:1:-1] is bit d
+        return sum(needle in docs[m.start()] for m in re.finditer("1", bin(mask)[:1:-1]))
 
 
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:
-    """Build a local index from a text file with one document per line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return LocalIndexProvider([line for line in lines if line.strip()])
+    """Build a local index from a text file with one document per str.splitlines() line."""
+    with open(path, encoding="utf-8") as handle:  # streamed: no whole text, no list of lines
+        return LocalIndexProvider(d for line in handle for d in line.splitlines() if d.strip())
 
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:

@@ -20,6 +20,7 @@ from unithood import (
     TransportError,
     normalize_phrase,
 )
+from unithood.evidence import load_corpus_file
 
 
 class TestNormalizePhrase:
@@ -905,3 +906,72 @@ def test_local_index_checks_every_token_of_a_phrase(b_documents):
     provider = LocalIndexProvider([["a", "b x"]] + [["b"]] * b_documents + filler)
     assert provider.count("a b") == 0
     assert provider.count("b") == b_documents
+
+
+@pytest.mark.parametrize("repeats, form", [(499, int), (0, list)], ids=["bitmask", "list"])
+def test_local_index_given_token_with_whitespace_is_one_token(repeats, form):
+    # The first document holds "a" and "b", apart, and the given token "a b". Read as
+    # text it would hold " a b ", but no token "a" is followed by a token "b".
+    filler = [["c"]] * (998 - 2 * repeats)  # 999 documents in all
+    documents = [["x", "a b", "c", "a", "z", "b"]] + [["a"], ["b"]] * repeats + filler
+    provider = LocalIndexProvider(documents)
+    assert {type(provider._postings[token]) for token in "ab"} == {form}
+    assert provider.count("a b") == 0
+    assert provider.count("a") == provider.count("b") == repeats + 1
+
+
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "ab", " ", "\t", "  \t "] + BREAKS), max_size=40))
+def test_corpus_file_documents_are_the_lines_of_its_text(tmp_path_factory, pieces):
+    text = "".join(pieces)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    from_file = load_corpus_file(path)
+    from_lines = LocalIndexProvider([line for line in text.splitlines() if line.strip()])
+    words = ["a", "b", "ab"]
+    for phrase in words + ["%s %s" % (x, y) for x in words for y in words]:
+        assert from_file.count(phrase) == from_lines.count(phrase), phrase
+
+
+@pytest.mark.parametrize("width", [8190, 8191, 8192, 8193])
+def test_corpus_file_crlf_across_the_read_chunk(tmp_path, width):
+    # Python's text reader decodes 8,192 bytes at a time; at width 8191 the first
+    # line's "\r" ends the first chunk and its "\n" starts the second.
+    text = ("a b " * width)[: width - 1] + "c\r\nb a\r\n\r\nc a b\r\n"
+    (tmp_path / "corpus.txt").write_bytes(text.encode("utf-8"))
+    from_file = load_corpus_file(tmp_path / "corpus.txt")
+    from_lines = LocalIndexProvider([line for line in text.splitlines() if line.strip()])
+    assert len(from_file._docs) == 3 and from_file._docs == from_lines._docs
+    for phrase in ["a", "b", "c", "a b", "b a", "b c", "c a", "c b"]:
+        assert from_file.count(phrase) == from_lines.count(phrase), phrase
+
+
+def test_local_index_codes_of_every_width_match_brute_force():
+    # Over 65,536 distinct tokens, so codes take 1, 2 and 4 bytes a character. Token
+    # w<i> is the i-th seen; the pool pairs w1..w9 with w65537..w65545, whose codes
+    # would be theirs if codes wrapped at 16 bits.
+    rng = random.Random(5)
+    vocabulary = ["w%d" % i for i in range(70_000)]
+    documents = [vocabulary[i : i + 1000] for i in range(0, 70_000, 1000)]
+    pool = vocabulary[1:10] + vocabulary[300:309] + vocabulary[65_537:65_546]
+    documents += [rng.choices(pool, k=rng.randint(1, 8)) for _ in range(400)]
+    provider = LocalIndexProvider(documents)
+    widest = max(max(map(ord, document)) for document in provider._docs)
+    assert widest > 0xFFFF
+    phrases = {tuple(rng.choices(pool, k=rng.randint(1, 3))) for _ in range(60)}
+    for tokens in rng.sample(documents, 40):  # phrases that occur
+        start = rng.randrange(len(tokens))
+        phrases.add(tuple(tokens[start : start + rng.randint(1, 3)]))
+    for phrase in sorted(phrases):
+        assert provider.count(" ".join(phrase)) == naive_document_frequency(
+            documents, list(phrase)), phrase
+
+
+def test_local_index_names_its_token_limit(monkeypatch):
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_TOKENS", 3)
+    assert LocalIndexProvider(["a b", "c a"]).count("c a") == 1
+    with pytest.raises(ValueError, match="^a local index holds at most 3 tokens$"):
+        LocalIndexProvider(["a b", "c a", "b d"])
