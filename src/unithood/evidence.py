@@ -19,8 +19,6 @@ import time
 import urllib.parse
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Mapping, Protocol, TextIO
 
@@ -79,16 +77,12 @@ class FixtureProvider:
 
     ``counts`` is a mapping or a collection of (phrase, count) pairs, whose
     counts are whole, non-negative ints and whose phrases differ in lookup key.
-    ``missing_policy`` is "error" (default, to expose fixture gaps) or
-    "zero".
+    A phrase the table lacks raises MissingCountError.
     """
 
     provider_id = "fixture"
 
-    def __init__(self, counts: Mapping[str, int] | Collection[tuple[str, int]],
-                 missing_policy: str = "error"):
-        if missing_policy not in ("error", "zero"):
-            raise ValueError("missing_policy must be 'error' or 'zero'")
+    def __init__(self, counts: Mapping[str, int] | Collection[tuple[str, int]]):
         rows = counts.items() if isinstance(counts, Mapping) else counts
         for phrase, count in rows:
             if type(count) is not int or count < 0:
@@ -99,10 +93,9 @@ class FixtureProvider:
             key = Counter(_lookup_key(p) for p, _ in rows).most_common(1)[0][0]
             first, second = [p for p, _ in rows if _lookup_key(p) == key][:2]
             raise ValueError("phrases %r and %r normalize to one key" % (first, second))
-        self.missing_policy = missing_policy
 
     @classmethod
-    def from_file(cls, path: str | Path, missing_policy: str = "error") -> "FixtureProvider":
+    def from_file(cls, path: str | Path) -> "FixtureProvider":
         """Load a JSON object {phrase: count} or a TSV of phrase<TAB>count."""
         text, source = Path(path).read_text(encoding="utf-8"), "count table %s" % path
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
@@ -111,7 +104,7 @@ class FixtureProvider:
             rows = list(read_rows(text.splitlines(), 2, source,
                                  lambda c: (c[0], parse_whole(c[1], "count for %r", c[0]))))
         try:
-            return cls(rows, missing_policy)
+            return cls(rows)
         except ValueError as exc:
             raise ValueError("%s: %s" % (source, exc)) from None
 
@@ -119,8 +112,6 @@ class FixtureProvider:
         key = _lookup_key(phrase)
         if key in self._counts:
             return self._counts[key]
-        if self.missing_policy == "zero":
-            return 0
         raise MissingCountError(normalize_phrase(phrase))
 
 
@@ -131,40 +122,32 @@ class LocalIndexProvider:
     token subsequence, however many times it occurs there.  Matching is
     case-insensitive.  Each token has a one-character code, a document is
     kept as the string of its tokens' codes, and a phrase occurs exactly
-    where its codes do.  A token's postings are a bitmask, bit d for document
-    d, or its id list when it occurs fewer than N/400 times in N documents.
+    where its codes do.  A token's postings are the ascending ids of the
+    documents it occurs in, each once; a phrase of several tokens checks
+    each document of its shortest list, so one made of tokens that are all
+    in most documents checks most documents.
     """
 
     provider_id = "local-index"
-    # A token with at least one occurrence per 400 documents keeps a bitmask,
-    # N/8 bytes for N documents; a rarer one keeps its ids, 8 bytes each and fewer
-    # than N/400 to check in a lookup.  Occurrences decide, so the scan keeps repeats.
-    _DOCS_PER_MASKED_ID = 400
     _MAX_TOKENS = 0x110000  # chr's range: one code per distinct token
 
     def __init__(self, documents: Iterable[str | Iterable[str]]):
         codes: dict[str, str] = {}
-        postings: dict[str, Any] = defaultdict(list)  # a document id per occurrence
+        postings: dict[str, list[int]] = defaultdict(list)
         self._docs: list[str] = []
         for doc_id, document in enumerate(documents):
             tokens = (document.lower().split() if isinstance(document, str)
                       else [t.lower() for t in document])  # a given token stays whole, spaces too
             for token in tokens:
-                postings[token].append(doc_id)
+                ids = postings[token]
+                if not ids or ids[-1] != doc_id:  # ids ascend, so a repeat is the last
+                    ids.append(doc_id)
             if len(postings) > len(codes):  # a new token: codes go in order of first sight
                 if len(postings) > self._MAX_TOKENS:
                     raise ValueError("a local index holds at most %d tokens" % self._MAX_TOKENS)
                 for token in tokens:
                     codes.setdefault(token, chr(len(codes)))
             self._docs.append("".join(map(codes.__getitem__, tokens)))
-        for token, doc_ids in postings.items():  # one token at a time: a transient peak counts
-            if len(self._docs) <= self._DOCS_PER_MASKED_ID * len(doc_ids):
-                flags = bytearray(doc_ids[-1] // 8 + 1)  # ids ascend, so the last is the largest
-                for d in doc_ids:
-                    flags[d >> 3] |= 1 << (d & 7)
-                postings[token] = int.from_bytes(flags, "little")  # bit d is document d
-            else:
-                postings[token] = list(dict.fromkeys(doc_ids))  # each document once
         self._postings, self._codes = postings, codes
 
     def count(self, phrase: str) -> int:
@@ -173,19 +156,24 @@ class LocalIndexProvider:
         if not all(postings):
             return 0
         if len(tokens) == 1:
-            return len(postings[0]) if type(postings[0]) is list else postings[0].bit_count()
+            return len(postings[0])
         needle, docs = "".join(map(self._codes.__getitem__, tokens)), self._docs
-        lists = [p for p in postings if type(p) is list]
-        if lists:
-            return sum(needle in docs[d] for d in min(lists, key=len))
-        mask = reduce(and_, postings)  # character d of bin(mask)[:1:-1] is bit d
-        return sum(needle in docs[m.start()] for m in re.finditer("1", bin(mask)[:1:-1]))
+        return sum(needle in docs[d] for d in min(postings, key=len))
 
 
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:
-    """Build a local index from a text file with one document per str.splitlines() line."""
-    with open(path, encoding="utf-8") as handle:  # streamed: no whole text, no list of lines
-        return LocalIndexProvider(d for line in handle for d in line.splitlines() if d.strip())
+    """Build a local index from a UTF-8 text file with one document per str.splitlines() line.
+
+    A line that is not UTF-8, or one past the index's token limit, raises
+    ParseFileError naming the file and the line (lines end at LF).
+    """
+    at = [0]  # the number of the line being read, for the error
+    with open(path, "rb") as handle:  # streamed: one line of bytes at a time, decoded alone
+        try:
+            return LocalIndexProvider(d for at[0], line in enumerate(handle, 1)
+                                      for d in line.decode("utf-8").splitlines() if d.strip())
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            raise ParseFileError(str(exc), at[0], "corpus %s" % path) from None
 
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:
@@ -208,10 +196,15 @@ class CountCache:
     An unterminated last line that does not parse, left by a crash
     mid-append, is skipped with a warning and cut off before the first
     append; any other bad row raises.
+    ``missing_policy`` "zero" answers a MissingCountError with 0 for this
+    call alone, neither memoized nor appended; "error" (default) raises it.
     """
 
-    def __init__(self, inner: CountProvider, path: str | Path | None = None):
-        self.inner = inner
+    def __init__(self, inner: CountProvider, path: str | Path | None = None,
+                 missing_policy: str = "error"):
+        if missing_policy not in ("error", "zero"):
+            raise ValueError("missing_policy must be 'error' or 'zero'")
+        self.inner, self.missing_policy = inner, missing_policy
         self.provider_id = inner.provider_id
         self.path = None if path is None else Path(path)
         self._counts: dict[str, int] = {}
@@ -281,7 +274,12 @@ class CountCache:
         cached = self.get(phrase)
         if cached is not None:
             return cached
-        value = self.inner.count(phrase)
+        try:
+            value = self.inner.count(phrase)
+        except MissingCountError:
+            if self.missing_policy == "zero":
+                return 0
+            raise
         self.put(phrase, value)
         return value
 

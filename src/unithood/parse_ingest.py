@@ -25,7 +25,7 @@ T = TypeVar("T")
 
 
 class ParseFileError(ValueError):
-    """A malformed TSV input file; carries the 1-based offending line number."""
+    """A malformed input file, TSV or corpus; carries the 1-based offending line number."""
 
     def __init__(self, message: str, line_number: int, kind: str = "parse file"):
         super().__init__("%s line %d: %s" % (kind, line_number, message))

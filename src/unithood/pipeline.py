@@ -118,16 +118,14 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def build_provider(config: PipelineConfig) -> CountCache:
     if config.fixture_path is not None:
-        provider: CountProvider = FixtureProvider.from_file(
-            config.fixture_path, config.missing_count_policy
-        )
+        provider: CountProvider = FixtureProvider.from_file(config.fixture_path)
     elif config.corpus_path is not None:
         provider = load_corpus_file(config.corpus_path)
     elif config.remote is not None:
         provider = RemoteCountClient(config.remote)
     else:
         raise ConfigError("no count provider configured")
-    return CountCache(provider, config.cache_path)
+    return CountCache(provider, config.cache_path, config.missing_count_policy)
 
 
 # ---------------------------------------------------------------------------

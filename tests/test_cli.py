@@ -157,6 +157,36 @@ class TestDecide:
         assert code == 1  # all-zero evidence is undefined, reported as an error
         assert "error" in err
 
+    def test_missing_policy_zero_caches_no_invented_count(self, extracted, tmp_path, capsys):
+        _, pairs = extracted
+        table = {"National Institute of Mental Health": 5}
+        (tmp_path / "counts.json").write_text(json.dumps(table), encoding="utf-8")
+        for policy in ("zero", "error"):
+            config = {"provider": {"fixture": "counts.json"}, "missing_count_policy": policy}
+            (tmp_path / ("%s.json" % policy)).write_text(json.dumps(config))
+        cache = tmp_path / "cache.tsv"
+        code, _, err = run(capsys, "--config", tmp_path / "zero.json", "--cache", cache,
+                           "decide", pairs, "--out", tmp_path / "d.tsv")
+        assert code == 0, err
+        assert [line.split("\t")[:3] for line in cache.read_text().splitlines()] == [
+            ["National Institute of Mental Health", "5", "fixture"]]
+        code, _, err = run(capsys, "--config", tmp_path / "error.json", "--cache", cache,
+                           "decide", pairs, "--out", tmp_path / "d.tsv")
+        assert code == 1
+        assert "error: no count recorded for phrase 'National Institute'" in err
+
+    def test_corpus_not_utf8_names_file_and_line(self, extracted, tmp_path, capsys):
+        _, pairs = extracted
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"National Institute\nof Mental \xff Health\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
+        code, _, err = run(capsys, "--config", config, "decide", pairs)
+        assert code == 1
+        assert err.startswith("error: corpus %s line 2: 'utf-8' codec can't decode byte 0xff"
+                              % corpus)
+        assert err.count("\n") == 1
+
     def test_zero_counts_error_names_pair_and_phrase(self, extracted, tmp_path, capsys):
         _, pairs = extracted
         (tmp_path / "counts.json").write_text("{}", encoding="utf-8")

@@ -61,15 +61,15 @@ class TestFixtureProvider:
         assert err.value.phrase == "public health"
 
     def test_missing_zero_policy(self):
-        provider = FixtureProvider({}, missing_policy="zero")
+        provider = CountCache(FixtureProvider({}), missing_policy="zero")
         assert provider.count("anything at all") == 0
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
-            FixtureProvider({}, missing_policy="guess")
+            CountCache(FixtureProvider({}), missing_policy="guess")
 
     def test_empty_phrase_rejected(self):
-        provider = FixtureProvider({}, missing_policy="zero")
+        provider = CountCache(FixtureProvider({}), missing_policy="zero")
         with pytest.raises(ValueError):
             provider.count("   ")
 
@@ -447,6 +447,19 @@ class TestCacheLifecycle:
         assert str(err.value) == "count cache %s is closed" % path
         assert appends(opened) == [path] * len(misses_before_close)
         assert fixture_cache(path).get("b") is None
+
+    def test_zero_policy_neither_memoizes_nor_appends_a_missing_count(self, tmp_path, opened):
+        path = tmp_path / "cache.tsv"
+        inner = FixtureProvider({"a b": 5})
+        with CountCache(inner, path, missing_policy="zero") as cache:
+            assert [cache.count("a b"), cache.count("c"), cache.count("C")] == [5, 0, 0]
+            assert cache.get("c") is None and len(cache) == 1
+        assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ["a b"]
+        with CountCache(inner, path) as cache:
+            assert cache.count("a b") == 5
+            with pytest.raises(MissingCountError):
+                cache.count("c")
+        assert appends(opened) == [path]
 
     def test_memo_without_file_outlives_close(self):
         cache = CountCache(FixtureProvider({"a": 1}))
@@ -858,10 +871,10 @@ def test_local_index_matches_brute_force(case):
 
 
 def both_posting_forms_corpus(seed):
-    """Over 400 documents where a few tokens are common and 300 are rare.
+    """Over 900 documents where four tokens are common and 300 are rare.
 
-    A token keeps a bitmask when it is in at least one document in 400 and a
-    list of document ids otherwise, so the rare tokens fall on both sides.
+    Phrases mix common and rare tokens, so the shortest posting list of a
+    phrase is sometimes long and sometimes a handful of ids.
     """
     rng = random.Random(seed)
     common, rare = ["a", "b", "ab", "c"], ["r%d" % i for i in range(300)]
@@ -886,20 +899,18 @@ def test_local_index_with_both_posting_forms_matches_brute_force(seed):
                      for t in tokens) for tokens in documents]
     from_texts = LocalIndexProvider(texts)
     from_tokens = LocalIndexProvider([text.split() for text in texts])
-    forms = {type(postings) for postings in from_texts._postings.values()}
-    assert forms == {int, list}  # the premise: both forms occur, and phrases mix them
-    mixed = 0
+    for token, ids in from_texts._postings.items():
+        assert all(a < b for a, b in zip(ids, ids[1:])), token  # each document once, in order
+        assert ids == [d for d, tokens in enumerate(documents) if token in tokens], token
     for phrase in phrases:
         expected = naive_document_frequency(documents, list(phrase))
         assert from_texts.count(" ".join(phrase)) == expected, phrase
         assert from_tokens.count(" ".join(phrase).upper()) == expected, phrase
-        mixed += len({type(from_texts._postings.get(t)) for t in phrase} - {type(None)}) == 2
-    assert mixed >= 10
 
 
 @pytest.mark.parametrize("b_documents", [999, 1], ids=["b-bitmask", "b-list"])
 def test_local_index_checks_every_token_of_a_phrase(b_documents):
-    # "a" keeps a list of ids, and "b" a bitmask or a list. The first document
+    # "a" is in one document, and "b" in almost all or in one. The first document
     # holds the text " a b " only because a given token has whitespace inside,
     # so it does not hold the token "b".
     filler = [["c"]] * (1000 - b_documents)
@@ -908,14 +919,14 @@ def test_local_index_checks_every_token_of_a_phrase(b_documents):
     assert provider.count("b") == b_documents
 
 
-@pytest.mark.parametrize("repeats, form", [(499, int), (0, list)], ids=["bitmask", "list"])
-def test_local_index_given_token_with_whitespace_is_one_token(repeats, form):
+@pytest.mark.parametrize("repeats", [499, 0], ids=["bitmask", "list"])
+def test_local_index_given_token_with_whitespace_is_one_token(repeats):
     # The first document holds "a" and "b", apart, and the given token "a b". Read as
-    # text it would hold " a b ", but no token "a" is followed by a token "b".
+    # text it would hold " a b ", but no token "a" is followed by a token "b". "a"
+    # and "b" are each in half of the 999 documents, or in the first alone.
     filler = [["c"]] * (998 - 2 * repeats)  # 999 documents in all
     documents = [["x", "a b", "c", "a", "z", "b"]] + [["a"], ["b"]] * repeats + filler
     provider = LocalIndexProvider(documents)
-    assert {type(provider._postings[token]) for token in "ab"} == {form}
     assert provider.count("a b") == 0
     assert provider.count("a") == provider.count("b") == repeats + 1
 
@@ -968,6 +979,25 @@ def test_local_index_codes_of_every_width_match_brute_force():
     for phrase in sorted(phrases):
         assert provider.count(" ".join(phrase)) == naive_document_frequency(
             documents, list(phrase)), phrase
+
+
+def test_corpus_file_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"a b\r\nc\x0cd\n\na \xff b\n")
+    with pytest.raises(ParseFileError) as err:
+        load_corpus_file(path)
+    assert str(err.value).startswith(
+        "corpus %s line 4: 'utf-8' codec can't decode byte 0xff in position 2" % path)
+    assert err.value.line_number == 4
+
+
+def test_corpus_file_names_the_line_past_the_token_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_TOKENS", 3)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\n\nc a\nb d\n", encoding="utf-8")
+    with pytest.raises(ParseFileError) as err:
+        load_corpus_file(path)
+    assert str(err.value) == "corpus %s line 4: a local index holds at most 3 tokens" % path
 
 
 def test_local_index_names_its_token_limit(monkeypatch):
