@@ -37,6 +37,7 @@ from .extractor import (
     sentence_connectors,
 )
 from .measures import (
+    Score,
     Thresholds,
     UndefinedEvidenceError,
     decision_rule,
@@ -70,6 +71,7 @@ __all__ = [
     "ParseToken",
     "RemoteClientConfig",
     "RemoteCountClient",
+    "Score",
     "SweepPoint",
     "Thresholds",
     "TransportError",

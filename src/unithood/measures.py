@@ -78,24 +78,38 @@ def threshold_value(name: str, value: Any, where: str = "threshold", text: bool 
     raise ValueError("%s %r holds %s, %s" % (where, name, json.dumps(value), reason))
 
 
-@dataclass(frozen=True)
-class UnithoodScores:
-    """Everything computed for one pair: weights, MI, IDs, ratio, verdict.
+@dataclass(frozen=True, slots=True)
+class Score:
+    """One pair's scores: MI, the two independences and their ratio.
 
     ``idr`` is None when the right side's independence is zero.
     ``degenerate`` flags evidence where a side was never seen on its own
-    (n_ax or n_ay is 0); such pairs are never merged.
+    (n_ax or n_ay is 0); such pairs are never merged.  A score read from
+    a scores file is never degenerate.
     """
 
-    p_s: float
-    p_ax: float
-    p_ay: float
     mi: float
     id_x: float
     id_y: float
     idr: float | None
-    uh: bool
     degenerate: bool = False
+
+    def merges(self, thresholds: Thresholds) -> bool:
+        return _rule(lambda name, value: _PASSES[name](self, value), thresholds)
+
+
+@dataclass(frozen=True, slots=True, kw_only=True)
+class UnithoodScores(Score):
+    """A computed Score with its three weights and its verdict under ``thresholds``."""
+
+    p_s: float
+    p_ax: float
+    p_ay: float
+    thresholds: Thresholds
+
+    @property
+    def uh(self) -> bool:
+        return self.merges(self.thresholds)
 
 
 def weight(n_w: int, total: int) -> float:
@@ -125,62 +139,53 @@ def independence_ratio(id_x: float, id_y: float) -> float | None:
     return id_x / id_y if id_y > 0 else None
 
 
-def decision_rule(
-    mi: float, id_x: float, id_y: float, idr: float | None, thresholds: Thresholds
-) -> bool:
-    """The Boolean merge decision from precomputed scores.
-
-    True when MI clears the upper threshold outright, or when MI falls
-    in the mediocre band while both independences reach id_t and their
-    ratio lies inside the idr band.  An undefined ratio fails the second
-    branch without error.
-    """
-    if mi > thresholds.mi_plus:
-        return True
-    return (
-        thresholds.mi_plus >= mi >= thresholds.mi_minus
-        and id_x >= thresholds.id_t
-        and id_y >= thresholds.id_t
-        and idr is not None
-        and thresholds.idr_plus >= idr >= thresholds.idr_minus
-    )
-
-
-# Per threshold, the test a scored row must pass; see decision_masks.
+# The rule's tests of one score at a value: one per threshold, and "live", the degenerate veto.
 _PASSES = {
     "mi_plus": lambda s, v: s.mi > v,
     "mi_minus": lambda s, v: s.mi >= v,
     "id_t": lambda s, v: s.id_x >= v and s.id_y >= v,
     "idr_plus": lambda s, v: s.idr is not None and s.idr <= v,
     "idr_minus": lambda s, v: s.idr is not None and s.idr >= v,
+    "live": lambda s, v: not s.degenerate,
 }
 
 
-def decision_masks(scores: Sequence[UnithoodScores]) -> Callable[[Thresholds], int]:
-    """The merge decision for many scored rows at once, as bitsets.
+def _rule(passing: Callable[[str, float | None], Any], t: Thresholds) -> Any:
+    """The merge decision from ``passing(test, value)``: a bool for one score, or an
+    int whose bit i is set when score i passes.  A pair merges when MI clears mi_plus
+    outright, or when MI falls in the mediocre band while both independences reach
+    id_t and their ratio lies inside the idr band; an undefined ratio fails the band.
+    """
+    above = passing("mi_plus", t.mi_plus)
+    # The band's bound mi <= mi_plus needs no test: `above` takes every score it drops.
+    band = passing("mi_minus", t.mi_minus) & passing("id_t", t.id_t)
+    band &= passing("idr_plus", t.idr_plus) & passing("idr_minus", t.idr_minus)
+    return passing("live", None) & (above | band)
+
+
+def decision_rule(
+    mi: float, id_x: float, id_y: float, idr: float | None, thresholds: Thresholds
+) -> bool:
+    """The Boolean merge decision from precomputed scores."""
+    return Score(mi, id_x, id_y, idr).merges(thresholds)
+
+
+def decision_masks(scores: Sequence[Score]) -> Callable[[Thresholds], int]:
+    """The merge decision for many scores at once, as bitsets.
 
     Returns a function from thresholds to the int whose bit i is set
-    exactly when row i merges.  Each threshold's mask of passing rows is
+    exactly when score i merges.  Each test's mask of passing scores is
     built once per distinct value, so a grid point costs a few ANDs and ORs.
     """
     @functools.cache
-    def passing(name: str, value: float) -> int:
+    def passing(name: str, value: float | None) -> int:
         return sum(1 << i for i, s in enumerate(scores) if _PASSES[name](s, value))
 
-    live = sum(1 << i for i, s in enumerate(scores) if not s.degenerate)
-
-    def merged(t: Thresholds) -> int:
-        above = passing("mi_plus", t.mi_plus)
-        # The band's bound mi <= mi_plus needs no mask: `above` takes every row it drops.
-        band = passing("mi_minus", t.mi_minus) & passing("id_t", t.id_t)
-        band &= passing("idr_plus", t.idr_plus) & passing("idr_minus", t.idr_minus)
-        return live & (above | band)
-
-    return merged
+    return functools.partial(_rule, passing)
 
 
 def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
-    """Score one pair's evidence and decide whether to merge it."""
+    """Score one pair's evidence; ``.uh`` decides it under ``thresholds``."""
     total = evidence.total
     if total == 0:
         raise UndefinedEvidenceError("all counts are zero")
@@ -191,6 +196,5 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     mi = 0.0 if degenerate else p_s / (p_ax * p_ay)
     id_x = independence(evidence.n_ax, evidence.n_s)
     id_y = independence(evidence.n_ay, evidence.n_s)
-    idr = independence_ratio(id_x, id_y)
-    uh = not degenerate and decision_rule(mi, id_x, id_y, idr, thresholds)
-    return UnithoodScores(p_s, p_ax, p_ay, mi, id_x, id_y, idr, uh, degenerate)
+    return UnithoodScores(mi, id_x, id_y, independence_ratio(id_x, id_y), degenerate,
+                          p_s=p_s, p_ax=p_ax, p_ay=p_ay, thresholds=thresholds)

@@ -24,15 +24,12 @@ from .evidence import (
 )
 from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
 from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
-from .measures import (THRESHOLD_NAMES, Thresholds, UndefinedEvidenceError, decision_rule,
+from .measures import (THRESHOLD_NAMES, Score, Thresholds, UndefinedEvidenceError,
                        threshold_value, unithood)
 from .parse_ingest import check_setting, parse_whole, read_json_object, read_rows
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
-
-# Externally supplied (mi, id_x, id_y, idr) for one pair; idr may be NA.
-Scores = tuple[float, float, float, float | None]
 
 
 class ConfigError(ValueError):
@@ -137,6 +134,7 @@ CANDIDATE_COLUMNS = ("sentence_id", "span", "surface")  # span: comma-joined off
 PAIR_COLUMNS = CANDIDATE_COLUMNS + ("ax_span", "ax_surface", "b", "ay_span", "ay_surface")
 # Reals with 4 decimals; decision is MERGED or NOTMERGED.
 DECISION_COLUMNS = ("pair_id", "a_x", "b", "a_y", "id_x", "id_y", "idr", "mi", "decision", "s")
+_SCORE_CELLS = attrgetter(*DECISION_COLUMNS[4:8])  # a decisions row's cells from its Score
 # Raw counts, so a sweep can decide each pair again under other thresholds.
 DECORATED_COLUMNS = ("pair_id", "a_x", "b", "a_y", "s", "n_s", "n_ax", "n_ay")
 GOLD_COLUMNS = ("pair_id", "label")  # label is MERGED or NOTMERGED
@@ -182,7 +180,7 @@ def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
 
 
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
-    surfaces: dict[tuple[str, tuple[int, ...]], str] = {}  # decide_pairs keys candidates by span
+    seen: dict[tuple, str] = {}  # decide_pairs keys candidates by span, connectors by offset
 
     def pair(columns: list[str]) -> CandidatePair:
         sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
@@ -192,10 +190,13 @@ def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
         if _parse_span(span) != built.merged_span() or surface != built.s:
             raise ValueError("span and surface %r do not match the pair's %r"
                              % ([span, surface], _pair_row(built)[1:3]))
-        for c in (a_x, a_y):
-            if surfaces.setdefault((sentence_id, c.span), c.surface) != c.surface:
-                raise ValueError("candidate span %s is %r here but %r in an earlier row" % (
-                    _span_str(c.span), c.surface, surfaces[sentence_id, c.span]))
+        keyed = [("candidate span", c.span, c.surface) for c in (a_x, a_y)]
+        if b:
+            keyed.append(("connector at offset", (a_x.end + 1,), b))
+        for what, at, value in keyed:
+            if seen.setdefault((sentence_id, what, at), value) != value:
+                raise ValueError("%s %s is %r here but %r in an earlier row"
+                                 % (what, _span_str(at), value, seen[sentence_id, what, at]))
         return built
 
     return list(read_rows(stream, len(PAIR_COLUMNS), "pairs file", pair))
@@ -210,10 +211,7 @@ class DecisionRecord:
     b: str
     a_y: str
     s: str
-    mi: float
-    id_x: float
-    id_y: float
-    idr: float | None
+    score: Score
     merged: bool
     evidence: EvidenceSet | None = None
 
@@ -224,7 +222,7 @@ def _fmt(value: float | None) -> str:
 
 def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
     _write_rows(stream, DECISION_COLUMNS, (
-        [r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, (r.id_x, r.id_y, r.idr, r.mi)),
+        [r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, _SCORE_CELLS(r.score)),
          MERGED if r.merged else NOTMERGED, r.s] for r in records))
 
 
@@ -284,16 +282,16 @@ def write_eval_report(table: ContingencyTable, stream: TextIO) -> None:
     stream.writelines("%s\t%s\n" % row for row in rows)
 
 
-def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Scores]:
-    """Map each surface triple (a_x, b, a_y) to its (mi, id_x, id_y, idr)."""
+def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
+    """Map each surface triple (a_x, b, a_y) to its Score."""
     first = SCORE_COLUMNS.index("mi")
 
-    def row(columns: list[str]) -> tuple[tuple[str, ...], Scores]:
+    def row(columns: list[str]) -> tuple[tuple[str, ...], Score]:
         mi, id_x, id_y, idr = columns[first:]
         scores = (float(mi), float(id_x), float(id_y), None if idr == "NA" else float(idr))
         if not all(math.isfinite(v) for v in scores if v is not None):
             raise ValueError("scores must be finite, got %s" % ", ".join(columns[first:]))
-        return tuple(columns[:first]), scores
+        return tuple(columns[:first]), Score(*scores)
 
     return dict(read_rows(stream, len(SCORE_COLUMNS), "scores file", row, itemgetter(0),
                           "duplicate surface triple (%r, %r, %r)"))
@@ -307,7 +305,7 @@ def decide_pairs(
     pairs: Sequence[CandidatePair],
     thresholds: Thresholds,
     provider: CountProvider | None = None,
-    injected: Mapping[tuple[str, ...], Scores] | None = None,
+    injected: Mapping[tuple[str, ...], Score] | None = None,
     max_passes: int = 3,
 ) -> list[DecisionRecord]:
     """Decide every pair, merging accepted ones and re-pairing to fixpoint.
@@ -353,26 +351,21 @@ def _decide_one(
     pair: CandidatePair,
     thresholds: Thresholds,
     provider: CountProvider | None,
-    injected: Mapping[tuple[str, ...], Scores],
+    injected: Mapping[tuple[str, ...], Score],
 ) -> DecisionRecord:
-    key = (pair.a_x.surface, pair.b, pair.a_y.surface)
+    score = injected.get((pair.a_x.surface, pair.b, pair.a_y.surface))
     evidence = None
-    if key in injected:
-        mi, id_x, id_y, idr = injected[key]
-        merged = decision_rule(mi, id_x, id_y, idr, thresholds)
-    elif provider is None:
-        raise ConfigError(
-            "no count provider configured and no injected scores for %r" % pair.s
-        )
-    else:
+    if score is None:
+        if provider is None:
+            raise ConfigError(
+                "no count provider configured and no injected scores for %r" % pair.s)
         evidence = EvidenceSet(*map(provider.count, (pair.s, pair.a_x.surface, pair.a_y.surface)))
         try:
-            scores = unithood(evidence, thresholds)
+            score = unithood(evidence, thresholds)
         except UndefinedEvidenceError as exc:
             raise UndefinedEvidenceError("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
-        mi, id_x, id_y, idr, merged = scores.mi, scores.id_x, scores.id_y, scores.idr, scores.uh
     return DecisionRecord(pair_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-                          mi, id_x, id_y, idr, merged, evidence)
+                          score, score.merges(thresholds), evidence)
 
 
 def warm_counts(pairs: Sequence[CandidatePair], provider: CountProvider) -> int:

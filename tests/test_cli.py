@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -120,6 +122,17 @@ class TestDecide:
         )
         assert code == 0
         assert out.count("NOTMERGED") == 4
+
+    def test_connector_with_two_lemmas_fails(self, tmp_path, capsys):
+        # Keeping the last lemma would decide 'a in b' only and drop 'a of b' unreported.
+        pairs, scores = tmp_path / "cp.tsv", tmp_path / "cs.tsv"
+        pairs.write_text("s\t1,2,3\ta of b\t1\ta\tof\t3\tb\n"
+                         "s\t1,2,3\ta in b\t1\ta\tin\t3\tb\n", encoding="utf-8")
+        scores.write_text("a\tof\tb\t1\t7\t7\t1\na\tin\tb\t1\t7\t7\t1\n", encoding="utf-8")
+        code, out, err = run(capsys, "decide", pairs, "--scores", scores)
+        assert (code, out) == (1, "")
+        assert err == ("error: pairs file line 2: connector at offset 2 is 'in' here "
+                       "but 'of' in an earlier row\n")
 
     def test_empty_pairs_file(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -574,6 +587,81 @@ class TestCountsWarm:
         code, _, err = run(capsys, "counts", "warm", pairs)
         assert code == 1
         assert "provider" in err
+
+
+@pytest.fixture(scope="module")
+def decided(tmp_path_factory, fixtures_dir):
+    """A directory with the sample's pairs.tsv and its decisions.tsv under the fixture counts."""
+    directory = tmp_path_factory.mktemp("decided")
+    pairs, decisions = directory / "pairs.tsv", directory / "decisions.tsv"
+    assert main(["extract", str(fixtures_dir / "sample_parse.tsv"),
+                 str(directory / "candidates.tsv"), str(pairs)]) == 0
+    assert main(["--config", str(fixtures_dir / "config.json"), "decide", str(pairs),
+                 "--out", str(decisions)]) == 0
+    return directory
+
+
+_FIXTURE = b'{"provider": {"fixture": "FIXTURES/counts.json"}, %s}'
+_REMOTE = (b'{"provider": {"remote": {"endpoint_template": "http://localhost:9/{query}", %s}}, '
+           b'"cache_path": "cache.tsv"}')
+_DECIDE = ["--config", "config.json", "decide", "pairs.tsv"]
+
+
+# Each case: the files it writes into a fresh working directory (FIXTURES stands for
+# the fixtures directory), the command, and a pattern its error output must match.
+@pytest.mark.parametrize("files, argv, pattern", [
+    pytest.param({"config.json": _FIXTURE % b'"max_merge_passes": 2.5'}, _DECIDE, None,
+                 id="config-max-merge-passes"),
+    pytest.param({"config.json": _FIXTURE % b'"thresholds": {"id_t": true}'}, _DECIDE,
+                 None, id="config-threshold-bool"),
+    pytest.param({"config.json": _FIXTURE % b'"thresholds": {"id_x": 1}'}, _DECIDE, None,
+                 id="config-threshold-unknown"),
+    pytest.param({"config.json": _REMOTE % b'"count_path": "t", "max_retries": 2.5'},
+                 _DECIDE, None, id="remote-max-retries"),
+    # A count_path that is not a string fails on load, before any fetch.
+    pytest.param({"config.json": _REMOTE % b'"count_path": 5, "min_delay_ms": 0'},
+                 _DECIDE, "count_path must be a string", id="remote-count-path"),
+    # Every integer column takes ASCII digits only: no sign, no '_'.
+    pytest.param({"signed_parse.tsv": b"s1\t+1\tdog\tNN\tnsubj\t0\n"},
+                 ["extract", "signed_parse.tsv", "signed_candidates.tsv", "signed_pairs.tsv"],
+                 None, id="parse-signed-offset"),
+    pytest.param({"underscore_decorated.tsv": b"p1\ta\tof\tb\ta of b\t1_0\t2\t3\n",
+                  "underscore_gold.tsv": b"p1\tMERGED\n"},
+                 ["sweep", "underscore_decorated.tsv", "underscore_gold.tsv", '{"id_t": [6]}'],
+                 None, id="decorated-underscore"),
+    # A cache row whose count is not a whole, non-negative number fails on load, naming the line.
+    pytest.param({"bad_cache.tsv": b"Mental Health\t-5\tfixture\tT\n"},
+                 ["--config", "FIXTURES/config.json", "--cache", "bad_cache.tsv", "decide",
+                  "pairs.tsv"], "count cache line 1: ", id="cache-negative-count"),
+    pytest.param({}, ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv",
+                      '{"id_x": []}'], None, id="grid-unknown-empty-axis"),
+    # A corpus line that is not UTF-8 fails with one error line naming the file and line.
+    pytest.param({"bad_corpus.txt": b"National Institute\nof Mental \xff Health\n",
+                  "config.json": b'{"provider": {"corpus": "bad_corpus.txt"}}'},
+                 _DECIDE, r"^error: corpus bad_corpus\.txt line 2: ", id="corpus-not-utf8"),
+    pytest.param({"gold.tsv": b"1\tMERGED\n1\tNOTMERGED\n"},
+                 ["eval", "decisions.tsv", "gold.tsv"], None, id="gold-duplicate-id"),
+])
+def test_bad_input_fails_without_a_traceback(files, argv, pattern, decided, fixtures_dir,
+                                             tmp_path):
+    """Each bad input ends the command with exit code 1 and one "error:" line on
+    stderr, never a Python traceback, also under -X dev -W error."""
+    for name in ("pairs.tsv", "decisions.tsv"):
+        shutil.copy(decided / name, tmp_path / name)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content.replace(b"FIXTURES", bytes(fixtures_dir)))
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "unithood.cli",
+         *(a.replace("FIXTURES", str(fixtures_dir)) for a in argv)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(fixtures_dir.parent / "src")},
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+    if pattern is not None:
+        assert re.search(pattern, result.stderr, re.M), result.stderr
 
 
 def test_commands_do_not_import_requests(tmp_path, fixtures_dir):

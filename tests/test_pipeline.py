@@ -1,9 +1,10 @@
+import dataclasses
 import io
 import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unithood import (
@@ -12,7 +13,9 @@ from unithood import (
     ParsedSentence,
     ParseFileError,
     ParseToken,
+    Score,
     Thresholds,
+    UndefinedEvidenceError,
     build_pair,
     extract_candidates,
     form_pairs,
@@ -277,7 +280,7 @@ class TestFileFormats:
 
     def test_scores_file_na_ratio(self):
         scores = read_scores_file(io.StringIO("a\tof\tb\t0.5\t6.5\t0\tNA\n"))
-        assert scores[("a", "of", "b")] == (0.5, 6.5, 0.0, None)
+        assert scores[("a", "of", "b")] == Score(0.5, 6.5, 0.0, None)
 
     @pytest.mark.parametrize(
         "read_fn, rows, message",
@@ -368,16 +371,19 @@ def candidate_pairs(draw):
 
 
 def one_surface_per_span(pairs):
-    surfaces = {}
-    return all(surfaces.setdefault((c.sentence_id, c.span), c.surface) == c.surface
-               for p in pairs for c in (p.a_x, p.a_y))
+    """No span of a sentence has two surfaces, and no connector offset two lemmas."""
+    seen = {}
+    keyed = [((c.sentence_id, c.span), c.surface) for p in pairs for c in (p.a_x, p.a_y)]
+    keyed += [((p.sentence_id, p.a_x.end + 1), p.b) for p in pairs if p.b]
+    return all(seen.setdefault(key, value) == value for key, value in keyed)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(candidate_pairs(), max_size=5))
 def test_pairs_file_round_trip(pairs):
-    # Pairs that give one span of a sentence two surfaces cannot all be decided, so the
-    # reader refuses them; every other file reads back as written.
+    # Pairs that give one span of a sentence two surfaces, or one connector offset two
+    # lemmas, cannot all be decided, so the reader refuses them; every other file reads
+    # back as written.
     if one_surface_per_span(pairs):
         assert roundtrip(write_pairs_file, pairs, read_pairs_file) == pairs
     else:
@@ -395,6 +401,59 @@ def test_pairs_file_span_with_two_surfaces_names_line():
         "pairs file line 2: candidate span 2 is 'zz' here but 'b' in an earlier row")
 
 
+def test_pairs_file_connector_with_two_lemmas_names_line():
+    # decide_pairs keys a sentence's connectors by offset, so it would decide only 'a in b'.
+    rows = ["s\t1,2,3\ta of b\t1\ta\tof\t3\tb", "t\t1,2,3\ta in b\t1\ta\tin\t3\tb",
+            "s\t1,2,3\ta of b\t1\ta\tof\t3\tb", "s\t1,2,3\ta in b\t1\ta\tin\t3\tb"]
+    assert len(read_pairs_file(io.StringIO("\n".join(rows[:2]) + "\n"))) == 2
+    with pytest.raises(ParseFileError) as err:
+        read_pairs_file(io.StringIO("\n".join(rows[2:]) + "\n"))
+    assert str(err.value) == (
+        "pairs file line 2: connector at offset 2 is 'in' here but 'of' in an earlier row")
+
+
+# Counts that make a side degenerate (0), give a side ID 0 (no more than the unit's
+# count), or fall anywhere.
+COUNT = st.sampled_from([0, 1, 7, 10**6, 3 * 10**6]) | st.integers(0, 10**7)
+
+
+@st.composite
+def chain_with_counts(draw):
+    """One sentence of 2 to 5 one-token candidates, each gap a connector or none, its
+    first-pass pairs, and a count for every phrase a run of merges can form."""
+    gaps = draw(st.lists(st.sampled_from(["", "of", "and"]), min_size=1, max_size=4))
+    tokens, candidates, connectors = ["w0"], [Candidate("s", (1,), "w0")], {}
+    for i, b in enumerate(gaps, start=1):
+        if b:
+            tokens.append(b)
+            connectors[len(tokens)] = b
+        tokens.append("w%d" % i)
+        candidates.append(Candidate("s", (len(tokens),), tokens[-1]))
+    runs = [" ".join(tokens[x.start - 1:y.end]) for x in candidates for y in candidates
+            if x.start <= y.start]
+    return form_pairs(candidates, connectors), {run: draw(COUNT) for run in runs}
+
+
+PERMISSIVE = Thresholds(mi_plus=-0.5, mi_minus=-1.0, id_t=0.0, idr_plus=10.0, idr_minus=-10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_with_counts(),
+       st.sampled_from([Thresholds(), Thresholds(0.5, 0.01, 1.0, 2.0, 0.5), PERMISSIVE]),
+       st.integers(1, 3))
+def test_injected_scores_decide_as_counted(chain, thresholds, max_passes):
+    """decide_pairs from counts, and again from the scores that run computed, injected:
+    one decision path, so the same records, apart from the counts."""
+    pairs, counts = chain
+    try:
+        records = decide_pairs(pairs, thresholds, FixtureProvider(counts), max_passes=max_passes)
+    except UndefinedEvidenceError:
+        assume(False)  # a pair whose three counts are all zero has no scores
+    injected = {(r.a_x, r.b, r.a_y): r.score for r in records}
+    again = decide_pairs(pairs, thresholds, injected=injected, max_passes=max_passes)
+    assert again == [dataclasses.replace(r, evidence=None) for r in records]
+
+
 class TestDecidePairs:
     def test_injected_scores_reproduce_reference_decisions(self, fixtures_dir):
         pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
@@ -409,7 +468,7 @@ class TestDecidePairs:
         (record,) = decide_pairs([pair], Thresholds(), provider=provider)
         assert record.merged is True
         assert record.evidence.n_s == 1_300_000
-        assert record.mi == pytest.approx(1.8011305, abs=1e-6)
+        assert record.score.mi == pytest.approx(1.8011305, abs=1e-6)
 
     def test_no_provider_and_no_scores_fails(self):
         with pytest.raises(ConfigError):
