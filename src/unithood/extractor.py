@@ -28,7 +28,7 @@ CONJUNCTION_TAG = "CC"
 CONJUNCTION_LEMMA = "and"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """A term candidate: a span of token offsets within one sentence.
 
@@ -46,6 +46,8 @@ class Candidate:
             raise ValueError("candidate span must be non-empty")
         if any(b <= a for a, b in zip(self.span, self.span[1:])):
             raise ValueError("candidate span must be strictly ascending")
+        if not self.surface.strip():
+            raise ValueError("candidate surface must not be blank")
 
     @property
     def start(self) -> int:
@@ -56,7 +58,7 @@ class Candidate:
         return self.span[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidatePair:
     """Two candidates eligible for merging, with their connector.
 

@@ -101,13 +101,13 @@ def check_setting(name: str, value: Any, low: int, error: type[ValueError] = Val
 
 
 def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
-    if not allow_empty and not value:
-        raise ValueError("%s must be non-empty" % name)
+    if not allow_empty and not value.strip():
+        raise ValueError("%s must not be blank" % name)
     if "\t" in value or "\n" in value or "\r" in value:
         raise ValueError("%s must not contain tabs or line breaks" % name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseToken:
     """One parsed word: its offset, lemma, POS tag and dependency edge."""
 
@@ -133,7 +133,7 @@ class ParseToken:
         return self.pos in NOUN_TAGS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedSentence:
     """A parsed sentence: an id plus tokens in strictly ascending offset order."""
 

@@ -179,8 +179,19 @@ def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
     _write_rows(stream, PAIR_COLUMNS, map(_pair_row, pairs))
 
 
+def _hold(table: dict[int, Candidate | str], pair: CandidatePair) -> None:
+    """Record the pair's candidates and connector by offset; ValueError on a second holder."""
+    holders = [pair.a_x] * len(pair.a_x.span) + [pair.b] * bool(pair.b)
+    for offset, held in zip(pair.merged_span(), holders + [pair.a_y] * len(pair.a_y.span)):
+        if (first := table.setdefault(offset, held)) is not held and first != held:
+            raise ValueError("offset %d holds %s here but %s in an earlier pair" % (
+                offset, *("connector %r" % h if isinstance(h, str) else
+                          "candidate %r at %s" % (h.surface, _span_str(h.span))
+                          for h in (held, first))))
+
+
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
-    seen: dict[tuple, str] = {}  # decide_pairs keys candidates by span, connectors by offset
+    tables: dict[str, dict[int, Candidate | str]] = {}
 
     def pair(columns: list[str]) -> CandidatePair:
         sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
@@ -190,13 +201,7 @@ def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
         if _parse_span(span) != built.merged_span() or surface != built.s:
             raise ValueError("span and surface %r do not match the pair's %r"
                              % ([span, surface], _pair_row(built)[1:3]))
-        keyed = [("candidate span", c.span, c.surface) for c in (a_x, a_y)]
-        if b:
-            keyed.append(("connector at offset", (a_x.end + 1,), b))
-        for what, at, value in keyed:
-            if seen.setdefault((sentence_id, what, at), value) != value:
-                raise ValueError("%s %s is %r here but %r in an earlier row"
-                                 % (what, _span_str(at), value, seen[sentence_id, what, at]))
+        _hold(tables.setdefault(sentence_id, {}), built)
         return built
 
     return list(read_rows(stream, len(PAIR_COLUMNS), "pairs file", pair))
@@ -310,27 +315,22 @@ def decide_pairs(
 ) -> list[DecisionRecord]:
     """Decide every pair, merging accepted ones and re-pairing to fixpoint.
 
-    Each sentence's pairs seed its candidate set and connector table;
-    after a pass applies merges, newly adjacent candidates are paired
-    and decided too, up to ``max_passes`` rounds.  Scores injected by
-    surface triple take precedence over count evidence; pairs without
-    injected scores need a provider.
+    Each sentence's pairs seed its candidates and connectors: an offset
+    holds one candidate or one connector, else ValueError.  After a pass
+    applies merges, newly adjacent candidates are paired and decided too,
+    up to ``max_passes`` rounds.  Scores injected by surface triple take
+    precedence over count evidence; pairs without them need a provider.
     """
     injected = injected or {}
-    by_sentence: dict[str, list[CandidatePair]] = {}
+    tables: dict[str, dict[int, Candidate | str]] = {}
     for pair in pairs:
-        by_sentence.setdefault(pair.sentence_id, []).append(pair)
+        _hold(tables.setdefault(pair.sentence_id, {}), pair)
 
     records: list[DecisionRecord] = []
-    for sentence_pairs in by_sentence.values():
-        # Connector lemmas come from the extracted pairs, so a gap token
-        # that was never a valid connector can never become one here.
-        connectors = {p.a_x.end + 1: p.b for p in sentence_pairs if p.b}
-        by_span: dict[tuple[int, ...], Candidate] = {}
-        for pair in sentence_pairs:
-            for candidate in (pair.a_x, pair.a_y):
-                by_span.setdefault(candidate.span, candidate)
-        candidates = sorted(by_span.values(), key=lambda c: c.start)
+    for table in tables.values():
+        connectors = {offset: b for offset, b in table.items() if isinstance(b, str)}
+        candidates = [c for offset, c in sorted(table.items())
+                      if not isinstance(c, str) and offset == c.start]
         decided: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for _ in range(max_passes):
             current = form_pairs(candidates, connectors)

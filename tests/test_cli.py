@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,8 +132,8 @@ class TestDecide:
         scores.write_text("a\tof\tb\t1\t7\t7\t1\na\tin\tb\t1\t7\t7\t1\n", encoding="utf-8")
         code, out, err = run(capsys, "decide", pairs, "--scores", scores)
         assert (code, out) == (1, "")
-        assert err == ("error: pairs file line 2: connector at offset 2 is 'in' here "
-                       "but 'of' in an earlier row\n")
+        assert err == ("error: pairs file line 2: offset 2 holds connector 'in' here "
+                       "but connector 'of' in an earlier pair\n")
 
     def test_empty_pairs_file(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -589,6 +590,69 @@ class TestCountsWarm:
         assert "provider" in err
 
 
+def cli_process(cwd, *argv):
+    """Run the CLI in a subprocess under -X dev -W error, so a file left open warns."""
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "unithood.cli", *map(str, argv)],
+        cwd=cwd, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(unithood.__file__).parents[1])},
+    )
+
+
+def cli_ok(cwd, *argv):
+    result = cli_process(cwd, *argv)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr, result.stderr
+
+
+def test_cache_lifecycle(tmp_path, fixtures_dir):
+    """Every command closes the count cache, and a warm that finds every phrase
+    cached appends nothing."""
+    cached = ["--config", fixtures_dir / "config.json", "--cache", "cache.tsv"]
+    cli_ok(tmp_path, "extract", fixtures_dir / "sample_parse.tsv", "candidates.tsv", "pairs.tsv")
+    cli_ok(tmp_path, *cached, "counts", "warm", "pairs.tsv")
+    cli_ok(tmp_path, *cached, "decide", "pairs.tsv", "--out", "decisions.tsv")
+    cache = (tmp_path / "cache.tsv").read_bytes()
+    cli_ok(tmp_path, *cached, "counts", "warm", "pairs.tsv")
+    assert (tmp_path / "cache.tsv").read_bytes() == cache
+
+
+def test_corpus_provider_end_to_end(tmp_path, fixtures_dir):
+    """decide against a local corpus index decides the same with no cache, with a
+    cold cache, with that cache warm and from a CRLF copy of the corpus."""
+    parse = fixtures_dir / "sample_parse.tsv"
+    cli_ok(tmp_path, "extract", parse, "candidates.tsv", "pairs.tsv")
+    # Each sentence's lemmas in offset order, every window of 2 to 6 of them, then
+    # 400 filler documents, so lookups meet rare tokens (the lemmas) as well as
+    # common ones ("filler" is in every filler document).
+    with open(parse, encoding="utf-8") as handle:
+        sentences = unithood.read_parse_file(handle)
+    documents = []
+    for sentence in sentences:
+        lemmas = [token.lemma for token in sentence.tokens]
+        documents.append(" ".join(lemmas))
+        documents += [" ".join(lemmas[start:start + width]) for width in range(2, 7)
+                      for start in range(len(lemmas) - width + 1)]
+    documents += ["filler w%d" % (i % 7) for i in range(400)]
+    corpus = "".join(document + "\n" for document in documents).encode()
+    (tmp_path / "corpus.txt").write_bytes(corpus)
+    (tmp_path / "crlf.txt").write_bytes(corpus.replace(b"\n", b"\r\n"))
+    for name in ("corpus", "crlf"):
+        (tmp_path / (name + ".json")).write_text(
+            json.dumps({"provider": {"corpus": name + ".txt"}}), encoding="utf-8")
+
+    def decide(config, out, *cache):
+        cli_ok(tmp_path, "--config", config, *cache, "decide", "pairs.tsv", "--out", out)
+        return (tmp_path / out).read_bytes()
+
+    uncached = decide("corpus.json", "uncached.tsv")
+    assert decide("corpus.json", "cold.tsv", "--cache", "cache.tsv") == uncached
+    cache = (tmp_path / "cache.tsv").read_bytes()
+    assert decide("corpus.json", "warm.tsv", "--cache", "cache.tsv") == uncached
+    assert (tmp_path / "cache.tsv").read_bytes() == cache
+    assert decide("crlf.json", "crlf.tsv") == uncached
+
+
 @pytest.fixture(scope="module")
 def decided(tmp_path_factory, fixtures_dir):
     """A directory with the sample's pairs.tsv and its decisions.tsv under the fixture counts."""
@@ -605,6 +669,7 @@ _FIXTURE = b'{"provider": {"fixture": "FIXTURES/counts.json"}, %s}'
 _REMOTE = (b'{"provider": {"remote": {"endpoint_template": "http://localhost:9/{query}", %s}}, '
            b'"cache_path": "cache.tsv"}')
 _DECIDE = ["--config", "config.json", "decide", "pairs.tsv"]
+_BAD_PAIRS = ["--config", "FIXTURES/config.json", "decide", "bad_pairs.tsv"]
 
 
 # Each case: the files it writes into a fresh working directory (FIXTURES stands for
@@ -641,6 +706,25 @@ _DECIDE = ["--config", "config.json", "decide", "pairs.tsv"]
                  _DECIDE, r"^error: corpus bad_corpus\.txt line 2: ", id="corpus-not-utf8"),
     pytest.param({"gold.tsv": b"1\tMERGED\n1\tNOTMERGED\n"},
                  ["eval", "decisions.tsv", "gold.tsv"], None, id="gold-duplicate-id"),
+    # An offset of a sentence holds one candidate or one connector; the error names the
+    # line, the offset and both holders.
+    pytest.param({"bad_pairs.tsv": b"s\t1,2\ta b\t1\ta\t\t2\tb\n"
+                                   b"s\t1,2,3\ta of c\t1\ta\tof\t3\tc\n"}, _BAD_PAIRS,
+                 r"^error: pairs file line 2: offset 2 holds connector 'of' here "
+                 r"but candidate 'b' at 2 in an earlier pair$",
+                 id="pairs-candidate-then-connector"),
+    pytest.param({"bad_pairs.tsv": b"s\t1,2\ta b\t1\ta\t\t2\tb\n"
+                                   b"s\t2,3\tb c\t2\tb\t\t3\tc\n"
+                                   b"s\t1,2,3,4\ta b c d\t1,2\ta b\t\t3,4\tc d\n"}, _BAD_PAIRS,
+                 r"^error: pairs file line 3: offset 1 holds candidate 'a b' at 1,2 here "
+                 r"but candidate 'a' at 1 in an earlier pair$", id="pairs-overlapping-spans"),
+    # A blank candidate surface or lemma fails on read, naming the line.
+    pytest.param({"bad_pairs.tsv": b"s\t1,2\t b\t1\t\t\t2\tb\n"}, _BAD_PAIRS,
+                 r"^error: pairs file line 1: candidate surface must not be blank$",
+                 id="pairs-blank-surface"),
+    pytest.param({"blank_parse.tsv": b"s1\t1\t \tJJ\tamod\t2\ns1\t2\tdog\tNN\tnsubj\t0\n"},
+                 ["extract", "blank_parse.tsv", "blank_candidates.tsv", "blank_pairs.tsv"],
+                 r"^error: parse file line 1: lemma must not be blank$", id="parse-blank-lemma"),
 ])
 def test_bad_input_fails_without_a_traceback(files, argv, pattern, decided, fixtures_dir,
                                              tmp_path):
@@ -650,12 +734,7 @@ def test_bad_input_fails_without_a_traceback(files, argv, pattern, decided, fixt
         shutil.copy(decided / name, tmp_path / name)
     for name, content in files.items():
         (tmp_path / name).write_bytes(content.replace(b"FIXTURES", bytes(fixtures_dir)))
-    result = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "unithood.cli",
-         *(a.replace("FIXTURES", str(fixtures_dir)) for a in argv)],
-        cwd=tmp_path, capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(fixtures_dir.parent / "src")},
-    )
+    result = cli_process(tmp_path, *(a.replace("FIXTURES", str(fixtures_dir)) for a in argv))
     assert result.returncode == 1, result.stderr
     assert result.stderr.startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr

@@ -191,6 +191,12 @@ class TestCandidatePairInvariants:
         with pytest.raises(ValueError):
             CandidatePair(left, "", right, "a b")
 
+    @pytest.mark.parametrize("blank", ["", " ", "\u00a0 "])
+    def test_rejects_blank_candidate_surface(self, blank):
+        # A blank surface has no count key, so no pair holding it could be decided.
+        with pytest.raises(ValueError, match="candidate surface must not be blank"):
+            Candidate("t", (1,), blank)
+
     def test_merged_span_includes_connector(self):
         pair = build_pair(Candidate("t", (1, 2), "a b"), "of", Candidate("t", (4,), "c"))
         assert pair.merged_span() == (1, 2, 3, 4)

@@ -122,6 +122,12 @@ class TestTokenInvariants:
         with pytest.raises(ValueError):
             ParseToken(1, "", "NN", "nsubj", 0)
 
+    @pytest.mark.parametrize("blank", [" ", "\u00a0 "])
+    def test_whitespace_lemma(self, blank):
+        # A blank lemma would put a blank member into a candidate's surface.
+        with pytest.raises(ValueError, match="lemma must not be blank"):
+            ParseToken(1, blank, "NN", "nsubj", 0)
+
     @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
     def test_lemma_control_characters(self, bad):
         with pytest.raises(ValueError):
@@ -182,7 +188,7 @@ def _sentences(draw):
         tokens.append(
             ParseToken(
                 offset,
-                draw(_token_text()),
+                draw(_token_text().filter(str.strip)),  # a lemma is never blank
                 draw(st.sampled_from(["NN", "NNP", "JJ", "IN", "DT", "VBG", "CC"])),
                 draw(st.sampled_from(["nn", "amod", "poss", "det", "prep", "pobj", "nsubj"])),
                 head,

@@ -356,6 +356,7 @@ class TestFileFormats:
 
 
 FIELD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6)
+SURFACE = FIELD.filter(str.strip)  # a candidate surface is never blank
 
 
 @st.composite
@@ -366,50 +367,84 @@ def candidate_pairs(draw):
     split = draw(st.integers(1, len(steps) - 1))
     ax_span = tuple(itertools.accumulate(steps[:split]))
     ay_span = tuple(itertools.accumulate([ax_span[-1] + (2 if b else 1)] + steps[split:]))
-    a_x = Candidate(sentence_id, ax_span, draw(FIELD))
-    return build_pair(a_x, b, Candidate(sentence_id, ay_span, draw(FIELD)))
+    a_x = Candidate(sentence_id, ax_span, draw(SURFACE))
+    return build_pair(a_x, b, Candidate(sentence_id, ay_span, draw(SURFACE)))
 
 
-def one_surface_per_span(pairs):
-    """No span of a sentence has two surfaces, and no connector offset two lemmas."""
-    seen = {}
-    keyed = [((c.sentence_id, c.span), c.surface) for p in pairs for c in (p.a_x, p.a_y)]
-    keyed += [((p.sentence_id, p.a_x.end + 1), p.b) for p in pairs if p.b]
-    return all(seen.setdefault(key, value) == value for key, value in keyed)
+def one_holder_per_offset(pairs):
+    """Every offset of a sentence is held by one candidate (span and surface) or one connector."""
+    holders = {}
+    for p in pairs:
+        held = [(o, ("candidate", c.span, c.surface)) for c in (p.a_x, p.a_y) for o in c.span]
+        held += [(p.a_x.end + 1, ("connector", p.b))] if p.b else []
+        if any(holders.setdefault((p.sentence_id, o), h) != h for o, h in held):
+            return False
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(candidate_pairs(), max_size=5))
 def test_pairs_file_round_trip(pairs):
-    # Pairs that give one span of a sentence two surfaces, or one connector offset two
-    # lemmas, cannot all be decided, so the reader refuses them; every other file reads
-    # back as written.
-    if one_surface_per_span(pairs):
+    # Pairs that give one offset of a sentence two holders (two candidates, two
+    # connector lemmas, or a candidate and a connector) cannot all be decided, so the
+    # reader refuses them; every other file reads back as written.
+    if one_holder_per_offset(pairs):
         assert roundtrip(write_pairs_file, pairs, read_pairs_file) == pairs
     else:
-        with pytest.raises(ParseFileError, match="in an earlier row"):
+        with pytest.raises(ParseFileError, match="in an earlier pair"):
             roundtrip(write_pairs_file, pairs, read_pairs_file)
 
 
 def test_pairs_file_span_with_two_surfaces_names_line():
-    # decide_pairs keys a sentence's candidates by span, so it would decide 'b c',
+    # Offset 2 cannot hold two candidates: with either one, decide would decide 'b c',
     # a pair this file never holds.
     text = "s\t1,2\ta b\t1\ta\t\t2\tb\ns\t2,3\tzz c\t2\tzz\t\t3\tc\n"
     with pytest.raises(ParseFileError) as err:
         read_pairs_file(io.StringIO(text))
-    assert str(err.value) == (
-        "pairs file line 2: candidate span 2 is 'zz' here but 'b' in an earlier row")
+    assert str(err.value) == ("pairs file line 2: offset 2 holds candidate 'zz' at 2 here "
+                              "but candidate 'b' at 2 in an earlier pair")
 
 
 def test_pairs_file_connector_with_two_lemmas_names_line():
-    # decide_pairs keys a sentence's connectors by offset, so it would decide only 'a in b'.
+    # Keeping one lemma for offset 2 would decide only one of 'a of b' and 'a in b'.
     rows = ["s\t1,2,3\ta of b\t1\ta\tof\t3\tb", "t\t1,2,3\ta in b\t1\ta\tin\t3\tb",
             "s\t1,2,3\ta of b\t1\ta\tof\t3\tb", "s\t1,2,3\ta in b\t1\ta\tin\t3\tb"]
     assert len(read_pairs_file(io.StringIO("\n".join(rows[:2]) + "\n"))) == 2
     with pytest.raises(ParseFileError) as err:
         read_pairs_file(io.StringIO("\n".join(rows[2:]) + "\n"))
-    assert str(err.value) == (
-        "pairs file line 2: connector at offset 2 is 'in' here but 'of' in an earlier row")
+    assert str(err.value) == ("pairs file line 2: offset 2 holds connector 'in' here "
+                              "but connector 'of' in an earlier pair")
+
+
+# Offset 2 is a candidate in the first row and a connector in the second; with both
+# read, decide would pair 'b' with 'c' and decide 'b c', a pair the file never holds.
+CANDIDATE_THEN_CONNECTOR = ["s\t1,2\ta b\t1\ta\t\t2\tb", "s\t1,2,3\ta of c\t1\ta\tof\t3\tc"]
+# The third row's candidates 'a b' and 'c d' overlap the single-token candidates of the
+# first two rows; decide would pair 'b' with 'c d' and decide 'b c d'.
+OVERLAPPING_SPANS = ["s\t1,2\ta b\t1\ta\t\t2\tb", "s\t2,3\tb c\t2\tb\t\t3\tc",
+                     "s\t1,2,3,4\ta b c d\t1,2\ta b\t\t3,4\tc d"]
+OFFSET_CLASHES = [
+    pytest.param(CANDIDATE_THEN_CONNECTOR, "pairs file line 2: offset 2 holds connector 'of' "
+                 "here but candidate 'b' at 2 in an earlier pair", id="candidate-then-connector"),
+    pytest.param(OVERLAPPING_SPANS, "pairs file line 3: offset 1 holds candidate 'a b' at 1,2 "
+                 "here but candidate 'a' at 1 in an earlier pair", id="overlapping-spans"),
+]
+
+
+@pytest.mark.parametrize("rows, message", OFFSET_CLASHES)
+def test_pairs_file_offset_with_two_holders_names_line(rows, message):
+    with pytest.raises(ParseFileError) as err:
+        read_pairs_file(io.StringIO("\n".join(rows) + "\n"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows, message", OFFSET_CLASHES)
+def test_decide_pairs_rejects_offset_with_two_holders(rows, message):
+    # Each row alone passes the reader; together they reach decide_pairs unchecked.
+    pairs = [pair for row in rows for pair in read_pairs_file(io.StringIO(row + "\n"))]
+    with pytest.raises(ValueError) as err:
+        decide_pairs(pairs, Thresholds(), FixtureProvider({}))
+    assert str(err.value) == message.split(": ", 1)[1]
 
 
 # Counts that make a side degenerate (0), give a side ID 0 (no more than the unit's
