@@ -17,6 +17,7 @@ import re
 import sys
 import time
 import urllib.parse
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,19 +124,22 @@ class LocalIndexProvider:
     case-insensitive.  Each token has a one-character code, a document is
     kept as the string of its tokens' codes, and a phrase occurs exactly
     where its codes do.  A token's postings are the ascending ids of the
-    documents it occurs in, each once; a phrase of several tokens checks
-    each document of its shortest list, so one made of tokens that are all
-    in most documents checks most documents.
+    documents it occurs in, each once, in an ``array("i")`` of 4 bytes an id;
+    a phrase of several tokens checks each document of its shortest list, so
+    one made of tokens that are all in most documents checks most documents.
     """
 
     provider_id = "local-index"
     _MAX_TOKENS = 0x110000  # chr's range: one code per distinct token
+    _MAX_DOCUMENTS = 2**31  # array("i")'s range: ids 0 .. 2**31 - 1
 
     def __init__(self, documents: Iterable[str | Iterable[str]]):
         codes: dict[str, str] = {}
-        postings: dict[str, list[int]] = defaultdict(list)
+        postings: dict[str, array[int]] = defaultdict(lambda: array("i"))
         self._docs: list[str] = []
         for doc_id, document in enumerate(documents):
+            if doc_id == self._MAX_DOCUMENTS:
+                raise ValueError("a local index holds at most %d documents" % self._MAX_DOCUMENTS)
             tokens = (document.lower().split() if isinstance(document, str)
                       else [t.lower() for t in document])  # a given token stays whole, spaces too
             for token in tokens:
@@ -164,7 +168,7 @@ class LocalIndexProvider:
 def load_corpus_file(path: str | Path) -> LocalIndexProvider:
     """Build a local index from a UTF-8 text file with one document per str.splitlines() line.
 
-    A line that is not UTF-8, or one past the index's token limit, raises
+    A line that is not UTF-8, or one past the index's token or document limit, raises
     ParseFileError naming the file and the line (lines end at LF).
     """
     at = [0]  # the number of the line being read, for the error

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken
+from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field
 
 # POS tags a candidate member may carry: nouns, adjectives, foreign words.
 MEMBER_TAGS = NOUN_TAGS | {"JJ", "FW"}
@@ -46,8 +46,8 @@ class Candidate:
             raise ValueError("candidate span must be non-empty")
         if any(b <= a for a, b in zip(self.span, self.span[1:])):
             raise ValueError("candidate span must be strictly ascending")
-        if not self.surface.strip():
-            raise ValueError("candidate surface must not be blank")
+        _check_field("candidate sentence_id", self.sentence_id)
+        _check_field("candidate surface", self.surface, allow_empty=False)
 
     @property
     def start(self) -> int:
@@ -73,6 +73,7 @@ class CandidatePair:
     s: str
 
     def __post_init__(self):
+        _check_field("pair connector", self.b)
         if self.a_x.sentence_id != self.a_y.sentence_id:
             raise ValueError("paired candidates must come from one sentence")
         gap = 1 if self.b == "" else 2

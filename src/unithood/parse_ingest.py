@@ -15,6 +15,7 @@ scope".  Files are UTF-8 with LF line endings.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
@@ -166,7 +167,8 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
     """
     def token_row(columns: list[str]) -> tuple[str, ParseToken]:
         sentence_id, offset, lemma, pos, dep_rel, head_offset = columns
-        return sentence_id, ParseToken(parse_whole(offset, "offset"), lemma, pos, dep_rel,
+        return sentence_id, ParseToken(parse_whole(offset, "offset"), sys.intern(lemma),
+                                       sys.intern(pos), sys.intern(dep_rel),  # repeats held once
                                        parse_whole(head_offset, "head_offset"))
 
     grouped: dict[str, list[ParseToken]] = {}

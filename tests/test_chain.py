@@ -1,0 +1,81 @@
+"""The corpus-path chain against the benchmark's independent reference.
+
+``perfbench/gen.py`` generates parse files and a corpus from a seed, and
+``perfbench/reference.py`` computes every output file without importing
+the package, with document counts from a brute-force n-gram scan.  Both
+are loaded here by path and are not edited.  Each seed runs the package
+as ``extract`` and ``decide`` with a ``{"corpus": PATH}`` provider do:
+parse file -> candidates and pairs files -> pairs read back -> decide
+against the local index -> decisions and decorated files.
+"""
+
+import importlib.util
+import io
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from unithood import Thresholds, extract_candidates, form_pairs, read_parse_file
+from unithood.evidence import CountCache, load_corpus_file
+from unithood.extractor import sentence_connectors
+from unithood.pipeline import (
+    decide_pairs,
+    read_pairs_file,
+    write_candidates_file,
+    write_decisions_file,
+    write_decorated_file,
+    write_pairs_file,
+)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / ("%s.py" % name))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # reference.py imports gen by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    with mock.patch.dict(sys.modules):  # gen and reference leave sys.modules afterwards
+        yield _load("gen"), _load("reference")
+
+
+def _text(write, items):
+    stream = io.StringIO()
+    write(items, stream)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_corpus_chain_matches_the_reference(perfbench, tmp_path, seed):
+    gen, reference = perfbench
+    inventory = gen.make_inventory(seed)
+    sentences = gen.make_sentences(seed, inventory, 20)
+    docs = gen.make_corpus(seed, inventory, sentences, 1000)
+    gen.write_parse_file(sentences, tmp_path / "parse.tsv")
+    (tmp_path / "corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")
+
+    with open(tmp_path / "parse.tsv", encoding="utf-8") as handle:
+        parsed = read_parse_file(handle)
+    candidates = [extract_candidates(sentence) for sentence in parsed]
+    pairs = [pair for sentence, found in zip(parsed, candidates)
+             for pair in form_pairs(found, sentence_connectors(sentence))]
+    assert _text(write_candidates_file, sum(candidates, [])) == reference.candidates_file(
+        sentences)
+    pairs_text = _text(write_pairs_file, pairs)
+    assert pairs_text == reference.pairs_file(sentences)
+    with CountCache(load_corpus_file(tmp_path / "corpus.txt")) as provider:
+        records = decide_pairs(read_pairs_file(io.StringIO(pairs_text)), Thresholds(), provider)
+
+    oracle = reference.oracle_counts(docs, set().union(*map(reference.chain_phrases, sentences)))
+    expected = reference.decide(sentences, lambda s, ax, ay: (oracle[s], oracle[ax], oracle[ay]),
+                                inventory.units)
+    assert records, "the seed forms no pair"
+    assert _text(write_decisions_file, records) == reference.decisions_file(expected)
+    assert _text(write_decorated_file, records) == reference.decorated_file(expected)

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -873,8 +874,10 @@ def test_local_index_matches_brute_force(case):
 def both_posting_forms_corpus(seed):
     """Over 900 documents where four tokens are common and 300 are rare.
 
-    Phrases mix common and rare tokens, so the shortest posting list of a
-    phrase is sometimes long and sometimes a handful of ids.
+    Phrases mix common and rare tokens, so the shortest posting array of a
+    phrase is sometimes long and sometimes a handful of ids.  The two forms
+    of the name were once bitmasks for common tokens and lists for rare
+    ones; every token now has one array of ids.
     """
     rng = random.Random(seed)
     common, rare = ["a", "b", "ab", "c"], ["r%d" % i for i in range(300)]
@@ -900,8 +903,9 @@ def test_local_index_with_both_posting_forms_matches_brute_force(seed):
     from_texts = LocalIndexProvider(texts)
     from_tokens = LocalIndexProvider([text.split() for text in texts])
     for token, ids in from_texts._postings.items():
+        assert type(ids) is array and ids.itemsize == 4, token  # 4 bytes an id
         assert all(a < b for a, b in zip(ids, ids[1:])), token  # each document once, in order
-        assert ids == [d for d, tokens in enumerate(documents) if token in tokens], token
+        assert list(ids) == [d for d, tokens in enumerate(documents) if token in tokens], token
     for phrase in phrases:
         expected = naive_document_frequency(documents, list(phrase))
         assert from_texts.count(" ".join(phrase)) == expected, phrase
@@ -910,6 +914,7 @@ def test_local_index_with_both_posting_forms_matches_brute_force(seed):
 
 @pytest.mark.parametrize("b_documents", [999, 1], ids=["b-bitmask", "b-list"])
 def test_local_index_checks_every_token_of_a_phrase(b_documents):
+    # The ids name the posting forms of an earlier index: a long and a short array now.
     # "a" is in one document, and "b" in almost all or in one. The first document
     # holds the text " a b " only because a given token has whitespace inside,
     # so it does not hold the token "b".
@@ -921,9 +926,10 @@ def test_local_index_checks_every_token_of_a_phrase(b_documents):
 
 @pytest.mark.parametrize("repeats", [499, 0], ids=["bitmask", "list"])
 def test_local_index_given_token_with_whitespace_is_one_token(repeats):
-    # The first document holds "a" and "b", apart, and the given token "a b". Read as
-    # text it would hold " a b ", but no token "a" is followed by a token "b". "a"
-    # and "b" are each in half of the 999 documents, or in the first alone.
+    # As above, the ids name a long and a short posting array. The first document
+    # holds "a" and "b", apart, and the given token "a b". Read as text it would
+    # hold " a b ", but no token "a" is followed by a token "b". "a" and "b" are
+    # each in half of the 999 documents, or in the first alone.
     filler = [["c"]] * (998 - 2 * repeats)  # 999 documents in all
     documents = [["x", "a b", "c", "a", "z", "b"]] + [["a"], ["b"]] * repeats + filler
     provider = LocalIndexProvider(documents)
@@ -998,6 +1004,27 @@ def test_corpus_file_names_the_line_past_the_token_limit(tmp_path, monkeypatch):
     with pytest.raises(ParseFileError) as err:
         load_corpus_file(path)
     assert str(err.value) == "corpus %s line 4: a local index holds at most 3 tokens" % path
+
+
+def test_corpus_file_names_the_line_past_the_document_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_DOCUMENTS", 2)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\n\nc a\n \nb d\n", encoding="utf-8")
+    with pytest.raises(ParseFileError) as err:
+        load_corpus_file(path)
+    assert str(err.value) == "corpus %s line 5: a local index holds at most 2 documents" % path
+    assert err.value.line_number == 5
+
+
+def test_local_index_document_limit_fits_its_posting_arrays(monkeypatch):
+    assert LocalIndexProvider._MAX_DOCUMENTS == 2**31
+    array("i", [LocalIndexProvider._MAX_DOCUMENTS - 1])  # the last id fits
+    with pytest.raises(OverflowError):
+        array("i", [LocalIndexProvider._MAX_DOCUMENTS])
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_DOCUMENTS", 2)
+    assert LocalIndexProvider(["a b", "c a"]).count("a") == 2
+    with pytest.raises(ValueError, match="^a local index holds at most 2 documents$"):
+        LocalIndexProvider(["a b", "c a", "b d"])
 
 
 def test_local_index_names_its_token_limit(monkeypatch):

@@ -197,6 +197,23 @@ class TestCandidatePairInvariants:
         with pytest.raises(ValueError, match="candidate surface must not be blank"):
             Candidate("t", (1,), blank)
 
+    @pytest.mark.parametrize("breaker", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("name", ["sentence_id", "surface"])
+    def test_rejects_tab_or_line_break_in_candidate_field(self, name, breaker):
+        # Such a field would split the pairs-file row, and the pairs reader would refuse it.
+        fields = {"sentence_id": "t", "span": (1,), "surface": "a"}
+        fields[name] = "a%sx" % breaker
+        with pytest.raises(ValueError,
+                           match="^candidate %s must not contain tabs or line breaks$" % name):
+            Candidate(**fields)
+
+    @pytest.mark.parametrize("breaker", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_rejects_tab_or_line_break_in_connector(self, breaker):
+        left, right = Candidate("t", (1,), "a"), Candidate("t", (3,), "b")
+        with pytest.raises(ValueError,
+                           match="^pair connector must not contain tabs or line breaks$"):
+            build_pair(left, "o%sf" % breaker, right)
+
     def test_merged_span_includes_connector(self):
         pair = build_pair(Candidate("t", (1, 2), "a b"), "of", Candidate("t", (4,), "c"))
         assert pair.merged_span() == (1, 2, 3, 4)

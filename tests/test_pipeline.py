@@ -395,6 +395,25 @@ def test_pairs_file_round_trip(pairs):
             roundtrip(write_pairs_file, pairs, read_pairs_file)
 
 
+TSV_FIELD = st.text(st.sampled_from("ab \t\n\r"), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TSV_FIELD.filter(lambda t: not t.startswith("#")), TSV_FIELD, TSV_FIELD,
+       st.sampled_from(["", "of"]) | TSV_FIELD)
+def test_a_pair_that_builds_reads_back(sentence_id, x_surface, y_surface, b):
+    # The records refuse a tab or a line break in any field that the pairs file
+    # holds, so whatever pair they accept is written as one row of eight columns.
+    try:
+        pair = build_pair(Candidate(sentence_id, (1,), x_surface), b,
+                          Candidate(sentence_id, (3 if b else 2,), y_surface))
+    except ValueError as exc:
+        assert any(c in field for field in (sentence_id, x_surface, y_surface, b)
+                   for c in "\t\n\r") or not (x_surface.strip() and y_surface.strip()), exc
+        return
+    assert roundtrip(write_pairs_file, [pair], read_pairs_file) == [pair]
+
+
 def test_pairs_file_span_with_two_surfaces_names_line():
     # Offset 2 cannot hold two candidates: with either one, decide would decide 'b c',
     # a pair this file never holds.
@@ -590,7 +609,7 @@ class TestWarmCounts:
                 return 1
 
         spaced = build_pair(Candidate("s2", (1, 2), "National  Institute"), "of",
-                            Candidate("s2", (4, 5), "mental\thealth"))
+                            Candidate("s2", (4, 5), "mental\u00a0health"))
         inner = Counting()
         assert warm_counts([two_candidate_pair(), spaced], inner) == 3
         assert inner.calls == 3
