@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
@@ -30,12 +31,27 @@ def _read(path: str, reader: Callable[[TextIO], Any]) -> Any:
         return reader(handle)
 
 
-def _write(path: str | None, writer: Callable[[Any, TextIO], None], rows: Any) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO | None]:
+    """None for no path, standard output for "-".  A file is written beside itself, or
+    beside the file a link names, and moved into place only once the block succeeds;
+    a device or pipe is written in place."""
     if path is None or path == "-":
-        writer(rows, sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            writer(rows, handle)
+        yield None if path is None else sys.stdout
+        return
+    staged = os.path.isfile(path) or not os.path.exists(path)
+    target = os.path.realpath(path) if staged and os.path.islink(path) else path
+    temporary = "%s.%s.tmp" % (target, os.urandom(4).hex()) if staged else target
+    handle = open(temporary, "x" if staged else "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            yield handle
+        if staged:
+            os.replace(temporary, target)
+    except BaseException:
+        if staged:
+            os.unlink(temporary)
+        raise
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
@@ -66,8 +82,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         candidates = extract_candidates(sentence)
         all_candidates.extend(candidates)
         all_pairs.extend(form_pairs(candidates, sentence_connectors(sentence)))
-    _write(args.out_candidates, pipeline.write_candidates_file, all_candidates)
-    _write(args.out_pairs, pipeline.write_pairs_file, all_pairs)
+    with _output(args.out_candidates) as out:
+        pipeline.write_candidates_file(all_candidates, out)
+    with _output(args.out_pairs) as out:
+        pipeline.write_pairs_file(all_pairs, out)
     print(
         "extracted %d candidate(s) and %d pair(s) from %d sentence(s)"
         % (len(all_candidates), len(all_pairs), len(sentences)),
@@ -82,24 +100,18 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
         pipeline.build_provider(config) if config.has_provider() else contextlib.nullcontext()
-    ) as provider:
-        records = pipeline.decide_pairs(
-            pairs, config.thresholds, provider, injected, config.max_merge_passes
+    ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
+        # Each pair's rows are written as it is decided, so no record is kept.
+        decided, merged, uncounted = pipeline._write_records(pipeline._decisions(
+            pairs, config.thresholds, provider, injected, config.max_merge_passes), out, decorated)
+    if args.decorated_out and uncounted:
+        print(
+            "%d pair(s) decided from injected scores carry no raw counts "
+            "and were left out of the decorated file" % uncounted,
+            file=sys.stderr,
         )
-    _write(args.out, pipeline.write_decisions_file, records)
-    if args.decorated_out:
-        skipped = sum(1 for r in records if r.evidence is None)
-        _write(args.decorated_out, pipeline.write_decorated_file, records)
-        if skipped:
-            print(
-                "%d pair(s) decided from injected scores carry no raw counts "
-                "and were left out of the decorated file" % skipped,
-                file=sys.stderr,
-            )
-    merged = sum(1 for r in records if r.merged)
     print(
-        "decided %d pair(s): %d merged, %d not merged"
-        % (len(records), merged, len(records) - merged),
+        "decided %d pair(s): %d merged, %d not merged" % (decided, merged, decided - merged),
         file=sys.stderr,
     )
     return 0
@@ -138,7 +150,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points = evaluation.sweep(decorated, gold, grid, args.sort_key)
     for warning in caught:
         print("note: %s" % warning.message, file=sys.stderr)
-    _write(args.out, pipeline.write_sweep_file, points)
+    with _output(args.out) as out:
+        pipeline.write_sweep_file(points, out)
     print("swept %d grid point(s)" % len(points), file=sys.stderr)
     return 0
 
@@ -173,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("decide", help="pairs TSV -> merge decisions")
     p.add_argument("pairs_file")
-    p.add_argument("--out", help="decision TSV (default: stdout)")
+    p.add_argument("--out", default="-", help="decision TSV (default: stdout)")
     p.add_argument("--decorated-out", help="also write pair ids with raw counts")
     p.add_argument("--scores", help="TSV of externally supplied scores")
     p.add_argument(
@@ -194,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("decorated_file")
     p.add_argument("gold_file")
     p.add_argument("grid_spec", help="JSON file or inline JSON object of threshold lists")
-    p.add_argument("--out", help="report TSV (default: stdout)")
+    p.add_argument("--out", default="-", help="report TSV (default: stdout)")
     p.add_argument("--sort-key", default="f_score", choices=evaluation.METRIC_NAMES)
     p.set_defaults(fn=_cmd_sweep)
 

@@ -56,7 +56,7 @@ class CountProvider(Protocol):
     def count(self, phrase: str) -> int: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceSet:
     """Document counts for a candidate pair: the merged unit and both sides."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field
+from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field, _check_id
 
 # POS tags a candidate member may carry: nouns, adjectives, foreign words.
 MEMBER_TAGS = NOUN_TAGS | {"JJ", "FW"}
@@ -46,7 +46,7 @@ class Candidate:
             raise ValueError("candidate span must be non-empty")
         if any(b <= a for a, b in zip(self.span, self.span[1:])):
             raise ValueError("candidate span must be strictly ascending")
-        _check_field("candidate sentence_id", self.sentence_id)
+        _check_id("candidate sentence_id", self.sentence_id)
         _check_field("candidate surface", self.surface, allow_empty=False)
 
     @property

@@ -108,6 +108,12 @@ def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
         raise ValueError("%s must not contain tabs or line breaks" % name)
 
 
+def _check_id(name: str, value: str) -> None:
+    _check_field(name, value)
+    if value.startswith("#"):  # every reader skips such a row as a comment
+        raise ValueError("%s must not start with '#'" % name)
+
+
 @dataclass(frozen=True, slots=True)
 class ParseToken:
     """One parsed word: its offset, lemma, POS tag and dependency edge."""
@@ -142,9 +148,7 @@ class ParsedSentence:
     tokens: tuple[ParseToken, ...]
 
     def __post_init__(self):
-        _check_field("sentence_id", self.sentence_id)
-        if self.sentence_id.startswith("#"):
-            raise ValueError("sentence_id must not start with '#'")
+        _check_id("sentence_id", self.sentence_id)
         if not self.tokens:
             raise ValueError("sentence %r has no tokens" % self.sentence_id)
         offsets = [t.offset for t in self.tokens]
@@ -165,18 +169,18 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
     the wrong column count, an offset that is not ASCII digits, invalid
     token fields, or an offset that repeats within a sentence.
     """
-    def token_row(columns: list[str]) -> tuple[str, ParseToken]:
-        sentence_id, offset, lemma, pos, dep_rel, head_offset = columns
-        return sentence_id, ParseToken(parse_whole(offset, "offset"), sys.intern(lemma),
-                                       sys.intern(pos), sys.intern(dep_rel),  # repeats held once
-                                       parse_whole(head_offset, "head_offset"))
+    grouped: dict[str, dict[int, ParseToken]] = {}
 
-    grouped: dict[str, list[ParseToken]] = {}
-    rows = read_rows(stream, 6, "parse file", token_row, lambda row: (row[1].offset, row[0]),
-                     "duplicate offset %d in sentence %r")
-    for sentence_id, token in rows:
-        grouped.setdefault(sentence_id, []).append(token)
-    return [
-        ParsedSentence(sid, tuple(sorted(tokens, key=lambda t: t.offset)))
-        for sid, tokens in grouped.items()
-    ]
+    def add_token(columns: list[str]) -> None:
+        sentence_id, offset, lemma, pos, dep_rel, head_offset = columns
+        token = ParseToken(parse_whole(offset, "offset"), sys.intern(lemma),
+                           sys.intern(pos), sys.intern(dep_rel),  # repeats held once
+                           parse_whole(head_offset, "head_offset"))
+        # The sentence's own table finds a repeat: no key per row outlives the read.
+        if grouped.setdefault(sentence_id, {}).setdefault(token.offset, token) is not token:
+            raise ValueError("duplicate offset %d in sentence %r" % (token.offset, sentence_id))
+
+    for _ in read_rows(stream, 6, "parse file", add_token):
+        pass
+    return [ParsedSentence(sid, tuple(tokens[offset] for offset in sorted(tokens)))
+            for sid, tokens in grouped.items()]

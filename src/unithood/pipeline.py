@@ -7,10 +7,11 @@ the *_COLUMNS tuples below declare each one's columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .evidence import (
     CountCache,
@@ -146,9 +147,13 @@ _METRICS = ("precision", "recall", "f1", "paper_f", "accuracy")  # METRIC_NAMES 
 SWEEP_COLUMNS = THRESHOLD_NAMES + _CELLS + _METRICS
 
 
+def _line(row: Sequence[str]) -> str:
+    return "\t".join(row) + "\n"
+
+
 def _write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     stream.write("# %s\n" % "\t".join(columns))
-    stream.writelines("\t".join(row) + "\n" for row in rows)
+    stream.writelines(map(_line, rows))
 
 
 def _span_str(span: Sequence[int]) -> str:
@@ -193,21 +198,30 @@ def _hold(table: dict[int, Candidate | str], pair: CandidatePair) -> None:
 def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
     tables: dict[str, dict[int, Candidate | str]] = {}
 
+    def candidate(table: dict[int, Candidate | str], sentence_id: str, span: str,
+                  surface: str) -> Candidate:
+        offsets = _parse_span(span)
+        held = table.get(offsets[0])
+        if isinstance(held, Candidate) and held.span == offsets and held.surface == surface:
+            return held  # an earlier row's: checked once, and held once
+        return Candidate(sentence_id, offsets, surface)
+
     def pair(columns: list[str]) -> CandidatePair:
         sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
-        a_x = Candidate(sentence_id, _parse_span(ax_span), ax_surface)
-        a_y = Candidate(sentence_id, _parse_span(ay_span), ay_surface)
-        built = build_pair(a_x, b, a_y)
+        sentence_id = sys.intern(sentence_id)  # one string for all the sentence's candidates
+        table = tables.setdefault(sentence_id, {})
+        built = build_pair(candidate(table, sentence_id, ax_span, ax_surface), sys.intern(b),
+                           candidate(table, sentence_id, ay_span, ay_surface))
         if _parse_span(span) != built.merged_span() or surface != built.s:
             raise ValueError("span and surface %r do not match the pair's %r"
                              % ([span, surface], _pair_row(built)[1:3]))
-        _hold(tables.setdefault(sentence_id, {}), built)
+        _hold(table, built)
         return built
 
     return list(read_rows(stream, len(PAIR_COLUMNS), "pairs file", pair))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionRecord:
     """One decided pair, in the order it was evaluated."""
 
@@ -225,10 +239,28 @@ def _fmt(value: float | None) -> str:
     return "NA" if value is None else "%.4f" % value
 
 
+def _write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
+                   decorated: TextIO | None = None) -> tuple[int, int, int]:
+    """Write each record's rows as it arrives, skipping a None stream and, in the decorated
+    file, a record without counts; returns how many records came, merged, and lacked counts."""
+    for stream, columns in ((decisions, DECISION_COLUMNS), (decorated, DECORATED_COLUMNS)):
+        if stream is not None:
+            _write_rows(stream, columns, ())
+    decided = merged = uncounted = 0
+    for r in records:
+        if decisions is not None:
+            decisions.write(_line([r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, _SCORE_CELLS(r.score)),
+                                   MERGED if r.merged else NOTMERGED, r.s]))
+        if decorated is not None and r.evidence is not None:
+            decorated.write(_line([r.pair_id, r.a_x, r.b, r.a_y, r.s, *(
+                "%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]))
+        decided, merged, uncounted = (
+            decided + 1, merged + r.merged, uncounted + (r.evidence is None))
+    return decided, merged, uncounted
+
+
 def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    _write_rows(stream, DECISION_COLUMNS, (
-        [r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, _SCORE_CELLS(r.score)),
-         MERGED if r.merged else NOTMERGED, r.s] for r in records))
+    _write_records(records, stream)
 
 
 def _read_verdicts(
@@ -254,10 +286,7 @@ def read_gold_file(stream: Iterable[str]) -> dict[str, bool]:
 
 
 def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    _write_rows(stream, DECORATED_COLUMNS, (
-        [r.pair_id, r.a_x, r.b, r.a_y, r.s,
-         *("%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]
-        for r in records if r.evidence is not None))
+    _write_records(records, None, stream)
 
 
 def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
@@ -321,12 +350,19 @@ def decide_pairs(
     up to ``max_passes`` rounds.  Scores injected by surface triple take
     precedence over count evidence; pairs without them need a provider.
     """
+    return list(_decisions(pairs, thresholds, provider, injected, max_passes))
+
+
+def _decisions(pairs: Sequence[CandidatePair], thresholds: Thresholds,
+               provider: CountProvider | None, injected: Mapping[tuple[str, ...], Score] | None,
+               max_passes: int) -> Iterator[DecisionRecord]:
+    """decide_pairs' records, each yielded as soon as it is decided."""
     injected = injected or {}
     tables: dict[str, dict[int, Candidate | str]] = {}
     for pair in pairs:
         _hold(tables.setdefault(pair.sentence_id, {}), pair)
 
-    records: list[DecisionRecord] = []
+    n_records = 0
     for table in tables.values():
         connectors = {offset: b for offset, b in table.items() if isinstance(b, str)}
         candidates = [c for offset, c in sorted(table.items())
@@ -336,14 +372,14 @@ def decide_pairs(
             current = form_pairs(candidates, connectors)
             for pair in current:
                 if pair.key() not in decided:
-                    pair_id = str(len(records) + 1)
-                    records.append(_decide_one(pair_id, pair, thresholds, provider, injected))
-                    decided[pair.key()] = records[-1].merged
+                    n_records += 1
+                    record = _decide_one(str(n_records), pair, thresholds, provider, injected)
+                    decided[pair.key()] = record.merged
+                    yield record
             merged = merge_pass([p for p in current if decided[p.key()]], candidates)
             if len(merged) == len(candidates):
                 break
             candidates = merged
-    return records
 
 
 def _decide_one(

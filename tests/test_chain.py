@@ -11,6 +11,7 @@ against the local index -> decisions and decorated files.
 
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from unittest import mock
 import pytest
 
 from unithood import Thresholds, extract_candidates, form_pairs, read_parse_file
+from unithood.cli import main
 from unithood.evidence import CountCache, load_corpus_file
 from unithood.extractor import sentence_connectors
 from unithood.pipeline import (
@@ -79,3 +81,29 @@ def test_corpus_chain_matches_the_reference(perfbench, tmp_path, seed):
     assert records, "the seed forms no pair"
     assert _text(write_decisions_file, records) == reference.decisions_file(expected)
     assert _text(write_decorated_file, records) == reference.decorated_file(expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_decide_matches_the_library(perfbench, tmp_path, monkeypatch, seed):
+    """The CLI writes each row as it decides; its files equal the library's writers
+    applied to decide_pairs' list, byte for byte."""
+    gen, _ = perfbench
+    inventory = gen.make_inventory(seed)
+    sentences = gen.make_sentences(seed, inventory, 20)
+    docs = gen.make_corpus(seed, inventory, sentences, 1000)
+    gen.write_parse_file(sentences, tmp_path / "parse.tsv")
+    (tmp_path / "corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "parse.tsv", "candidates.tsv", "pairs.tsv"]) == 0
+    assert main(["--config", "config.json", "decide", "pairs.tsv", "--out", "decisions.tsv",
+                 "--decorated-out", "decorated.tsv"]) == 0
+
+    with open("pairs.tsv", encoding="utf-8") as handle:
+        pairs = read_pairs_file(handle)
+    with CountCache(load_corpus_file("corpus.txt")) as provider:
+        records = decide_pairs(pairs, Thresholds(), provider)
+    assert records, "the seed forms no pair"
+    for name, write in (("decisions.tsv", write_decisions_file),
+                        ("decorated.tsv", write_decorated_file)):
+        assert (tmp_path / name).read_text(encoding="utf-8") == _text(write, records)

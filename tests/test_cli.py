@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -651,6 +652,48 @@ def test_corpus_provider_end_to_end(tmp_path, fixtures_dir):
     assert decide("corpus.json", "warm.tsv", "--cache", "cache.tsv") == uncached
     assert (tmp_path / "cache.tsv").read_bytes() == cache
     assert decide("crlf.json", "crlf.tsv") == uncached
+
+
+@pytest.mark.parametrize("out", ["decisions.tsv", "-"])
+def test_failed_decide_leaves_its_outputs_alone(tmp_path, out):
+    """decide writes rows as it decides; when a later pair fails, after the first one's
+    rows are written, the run exits 1 with one error line, the outputs it would have
+    replaced keep their bytes and no temporary file is left."""
+    (tmp_path / "pairs.tsv").write_text("s1\t1,2\ta b\t1\ta\t\t2\tb\n"
+                                        "s2\t1,2\tc d\t1\tc\t\t2\td\n", encoding="utf-8")
+    (tmp_path / "counts.json").write_text(json.dumps({"a b": 1, "a": 5, "b": 5, "c": 5, "d": 5}))
+    (tmp_path / "config.json").write_text(json.dumps({"provider": {"fixture": "counts.json"}}))
+    for name in ("decisions.tsv", "decorated.tsv"):
+        (tmp_path / name).write_text("an earlier run's %s\n" % name, encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    result = cli_process(tmp_path, "--config", "config.json", "decide", "pairs.tsv",
+                         "--out", out, "--decorated-out", "decorated.tsv")
+    assert result.returncode == 1
+    assert result.stderr == "error: no count recorded for phrase 'c d'\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    if out == "-":  # standard output streams: the first pair's row is out already
+        assert result.stdout.splitlines()[1].startswith("1\ta\t\tb\t")
+
+
+def test_decide_writes_through_a_link_and_into_a_pipe(extracted, fixtures_dir, tmp_path, capsys):
+    """A link keeps pointing at the file it names, and a pipe is written in place."""
+    _, pairs = extracted
+    decide = ["--config", fixtures_dir / "config.json", "decide", pairs, "--out"]
+    assert run(capsys, *decide, tmp_path / "plain.tsv")[0] == 0
+    (tmp_path / "link.tsv").symlink_to("linked.tsv")
+    assert run(capsys, *decide, tmp_path / "link.tsv")[0] == 0
+    assert (tmp_path / "link.tsv").is_symlink()
+    assert (tmp_path / "linked.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    os.mkfifo(tmp_path / "pipe")
+    reader = os.open(tmp_path / "pipe", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, *decide, tmp_path / "pipe")[0] == 0
+        assert os.read(reader, 1 << 16) == (tmp_path / "plain.tsv").read_bytes()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO((tmp_path / "pipe").lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "candidates.tsv", "link.tsv", "linked.tsv", "pairs.tsv", "pipe", "plain.tsv"]
 
 
 @pytest.fixture(scope="module")

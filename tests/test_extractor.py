@@ -207,6 +207,11 @@ class TestCandidatePairInvariants:
                            match="^candidate %s must not contain tabs or line breaks$" % name):
             Candidate(**fields)
 
+    def test_rejects_sentence_id_starting_with_hash(self):
+        # Its pairs-file row would start with '#', and the reader would skip it as a comment.
+        with pytest.raises(ValueError, match="^candidate sentence_id must not start with '#'$"):
+            build_pair(Candidate("#s", (1,), "a"), "", Candidate("#s", (2,), "b"))
+
     @pytest.mark.parametrize("breaker", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
     def test_rejects_tab_or_line_break_in_connector(self, breaker):
         left, right = Candidate("t", (1,), "a"), Candidate("t", (3,), "b")

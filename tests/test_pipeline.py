@@ -435,6 +435,14 @@ def test_pairs_file_connector_with_two_lemmas_names_line():
                               "but connector 'of' in an earlier pair")
 
 
+def test_pairs_file_holds_a_shared_candidate_once():
+    # 'b' is the right side of the first pair and the left side of the second.
+    first, second = read_pairs_file(io.StringIO(
+        "s\t1,2\ta b\t1\ta\t\t2\tb\ns\t2,3,4\tb of c\t2\tb\tof\t4\tc\n"))
+    assert second.a_x is first.a_y
+    assert second.a_y.sentence_id is first.a_x.sentence_id
+
+
 # Offset 2 is a candidate in the first row and a connector in the second; with both
 # read, decide would pair 'b' with 'c' and decide 'b c', a pair the file never holds.
 CANDIDATE_THEN_CONNECTOR = ["s\t1,2\ta b\t1\ta\t\t2\tb", "s\t1,2,3\ta of c\t1\ta\tof\t3\tc"]
@@ -523,6 +531,15 @@ class TestDecidePairs:
         assert record.merged is True
         assert record.evidence.n_s == 1_300_000
         assert record.score.mi == pytest.approx(1.8011305, abs=1e-6)
+
+    def test_records_are_slotted_frozen_values(self, fixtures_dir):
+        provider = FixtureProvider.from_file(fixtures_dir / "counts.json")
+        (record,) = decide_pairs([two_candidate_pair()], Thresholds(), provider=provider)
+        for value, field in ((record, "merged"), (record.evidence, "n_s")):
+            assert not hasattr(value, "__dict__")
+            assert dataclasses.replace(value) == value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, 0)
 
     def test_no_provider_and_no_scores_fails(self):
         with pytest.raises(ConfigError):
