@@ -269,6 +269,8 @@ class CountCache:
                     self._handle.write(self._repair[1])
                     self._repair = None
                 self._fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            if phrase.startswith("#"):  # one leading space: read_rows would skip it as a comment
+                phrase = " " + phrase
             line = "%s\t%d\t%s\t%s\n" % (phrase, count, self.provider_id, self._fetched_at)
             self._handle.write(line)
             self._handle.flush()
@@ -319,11 +321,17 @@ class _NoMatch(ValueError):
 
 
 def _default_fetch(url: str, timeout_ms: int) -> str:
-    import requests  # only a remote fetch pays for importing it
+    import http.client  # only a remote fetch pays for importing the HTTP stack
+    import urllib.request
 
-    response = requests.get(url, timeout=timeout_ms / 1000.0)
-    response.raise_for_status()
-    return response.text
+    try:
+        with urllib.request.urlopen(url, timeout=timeout_ms / 1000) as response:
+            return response.read().decode(response.headers.get_content_charset() or "utf-8")
+    except urllib.error.HTTPError as exc:  # a 4xx or 5xx; it holds the socket until closed
+        exc.close()
+        raise
+    except (http.client.HTTPException, LookupError) as exc:  # truncated, or unknown charset
+        raise OSError("unreadable response: %r" % exc) from exc
 
 
 class RemoteCountClient:
@@ -331,9 +339,10 @@ class RemoteCountClient:
 
     Phrases are submitted as quoted exact-phrase queries.  Consecutive
     requests are spaced at least ``min_delay_ms`` apart.  A failure, that
-    is a ValueError, KeyError, IndexError or OSError (every requests error
-    is an OSError), is retried up to ``max_retries`` attempts and then
-    raised as TransportError; it is never reported as a zero count.
+    is a ValueError, KeyError, IndexError or OSError (any urllib error or
+    timeout, and a body cut short or not decodable), is retried up to
+    ``max_retries`` attempts and then raised as TransportError; it is
+    never reported as a zero count.
     Failures a retry cannot change, an HTTP 4xx other than 429, a JSON
     ``count_path`` that does not resolve, a ``regex:`` count pattern that
     matches nothing or has no group 1, or a count that is not a number,
@@ -399,7 +408,7 @@ class RemoteCountClient:
                 return self.extract_count(self._fetch(url))
             except (ValueError, KeyError, IndexError, OSError) as exc:
                 last_error = exc
-                status = getattr(getattr(exc, "response", None), "status_code", None) or 0
+                status = getattr(exc, "code", None) or 0
                 if isinstance(exc, _NoMatch) or (400 <= status < 500 and status != 429):
                     break
         raise TransportError(

@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import urllib.parse
 from pathlib import Path
 
 import pytest
@@ -786,8 +787,9 @@ def test_bad_input_fails_without_a_traceback(files, argv, pattern, decided, fixt
         assert re.search(pattern, result.stderr, re.M), result.stderr
 
 
-def test_commands_do_not_import_requests(tmp_path, fixtures_dir):
-    """Only a remote fetch needs ``requests``; other commands never load it."""
+def test_commands_do_not_import_the_http_stack(tmp_path, fixtures_dir):
+    """Only a remote fetch needs ``urllib.request`` and ``http.client``; extract, sweep
+    and a fixture decide never load them."""
     script = (
         "import sys\n"
         "import unithood, unithood.cli\n"
@@ -796,7 +798,9 @@ def test_commands_do_not_import_requests(tmp_path, fixtures_dir):
         "                          out + '/candidates.tsv', out + '/pairs.tsv']) == 0\n"
         "assert unithood.cli.main(['sweep', fixtures + '/decorated_pairs.tsv',\n"
         "                          fixtures + '/sweep_gold.tsv', '{\"id_t\": [3, 6]}']) == 0\n"
-        "print('requests' in sys.modules)\n"
+        "assert unithood.cli.main(['--config', fixtures + '/config.json', 'decide',\n"
+        "                          out + '/pairs.tsv', '--out', out + '/decisions.tsv']) == 0\n"
+        "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, str(fixtures_dir), str(tmp_path)],
@@ -806,7 +810,37 @@ def test_commands_do_not_import_requests(tmp_path, fixtures_dir):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_remote_decide_end_to_end(tmp_path, fixtures_dir, decided, count_server):
+    """decide against a loopback search endpoint that serves the fixture counts decides
+    as the fixture provider does.  Run again after the server has stopped, it makes no
+    request and decides the same from its cache file; both runs under -X dev -W error."""
+    counts = json.loads((fixtures_dir / "counts.json").read_text(encoding="utf-8"))
+
+    def reply(path):
+        phrase = urllib.parse.parse_qs(urllib.parse.urlsplit(path).query)["q"][0]
+        body = json.dumps({"total": counts[phrase.strip('"').lower()]}).encode()
+        return 200, {"Content-Type": "application/json"}, body
+
+    count_server.reply = reply
+    config = json.loads((fixtures_dir / "config.json").read_text(encoding="utf-8"))
+    config["provider"] = {"remote": {"endpoint_template": count_server.url + "/?q={query}",
+                                     "count_path": "total", "min_delay_ms": 0}}
+    config["cache_path"] = "cache.tsv"  # a remote config needs one, even under --cache
+    (tmp_path / "remote.json").write_text(json.dumps(config), encoding="utf-8")
+    shutil.copy(decided / "pairs.tsv", tmp_path / "pairs.tsv")
+    decide = ["--config", "remote.json", "--cache", "cache.tsv", "decide", "pairs.tsv", "--out"]
+    cli_ok(tmp_path, *decide, "first.tsv")
+    fetches = len(count_server.paths)
+    assert fetches == len((tmp_path / "cache.tsv").read_text().splitlines()) > 0
+    count_server.stop()
+    cli_ok(tmp_path, *decide, "second.tsv")
+    assert len(count_server.paths) == fetches
+    first = (tmp_path / "first.tsv").read_bytes()
+    assert (tmp_path / "second.tsv").read_bytes() == first
+    assert first == (decided / "decisions.tsv").read_bytes()
 
 
 def test_star_import_binds_every_exported_name():

@@ -1,11 +1,12 @@
+import http.client
 import json
 import random
 import time
+import urllib.error
 from array import array
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,6 +271,19 @@ class TestCountCache:
         assert count == "3"
         assert provider_id == "fixture"
         assert fetched_at.endswith("Z")
+
+    def test_phrase_starting_with_hash_reads_back(self, tmp_path):
+        """A phrase starting with '#' is written so that its row does not read back
+        as a comment: reopening the cache finds the count, and the provider is not
+        asked again."""
+        path = tmp_path / "cache.tsv"
+        with CountCache(FixtureProvider({"#1 hit": 3}), path) as cache:
+            assert cache.count("#1  hit") == 3
+        assert path.read_text(encoding="utf-8").startswith(" #1 hit\t3\tfixture\t")
+        reopened = CountCache(CountingProvider({}), path)
+        assert len(reopened) == 1
+        assert reopened.count("#1 HIT") == 3
+        assert reopened.inner.calls == 0
 
     def test_put_rejects_empty_phrase_before_writing(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -652,9 +666,7 @@ class TestRemoteCountClient:
 
         def fetch(url):
             calls.append(url)
-            response = requests.Response()
-            response.status_code = status
-            raise requests.HTTPError("status %d" % status, response=response)
+            raise urllib.error.HTTPError(url, status, "status %d" % status, {}, None)
 
         client = RemoteCountClient(
             remote_config(min_delay_ms=0, max_retries=3), fetch=fetch, sleep=lambda s: None
@@ -665,8 +677,8 @@ class TestRemoteCountClient:
 
     @pytest.mark.parametrize(
         "failure",
-        [requests.ConnectionError("refused"), requests.Timeout("slow"), TimeoutError("slow"),
-         OSError("down")],
+        [urllib.error.URLError("refused"), http.client.RemoteDisconnected("hung up"),
+         TimeoutError("slow"), OSError("down")],
     )
     def test_transport_failures_retried(self, failure):
         calls = []
@@ -783,43 +795,57 @@ class TestRemoteCountClient:
         assert not (tmp_path / "cache.tsv").exists()
 
 
-class FakeResponse:
-    def __init__(self, status_code, text):
-        self.status_code = status_code
-        self.text = text
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError("status %d" % self.status_code, response=self)
-
-
 class TestDefaultFetch:
-    """``RemoteCountClient`` without ``fetch`` goes through ``requests.get``."""
+    """``RemoteCountClient`` without ``fetch`` asks a loopback HTTP server.  Every
+    failure ends in TransportError after the attempts the retry rule allows, and
+    leaves no cache row."""
 
-    def client_against(self, monkeypatch, status_code, text=""):
-        calls = []
+    JSON = {"Content-Type": "application/json"}
 
-        def fake_get(url, timeout):
-            calls.append((url, timeout))
-            return FakeResponse(status_code, text)
+    def count(self, server, tmp_path, reply, count_path="search.total", timeout_ms=2000):
+        server.reply = lambda path: reply
+        config = remote_config(endpoint_template=server.url + "/search?q={query}",
+                               count_path=count_path, min_delay_ms=0, max_retries=3,
+                               timeout_ms=timeout_ms)
+        with CountCache(RemoteCountClient(config), tmp_path / "cache.tsv") as cache:
+            return cache.count("mental health")
 
-        monkeypatch.setattr(requests, "get", fake_get)
-        config = remote_config(min_delay_ms=0, max_retries=3, timeout_ms=2500)
-        return RemoteCountClient(config, sleep=lambda s: None), calls
+    def attempts_to_fail(self, server, tmp_path, reply, match, **settings):
+        with pytest.raises(TransportError, match=match):
+            self.count(server, tmp_path, reply, **settings)
+        assert not (tmp_path / "cache.tsv").exists()
+        return len(server.paths)
 
-    def test_json_body_gives_count(self, monkeypatch):
-        client, calls = self.client_against(
-            monkeypatch, 200, json.dumps({"search": {"total": 42}})
-        )
-        assert client.count("mental health") == 42
-        assert calls == [("https://api.example/search?q=%22mental+health%22", 2.5)]
+    def test_json_body_gives_count(self, count_server, tmp_path):
+        body = json.dumps({"search": {"total": 42}}).encode()
+        assert self.count(count_server, tmp_path, (200, self.JSON, body)) == 42
+        assert count_server.paths == ["/search?q=%22mental+health%22"]
 
-    @pytest.mark.parametrize("status_code, attempts", [(404, 1), (503, 3)])
-    def test_status_retry_policy(self, monkeypatch, status_code, attempts):
-        client, calls = self.client_against(monkeypatch, status_code)
-        with pytest.raises(TransportError, match="status %d" % status_code):
-            client.count("a")
-        assert len(calls) == attempts
+    def test_regex_body_in_its_declared_charset(self, count_server, tmp_path):
+        body = "environ 12,300 résultats".encode("iso-8859-1")
+        reply = (200, {"Content-Type": "text/html; charset=iso-8859-1"}, body)
+        assert self.count(count_server, tmp_path, reply,
+                          count_path=r"regex:environ ([\d,]+) résultats") == 12300
+        assert len(count_server.paths) == 1
+
+    @pytest.mark.parametrize("status_code, attempts", [(404, 1), (429, 3), (503, 3)])
+    def test_status_retry_policy(self, count_server, tmp_path, status_code, attempts):
+        reply = (status_code, {}, b"busy")
+        match = "HTTP Error %d" % status_code
+        assert self.attempts_to_fail(count_server, tmp_path, reply, match) == attempts
+
+    @pytest.mark.parametrize("reply, settings, match, attempts", [
+        ((200, JSON, b'{"other": 1}'), {}, "does not resolve", 1),
+        (None, {"timeout_ms": 100}, "timed out", 3),
+        ((200, {"Content-Length": "100", **JSON}, b'{"search": {"total": 42}}'), {},
+         "IncompleteRead", 3),
+        ((200, {"Content-Type": "application/json; charset=x-unknown"}, b"{}"), {},
+         "unknown encoding", 3),
+        ((200, JSON, b'{"search": {"total": "\xff"}}'), {}, "can't decode", 3),
+    ], ids=["no-match", "stall", "truncated", "unknown-charset", "not-utf8"])
+    def test_failure_retry_policy(self, count_server, tmp_path, reply, settings, match,
+                                  attempts):
+        assert self.attempts_to_fail(count_server, tmp_path, reply, match, **settings) == attempts
 
 
 # Some words are parts of others; some change length or form when case
