@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
-from .extractor import extract_candidates, form_pairs, sentence_connectors
+from .extractor import closure, extract_candidates, form_pairs, sentence_connectors
 from .measures import THRESHOLD_DEFAULTS_DOC, threshold_value
 from .parse_ingest import read_json_object, read_parse_file
 
@@ -55,12 +55,11 @@ def _output(path: str | None) -> Iterator[TextIO | None]:
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+    cache = args.cache or None  # the option replaces the config's cache_path
     if args.config:
-        config = pipeline.load_config(args.config)
+        config = pipeline.load_config(args.config, cache)
     else:
-        config = pipeline.PipelineConfig()
-    if getattr(args, "cache", None):
-        config = dataclasses.replace(config, cache_path=args.cache)
+        config = pipeline.PipelineConfig(cache_path=cache)
     overrides = {}
     for item in getattr(args, "threshold", None) or []:
         name, _, value = item.partition("=")
@@ -94,16 +93,23 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _provider(config: pipeline.PipelineConfig, sentences: Sequence) -> pipeline.CountCache:
+    """build_provider; a corpus counts only the closure, every phrase a decide can ask."""
+    phrases = set().union(*(closure(*s) for s in sentences)) if config.corpus_path else None
+    return pipeline.build_provider(config, phrases)
+
+
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    pairs = _read(args.pairs_file, pipeline.read_pairs_file)
+    sentences = pipeline._sentences(_read(args.pairs_file, pipeline.read_pairs_file))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
-        pipeline.build_provider(config) if config.has_provider() else contextlib.nullcontext()
+        _provider(config, sentences) if config.has_provider() else contextlib.nullcontext()
     ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
         # Each pair's rows are written as it is decided, so no record is kept.
         decided, merged, uncounted = pipeline._write_records(pipeline._decisions(
-            pairs, config.thresholds, provider, injected, config.max_merge_passes), out, decorated)
+            sentences, config.thresholds, provider, injected, config.max_merge_passes),
+            out, decorated)
     if args.decorated_out and uncounted:
         print(
             "%d pair(s) decided from injected scores carry no raw counts "
@@ -159,7 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
-    with pipeline.build_provider(config) as provider:
+    with _provider(config, pipeline._sentences(pairs) if config.corpus_path else []) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)
     return 0

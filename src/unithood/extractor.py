@@ -209,6 +209,19 @@ def form_pairs(
     return pairs
 
 
+def closure(candidates: Sequence[Candidate], connectors: Mapping[int, str]) -> set[str]:
+    """The surface of every run of candidates that form_pairs links one to the next.
+
+    A merge makes a pair's run one candidate, linked as its sides were, so these are all
+    the phrases a decide on the candidates can ask, under any thresholds and merge passes.
+    """
+    runs = {c.start: [c.surface] for c in candidates}  # the runs that end at each candidate
+    for pair in form_pairs(candidates, connectors):  # a run reaches a_x before a_y
+        tail = pair.s[len(pair.a_x.surface):]
+        runs[pair.a_y.start] += [run + tail for run in runs[pair.a_x.start]]
+    return {run for ending in runs.values() for run in ending}
+
+
 def merge_pass(
     accepted: Sequence[CandidatePair], candidates: Sequence[Candidate]
 ) -> list[Candidate]:

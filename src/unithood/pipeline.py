@@ -69,8 +69,9 @@ class PipelineConfig:
         return any(s is not None for s in (self.fixture_path, self.corpus_path, self.remote))
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Load a JSON config file; relative paths resolve against its directory."""
+def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConfig:
+    """Load a JSON config file; relative paths resolve against its directory.  ``cache_path``,
+    if given, replaces the file's before the config is checked."""
     path = Path(path)
     try:
         raw = read_json_object(path.read_text(encoding="utf-8"), "config %s" % path)
@@ -96,7 +97,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("unknown provider kind(s): %s" % ", ".join(sorted(unknown)))
     if len(provider) != 1:
         raise ConfigError("config must name exactly one count provider")
-    cache_path = raw.get("cache_path")
+    cache_path = cache_path or (resolve(raw["cache_path"]) if raw.get("cache_path") else None)
     values = raw.get("thresholds", {})
     try:
         thresholds = Thresholds(**{name: threshold_value(name, values[name]) for name in values})
@@ -106,7 +107,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             fixture_path=resolve(provider["fixture"]) if "fixture" in provider else None,
             corpus_path=resolve(provider["corpus"]) if "corpus" in provider else None,
             remote=remote,
-            cache_path=resolve(cache_path) if cache_path else None,
+            cache_path=cache_path,
             missing_count_policy=raw.get("missing_count_policy", "error"),
             max_merge_passes=raw.get("max_merge_passes", 3),
         )
@@ -114,11 +115,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
 
 
-def build_provider(config: PipelineConfig) -> CountCache:
+def build_provider(config: PipelineConfig, phrases: Iterable[str] | None = None) -> CountCache:
+    """The config's provider in a CountCache; a corpus counts only ``phrases``, if given."""
     if config.fixture_path is not None:
         provider: CountProvider = FixtureProvider.from_file(config.fixture_path)
     elif config.corpus_path is not None:
-        provider = load_corpus_file(config.corpus_path)
+        provider = load_corpus_file(config.corpus_path, phrases)
     elif config.remote is not None:
         provider = RemoteCountClient(config.remote)
     else:
@@ -350,23 +352,25 @@ def decide_pairs(
     up to ``max_passes`` rounds.  Scores injected by surface triple take
     precedence over count evidence; pairs without them need a provider.
     """
-    return list(_decisions(pairs, thresholds, provider, injected, max_passes))
+    return list(_decisions(_sentences(pairs), thresholds, provider, injected, max_passes))
 
 
-def _decisions(pairs: Sequence[CandidatePair], thresholds: Thresholds,
-               provider: CountProvider | None, injected: Mapping[tuple[str, ...], Score] | None,
-               max_passes: int) -> Iterator[DecisionRecord]:
-    """decide_pairs' records, each yielded as soon as it is decided."""
-    injected = injected or {}
+def _sentences(pairs: Iterable[CandidatePair]) -> list[tuple[list[Candidate], dict[int, str]]]:
+    """Each sentence's candidates in offset order and connectors by offset, as _hold holds them."""
     tables: dict[str, dict[int, Candidate | str]] = {}
     for pair in pairs:
         _hold(tables.setdefault(pair.sentence_id, {}), pair)
+    return [([c for at, c in sorted(table.items()) if not isinstance(c, str) and at == c.start],
+             {at: b for at, b in table.items() if isinstance(b, str)}) for table in tables.values()]
 
+
+def _decisions(sentences: Iterable[tuple[list[Candidate], dict[int, str]]], thresholds: Thresholds,
+               provider: CountProvider | None, injected: Mapping[tuple[str, ...], Score] | None,
+               max_passes: int) -> Iterator[DecisionRecord]:
+    """decide_pairs' records from _sentences' tables, each yielded as soon as it is decided."""
+    injected = injected or {}
     n_records = 0
-    for table in tables.values():
-        connectors = {offset: b for offset, b in table.items() if isinstance(b, str)}
-        candidates = [c for offset, c in sorted(table.items())
-                      if not isinstance(c, str) and offset == c.start]
+    for candidates, connectors in sentences:
         decided: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for _ in range(max_passes):
             current = form_pairs(candidates, connectors)

@@ -12,17 +12,21 @@ against the local index -> decisions and decorated files.
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import unithood
 from unithood import Thresholds, extract_candidates, form_pairs, read_parse_file
 from unithood.cli import main
-from unithood.evidence import CountCache, load_corpus_file
-from unithood.extractor import sentence_connectors
+from unithood.evidence import CountCache, PhraseCounts, load_corpus_file
+from unithood.extractor import closure, sentence_connectors
 from unithood.pipeline import (
+    _sentences,
     decide_pairs,
     read_pairs_file,
     write_candidates_file,
@@ -107,3 +111,83 @@ def test_cli_decide_matches_the_library(perfbench, tmp_path, monkeypatch, seed):
     for name, write in (("decisions.tsv", write_decisions_file),
                         ("decorated.tsv", write_decorated_file)):
         assert (tmp_path / name).read_text(encoding="utf-8") == _text(write, records)
+
+
+class Asked:
+    """A provider that passes each lookup on and records its lookup key."""
+
+    def __init__(self, inner):
+        self.inner, self.provider_id, self.keys = inner, inner.provider_id, set()
+
+    def count(self, phrase):
+        self.keys.add(" ".join(phrase.lower().split()))
+        return self.inner.count(phrase)
+
+
+def _corpus_chain(gen, directory, seed, sentences, documents):
+    """Write a seed's parse file, corpus and corpus config; return the corpus's documents."""
+    inventory = gen.make_inventory(seed)
+    parsed = gen.make_sentences(seed, inventory, sentences)
+    docs = gen.make_corpus(seed, inventory, parsed, documents)
+    gen.write_parse_file(parsed, directory / "parse.tsv")
+    (directory / "corpus.txt").write_text("\n".join(docs) + "\n", encoding="utf-8")
+    (directory / "config.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
+    return docs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_path,
+                                                                  monkeypatch, seed):
+    """The CLI's decide counts only the closure of its pairs, here in blocks of 256 of the
+    1000 documents, and writes what decide_pairs writes over a whole-file index; every
+    phrase that library run asks, under one to five merge passes, is in the closure."""
+    gen, _ = perfbench
+    _corpus_chain(gen, tmp_path, seed, 20, 1000)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 256)
+    assert main(["extract", "parse.tsv", "candidates.tsv", "pairs.tsv"]) == 0
+    assert main(["--config", "config.json", "decide", "pairs.tsv", "--out", "decisions.tsv",
+                 "--decorated-out", "decorated.tsv"]) == 0
+
+    with open("pairs.tsv", encoding="utf-8") as handle:
+        pairs = read_pairs_file(handle)
+    closure_keys = {" ".join(p.lower().split()) for s in _sentences(pairs) for p in closure(*s)}
+    index = load_corpus_file("corpus.txt")
+    asked = Asked(index)
+    records = decide_pairs(pairs, Thresholds(), CountCache(asked))
+    assert records, "the seed forms no pair"
+    for name, write in (("decisions.tsv", write_decisions_file),
+                        ("decorated.tsv", write_decorated_file)):
+        assert (tmp_path / name).read_text(encoding="utf-8") == _text(write, records)
+    for max_passes in (1, 2, 4, 5):
+        decide_pairs(pairs, Thresholds(), CountCache(asked), max_passes=max_passes)
+    assert asked.keys <= closure_keys
+
+
+def _peak_kb(cwd, *argv):
+    """The peak resident set, VmHWM in kB, of the CLI run with argv in a fresh process."""
+    script = ("import sys\nfrom unithood.cli import main\ncode = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(next(l for l in status if l.startswith('VmHWM:')).split()[1])\n"
+              "sys.exit(code)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(unithood.__file__).parents[1])}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_corpus_decide_peak_memory_does_not_grow_with_the_corpus(perfbench, tmp_path):
+    """A corpus decide holds one block of the corpus at a time, so on a corpus four times
+    as large, with the same pairs, its peak resident set is within 2 MB of the first's.  A
+    whole-file index of these 8,192 and 32,768 documents peaks several MB apart."""
+    gen, _ = perfbench
+    docs = _corpus_chain(gen, tmp_path, 3, 50, 8192)
+    (tmp_path / "large.txt").write_text("\n".join(docs * 4) + "\n", encoding="utf-8")
+    (tmp_path / "large.json").write_text(json.dumps({"provider": {"corpus": "large.txt"}}))
+    assert main(["extract", str(tmp_path / "parse.tsv"), str(tmp_path / "candidates.tsv"),
+                 str(tmp_path / "pairs.tsv")]) == 0
+    small, large = (_peak_kb(tmp_path, "--config", config, "decide", "pairs.tsv", "--out", out)
+                    for config, out in (("config.json", "small.tsv"), ("large.json", "large.tsv")))
+    assert abs(large - small) < 2048, (small, large)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import unithood
+from unithood import pipeline
 from unithood.cli import main
+from unithood.evidence import CountCache, load_corpus_file
 
 
 def run(capsys, *argv):
@@ -655,6 +658,28 @@ def test_corpus_provider_end_to_end(tmp_path, fixtures_dir):
     assert decide("crlf.json", "crlf.tsv") == uncached
 
 
+def test_corpus_cache_from_a_whole_index_serves_a_decide(tmp_path, decided):
+    """A cache written through a whole-file index serves a CLI corpus decide, which counts
+    the closure of its pairs block by block: the rows share provider_id local-index, so the
+    decide appends nothing and decides as the index did."""
+    (tmp_path / "corpus.txt").write_text(
+        "National Institute of Mental Health\nmental health\nnational institute\n" * 3
+        + "".join("filler %d\n" % i for i in range(50)), encoding="utf-8")
+    (tmp_path / "corpus.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
+    with open(decided / "pairs.tsv", encoding="utf-8") as handle:
+        pairs = pipeline.read_pairs_file(handle)
+    with CountCache(load_corpus_file(tmp_path / "corpus.txt"), tmp_path / "cache.tsv") as cache:
+        records = pipeline.decide_pairs(pairs, unithood.Thresholds(), cache)
+    written = (tmp_path / "cache.tsv").read_bytes()
+    assert written.count(b"\tlocal-index\t") == len(written.splitlines()) > 0
+    cli_ok(tmp_path, "--config", "corpus.json", "--cache", "cache.tsv", "decide",
+           decided / "pairs.tsv", "--out", "decisions.tsv")
+    assert (tmp_path / "cache.tsv").read_bytes() == written
+    stream = io.StringIO()
+    pipeline.write_decisions_file(records, stream)
+    assert (tmp_path / "decisions.tsv").read_text(encoding="utf-8") == stream.getvalue()
+
+
 @pytest.mark.parametrize("out", ["decisions.tsv", "-"])
 def test_failed_decide_leaves_its_outputs_alone(tmp_path, out):
     """decide writes rows as it decides; when a later pair fails, after the first one's
@@ -828,7 +853,7 @@ def test_remote_decide_end_to_end(tmp_path, fixtures_dir, decided, count_server)
     config = json.loads((fixtures_dir / "config.json").read_text(encoding="utf-8"))
     config["provider"] = {"remote": {"endpoint_template": count_server.url + "/?q={query}",
                                      "count_path": "total", "min_delay_ms": 0}}
-    config["cache_path"] = "cache.tsv"  # a remote config needs one, even under --cache
+    config["cache_path"] = "config_cache.tsv"  # --cache replaces it
     (tmp_path / "remote.json").write_text(json.dumps(config), encoding="utf-8")
     shutil.copy(decided / "pairs.tsv", tmp_path / "pairs.tsv")
     decide = ["--config", "remote.json", "--cache", "cache.tsv", "decide", "pairs.tsv", "--out"]
@@ -841,6 +866,24 @@ def test_remote_decide_end_to_end(tmp_path, fixtures_dir, decided, count_server)
     first = (tmp_path / "first.tsv").read_bytes()
     assert (tmp_path / "second.tsv").read_bytes() == first
     assert first == (decided / "decisions.tsv").read_bytes()
+    assert not (tmp_path / "config_cache.tsv").exists()
+
+
+def test_remote_cache_may_come_from_the_option_alone(tmp_path, decided, count_server):
+    """A remote config that names no cache_path runs with --cache; with neither, decide
+    fails naming the missing cache_path."""
+    count_server.reply = lambda path: (200, {}, b'{"total": 7}')
+    remote = {"endpoint_template": count_server.url + "/?q={query}", "count_path": "total",
+              "min_delay_ms": 0}
+    (tmp_path / "remote.json").write_text(json.dumps({"provider": {"remote": remote}}))
+    shutil.copy(decided / "pairs.tsv", tmp_path / "pairs.tsv")
+    decide = ["--config", "remote.json", "decide", "pairs.tsv", "--out", "decisions.tsv"]
+    result = cli_process(tmp_path, *decide)
+    assert (result.returncode, result.stderr) == (1, "error: invalid config remote.json: "
+                                                     "the remote provider requires a cache_path\n")
+    assert count_server.paths == []
+    cli_ok(tmp_path, "--cache", "cache.tsv", *decide)
+    assert len((tmp_path / "cache.tsv").read_text().splitlines()) == len(count_server.paths) > 0
 
 
 def test_star_import_binds_every_exported_name():

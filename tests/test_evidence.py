@@ -5,6 +5,7 @@ import time
 import urllib.error
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from unithood import (
     TransportError,
     normalize_phrase,
 )
-from unithood.evidence import load_corpus_file
+from unithood.evidence import PhraseCounts, load_corpus_file
+from unithood.pipeline import PipelineConfig, build_provider
 
 
 class TestNormalizePhrase:
@@ -1058,3 +1060,70 @@ def test_local_index_names_its_token_limit(monkeypatch):
     assert LocalIndexProvider(["a b", "c a"]).count("c a") == 1
     with pytest.raises(ValueError, match="^a local index holds at most 3 tokens$"):
         LocalIndexProvider(["a b", "c a", "b d"])
+
+
+# Pieces of a corpus file: words, spaces and tabs, and the line breaks splitlines() knows,
+# blank lines, CRLF and form feeds among them.
+CORPUS_PIECES = ["a", "b", "ab", "A", " ", "\t", "a b", "a b a b", "\n", "\r\n", "\n\n", "\x0c"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(CORPUS_PIECES), max_size=60),
+       st.lists(st.lists(st.sampled_from(["a", "b", "ab", "zz"]), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+def test_corpus_counted_in_blocks_matches_the_whole_index(tmp_path_factory, pieces, phrases):
+    """Counts summed over blocks of 1, 2 and 3 documents equal the whole-file index's and a
+    brute-force scan of the file's lines; "a b a b" repeats a phrase within a document."""
+    text = "".join(pieces)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    documents = [line.lower().split() for line in text.splitlines() if line.strip()]
+    phrases = [" ".join(p) for p in phrases]
+    whole = load_corpus_file(path)
+    for size in (1, 2, 3):
+        with mock.patch.object(PhraseCounts, "_BLOCK_DOCUMENTS", size):
+            counted = load_corpus_file(path, phrases + [p.upper() for p in phrases])
+        assert counted.provider_id == whole.provider_id == "local-index"
+        for phrase in phrases:
+            expected = naive_document_frequency(documents, phrase.split())
+            assert counted.count(phrase) == whole.count(phrase) == expected, (size, phrase)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_corpus_counted_in_blocks_names_the_line_in_a_later_block(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", size)
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"a b\r\n\nc\x0cd\nb a\n\na \xff b\nc\n")
+    with pytest.raises(ParseFileError) as err:
+        load_corpus_file(path, ["a b"])
+    assert err.value.line_number == 6
+    assert str(err.value).startswith("corpus %s line 6: 'utf-8' codec can't decode" % path)
+
+
+def test_corpus_counted_in_blocks_applies_the_limits_to_each_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 2)
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_TOKENS", 3)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nc a\n\nd e\nf\nb d\ng\n", encoding="utf-8")  # 7 tokens, 3 a block
+    assert load_corpus_file(path, ["a", "d e", "b"]) == {"a": 2, "d e": 1, "b": 2}
+    with pytest.raises(ParseFileError, match="line 4: a local index holds at most 3 tokens$"):
+        load_corpus_file(path)
+    path.write_text("a b\nc a\n\nd e\nf g\n", encoding="utf-8")
+    with pytest.raises(ParseFileError) as err:
+        load_corpus_file(path, ["a"])
+    assert str(err.value) == "corpus %s line 5: a local index holds at most 3 tokens" % path
+
+
+@pytest.mark.parametrize("policy", ["error", "zero"])
+def test_corpus_counted_in_blocks_refuses_a_phrase_it_did_not_count(tmp_path, policy):
+    """A phrase outside the counted set is an error naming it, never a count of 0, whatever
+    the missing-count policy; a blank phrase fails before any line is read."""
+    (tmp_path / "corpus.txt").write_text("a b\nb c\n", encoding="utf-8")
+    config = PipelineConfig(corpus_path=str(tmp_path / "corpus.txt"), missing_count_policy=policy)
+    with build_provider(config, ["a b", "B  C"]) as provider:
+        assert (provider.count("A B"), provider.count("b c")) == (1, 1)
+        with pytest.raises(ValueError, match="^phrase 'c d' was not counted in the corpus$"):
+            provider.count("c  d")
+        assert len(provider) == 2  # the refused phrase is not cached
+    with pytest.raises(ValueError, match="^phrase is empty after normalization$"):
+        load_corpus_file(tmp_path / "corpus.txt", ["a", " "])

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import zlib
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,14 +21,17 @@ from unithood import (
     extract_candidates,
     form_pairs,
     merge_pass,
+    normalize_phrase,
     read_parse_file,
     sentence_connectors,
 )
 from unithood.cli import _load_config, build_parser
 from unithood.evidence import CountCache
+from unithood.extractor import closure
 from unithood.pipeline import (
     ConfigError,
     PipelineConfig,
+    _sentences,
     build_provider,
     decide_pairs,
     load_config,
@@ -694,3 +698,42 @@ def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
         current = form_pairs(candidates, connectors)
     records = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=5)
     assert record_surfaces(records) == surfaces(expected)
+
+
+class Recording:
+    """Records the lookup key of every phrase asked.  A count is 1 to 1000, drawn from a
+    hash of the key and a salt, so scores, and so merges, differ from phrase to phrase."""
+
+    provider_id = "recording"
+
+    def __init__(self, salt):
+        self.salt, self.asked = salt, set()
+
+    def count(self, phrase):
+        key = normalize_phrase(phrase).lower()
+        self.asked.add(key)
+        return 1 + zlib.crc32(("%d %s" % (self.salt, key)).encode()) % 1000
+
+
+@st.composite
+def valid_thresholds(draw):
+    mi_minus, mi_plus = sorted(draw(st.lists(st.floats(-1, 3), min_size=2, max_size=2)))
+    idr_minus, idr_plus = sorted(draw(st.lists(st.floats(0, 3), min_size=2, max_size=2)))
+    assume(mi_minus < mi_plus and idr_minus < idr_plus)
+    return Thresholds(mi_plus, mi_minus, draw(st.floats(0, 12)), idr_plus, idr_minus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(parsed_sentences(), min_size=1, max_size=3), valid_thresholds(),
+       st.integers(1, 5), st.integers(0, 999))
+def test_closure_covers_every_phrase_a_decide_asks(sentences, thresholds, max_passes, salt):
+    pairs = []
+    for i, sentence in enumerate(sentences):
+        sentence = dataclasses.replace(sentence, sentence_id="s%d" % i)
+        pairs += form_pairs(extract_candidates(sentence), sentence_connectors(sentence))
+    pairs = roundtrip(write_pairs_file, pairs, read_pairs_file)
+    phrases = {normalize_phrase(p).lower() for s in _sentences(pairs) for p in closure(*s)}
+    provider = Recording(salt)
+    records = decide_pairs(pairs, thresholds, provider, max_passes=max_passes)
+    assert provider.asked <= phrases
+    assert len(records) >= len(pairs)
