@@ -8,17 +8,17 @@ status is 0 exactly when no error path was taken.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
 import warnings
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TextIO
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
-from .extractor import closure, extract_candidates, form_pairs, sentence_connectors
+from .extractor import extract_candidates, form_pairs, sentence_connectors
 from .measures import THRESHOLD_DEFAULTS_DOC, threshold_value
 from .parse_ingest import read_json_object, read_parse_file
 
@@ -31,7 +31,7 @@ def _read(path: str, reader: Callable[[TextIO], Any]) -> Any:
         return reader(handle)
 
 
-@contextlib.contextmanager
+@contextmanager
 def _output(path: str | None) -> Iterator[TextIO | None]:
     """None for no path, standard output for "-".  A file is written beside itself, or
     beside the file a link names, and moved into place only once the block succeeds;
@@ -42,7 +42,10 @@ def _output(path: str | None) -> Iterator[TextIO | None]:
     staged = os.path.isfile(path) or not os.path.exists(path)
     target = os.path.realpath(path) if staged and os.path.islink(path) else path
     temporary = "%s.%s.tmp" % (target, os.urandom(4).hex()) if staged else target
-    handle = open(temporary, "x" if staged else "w", encoding="utf-8", newline="\n")
+    try:
+        handle = open(temporary, "x" if staged else "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with handle:
             yield handle
@@ -75,16 +78,15 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     sentences = _read(args.parse_file, read_parse_file)
-    all_candidates = []
-    all_pairs = []
+    all_candidates, all_pairs = [], []
     for sentence in sentences:
         candidates = extract_candidates(sentence)
         all_candidates.extend(candidates)
         all_pairs.extend(form_pairs(candidates, sentence_connectors(sentence)))
-    with _output(args.out_candidates) as out:
-        pipeline.write_candidates_file(all_candidates, out)
-    with _output(args.out_pairs) as out:
-        pipeline.write_pairs_file(all_pairs, out)
+    # Neither file is replaced unless both are written; the pairs file is moved into place last.
+    with _output(args.out_pairs) as pairs, _output(args.out_candidates) as candidates:
+        pipeline.write_candidates_file(all_candidates, candidates)
+        pipeline.write_pairs_file(all_pairs, pairs)
     print(
         "extracted %d candidate(s) and %d pair(s) from %d sentence(s)"
         % (len(all_candidates), len(all_pairs), len(sentences)),
@@ -93,18 +95,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _provider(config: pipeline.PipelineConfig, sentences: Sequence) -> pipeline.CountCache:
-    """build_provider; a corpus counts only the closure, every phrase a decide can ask."""
-    phrases = set().union(*(closure(*s) for s in sentences)) if config.corpus_path else None
-    return pipeline.build_provider(config, phrases)
-
-
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
     sentences = pipeline._sentences(_read(args.pairs_file, pipeline.read_pairs_file))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
-        _provider(config, sentences) if config.has_provider() else contextlib.nullcontext()
+        pipeline.build_provider(config, sentences) if config.has_provider() else nullcontext()
     ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
         # Each pair's rows are written as it is decided, so no record is kept.
         decided, merged, uncounted = pipeline._write_records(pipeline._decisions(
@@ -165,7 +161,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
-    with _provider(config, pipeline._sentences(pairs) if config.corpus_path else []) as provider:
+    # Only a corpus counts the sentences' closure; other providers need no offset tables.
+    sentences = pipeline._sentences(pairs) if config.corpus_path else None
+    with pipeline.build_provider(config, sentences) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)
     return 0

@@ -123,13 +123,11 @@ def find_head_nouns(sentence: ParsedSentence) -> set[int]:
 
 
 def _absorbable(token: ParseToken, members: set[int]) -> bool:
-    # A member must modify the growing candidate, carry an allowed POS,
-    # and be neither a possessive nor a preposition.
+    # A member must modify the growing candidate, carry an allowed POS and not be a possessive.
     return (
         token.head_offset in members
         and token.pos in MEMBER_TAGS
         and token.dep_rel != "poss"
-        and token.pos != PREPOSITION_TAG
     )
 
 

@@ -24,7 +24,7 @@ from .evidence import (
     load_corpus_file,
 )
 from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
-from .extractor import Candidate, CandidatePair, build_pair, form_pairs, merge_pass
+from .extractor import Candidate, CandidatePair, build_pair, closure, form_pairs, merge_pass
 from .measures import (THRESHOLD_NAMES, Score, Thresholds, UndefinedEvidenceError,
                        threshold_value, unithood)
 from .parse_ingest import check_setting, parse_whole, read_json_object, read_rows
@@ -115,11 +115,14 @@ def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConf
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
 
 
-def build_provider(config: PipelineConfig, phrases: Iterable[str] | None = None) -> CountCache:
-    """The config's provider in a CountCache; a corpus counts only ``phrases``, if given."""
+def build_provider(config: PipelineConfig, sentences: Iterable[
+        tuple[Sequence[Candidate], Mapping[int, str]]] | None = None) -> CountCache:
+    """The config's provider in a CountCache.  Given each sentence's (candidates, connectors),
+    a corpus counts only their closure, every phrase a decide on them can ask; else all of it."""
     if config.fixture_path is not None:
         provider: CountProvider = FixtureProvider.from_file(config.fixture_path)
     elif config.corpus_path is not None:
+        phrases = None if sentences is None else {p for s in sentences for p in closure(*s)}
         provider = load_corpus_file(config.corpus_path, phrases)
     elif config.remote is not None:
         provider = RemoteCountClient(config.remote)

@@ -23,11 +23,13 @@ import pytest
 import unithood
 from unithood import Thresholds, extract_candidates, form_pairs, read_parse_file
 from unithood.cli import main
-from unithood.evidence import CountCache, PhraseCounts, load_corpus_file
+from unithood.evidence import CountCache, LocalIndexProvider, PhraseCounts, load_corpus_file
 from unithood.extractor import closure, sentence_connectors
 from unithood.pipeline import (
     _sentences,
+    build_provider,
     decide_pairs,
+    load_config,
     read_pairs_file,
     write_candidates_file,
     write_decisions_file,
@@ -162,6 +164,29 @@ def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_
     for max_passes in (1, 2, 4, 5):
         decide_pairs(pairs, Thresholds(), CountCache(asked), max_passes=max_passes)
     assert asked.keys <= closure_keys
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_build_provider_given_sentences_decides_as_the_whole_index(perfbench, tmp_path,
+                                                                    monkeypatch, seed):
+    """build_provider, given each parsed sentence's candidates and connectors, counts their
+    closure, here in blocks of 256 of the 1000 documents; decide_pairs over it returns what
+    it returns over the whole-file index that build_provider builds without them."""
+    gen, _ = perfbench
+    _corpus_chain(gen, tmp_path, seed, 20, 1000)
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 256)
+    with open(tmp_path / "parse.tsv", encoding="utf-8") as handle:
+        parsed = read_parse_file(handle)
+    sentences = [(extract_candidates(s), sentence_connectors(s)) for s in parsed]
+    pairs = [pair for sentence in sentences for pair in form_pairs(*sentence)]
+    config = load_config(tmp_path / "config.json")
+    with build_provider(config, sentences) as provider:
+        assert isinstance(provider.inner, PhraseCounts)
+        records = decide_pairs(pairs, Thresholds(), provider)
+    with build_provider(config) as provider:
+        assert isinstance(provider.inner, LocalIndexProvider)
+        assert decide_pairs(pairs, Thresholds(), provider) == records
+    assert records, "the seed forms no pair"
 
 
 def _peak_kb(cwd, *argv):

@@ -701,6 +701,61 @@ def test_failed_decide_leaves_its_outputs_alone(tmp_path, out):
         assert result.stdout.splitlines()[1].startswith("1\ta\t\tb\t")
 
 
+@pytest.mark.parametrize("outputs", [("cands.tsv", "missing/dir/pairs.tsv"),
+                                     ("missing/dir/cands.tsv", "pairs.tsv")])
+def test_failed_extract_keeps_its_outputs(tmp_path, fixtures_dir, outputs):
+    """extract replaces neither output unless both are written: when either one cannot be
+    opened, the other file already there keeps its bytes and no temporary is left."""
+    kept = next(name for name in outputs if "/" not in name)
+    (tmp_path / kept).write_text("an earlier run's %s\n" % kept, encoding="utf-8")
+    before = (tmp_path / kept).read_bytes()
+    result = cli_process(tmp_path, "extract", fixtures_dir / "sample_parse.tsv", *outputs)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+    assert (tmp_path / kept).read_bytes() == before
+    assert sorted(path.name for path in tmp_path.rglob("*")) == [kept]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "FIXTURES/sample_parse.tsv", "missing/dir/x.tsv", "pairs.tsv"],
+    ["--config", "FIXTURES/config.json", "decide", "DECIDED/pairs.tsv", "--out",
+     "missing/dir/x.tsv"],
+    ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv", '{"id_t": [3]}',
+     "--out", "missing/dir/x.tsv"],
+], ids=["extract", "decide", "sweep"])
+def test_output_error_names_the_path_given(argv, tmp_path, fixtures_dir, decided, monkeypatch,
+                                           capsys):
+    """An output that cannot be opened is named as the user gave it, not by the temporary
+    file it would have been written to first."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *(a.replace("FIXTURES", str(fixtures_dir))
+                                 .replace("DECIDED", str(decided)) for a in argv))
+    assert code == 1
+    assert err == "error: [Errno 2] No such file or directory: 'missing/dir/x.tsv'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("provider", ["fixture", "corpus"])
+def test_only_a_corpus_warm_builds_offset_tables(provider, tmp_path, fixtures_dir, decided,
+                                                 monkeypatch, capsys):
+    """counts warm builds each sentence's offset tables (pipeline._sentences) only for a
+    corpus, which counts their closure; a fixture warm never calls it."""
+    (tmp_path / "corpus.txt").write_text("mental health\n", encoding="utf-8")
+    (tmp_path / "corpus.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
+    config = fixtures_dir / "config.json" if provider == "fixture" else tmp_path / "corpus.json"
+    calls = []
+
+    def spy(pairs):
+        calls.append(len(pairs))
+        return sentences(pairs)
+
+    sentences = pipeline._sentences
+    monkeypatch.setattr(pipeline, "_sentences", spy)
+    code, _, err = run(capsys, "--config", config, "counts", "warm", decided / "pairs.tsv")
+    assert code == 0, err
+    assert len(calls) == (provider == "corpus")
+
+
 def test_decide_writes_through_a_link_and_into_a_pipe(extracted, fixtures_dir, tmp_path, capsys):
     """A link keeps pointing at the file it names, and a pipe is written in place."""
     _, pairs = extracted

@@ -24,6 +24,7 @@ from unithood import (
     normalize_phrase,
 )
 from unithood.evidence import PhraseCounts, load_corpus_file
+from unithood.extractor import Candidate
 from unithood.pipeline import PipelineConfig, build_provider
 
 
@@ -1116,11 +1117,14 @@ def test_corpus_counted_in_blocks_applies_the_limits_to_each_block(tmp_path, mon
 
 @pytest.mark.parametrize("policy", ["error", "zero"])
 def test_corpus_counted_in_blocks_refuses_a_phrase_it_did_not_count(tmp_path, policy):
-    """A phrase outside the counted set is an error naming it, never a count of 0, whatever
-    the missing-count policy; a blank phrase fails before any line is read."""
+    """A phrase outside the closure of the sentences given is an error naming it, never a
+    count of 0, whatever the missing-count policy; a blank phrase fails before any line is
+    read."""
     (tmp_path / "corpus.txt").write_text("a b\nb c\n", encoding="utf-8")
     config = PipelineConfig(corpus_path=str(tmp_path / "corpus.txt"), missing_count_policy=policy)
-    with build_provider(config, ["a b", "B  C"]) as provider:
+    sentences = [([Candidate(sentence_id, (1,), x), Candidate(sentence_id, (2,), y)], {})
+                 for sentence_id, x, y in (("s1", "a", "B"), ("s2", "b", "C"))]
+    with build_provider(config, sentences) as provider:  # counts a, B, a B, b, C and b C
         assert (provider.count("A B"), provider.count("b c")) == (1, 1)
         with pytest.raises(ValueError, match="^phrase 'c d' was not counted in the corpus$"):
             provider.count("c  d")
