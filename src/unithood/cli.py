@@ -57,6 +57,16 @@ def _output(path: str | None) -> Iterator[TextIO | None]:
         raise
 
 
+def _distinct_outputs(*paths: str | None) -> None:
+    """Refuse two outputs that are one file, before anything is read or written."""
+    seen: set[str] = set()
+    for path in paths:
+        if path is not None and path != "-":
+            if (real := os.path.realpath(path)) in seen:
+                raise ValueError("two outputs are one file: %s" % path)
+            seen.add(real)
+
+
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     cache = args.cache or None  # the option replaces the config's cache_path
     if args.config:
@@ -77,6 +87,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    _distinct_outputs(args.out_candidates, args.out_pairs)
     sentences = _read(args.parse_file, read_parse_file)
     all_candidates, all_pairs = [], []
     for sentence in sentences:
@@ -97,6 +108,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    _distinct_outputs(args.out, args.decorated_out, config.cache_path)
     sentences = pipeline._sentences(_read(args.pairs_file, pipeline.read_pairs_file))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (

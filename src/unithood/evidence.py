@@ -13,16 +13,19 @@ hit the network at most once per phrase.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+import threading
 import time
 import urllib.parse
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Mapping, Protocol, TextIO
+from typing import (Any, BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Protocol,
+                    TextIO)
 
 from .parse_ingest import ParseFileError, check_setting, parse_whole, read_json_object, read_rows
 
@@ -174,8 +177,9 @@ class PhraseCounts(dict):
     count.  ``provider_id`` is the index's, so either one's cache rows serve the other."""
 
     provider_id = LocalIndexProvider.provider_id
-    # Each block looks up every phrase: with 1,610 phrases over 50,200 documents, blocks of
-    # 1,024 peaked at 18.9 MB but took 45% longer, 4,096 at 20.3 MB in a whole index's time.
+    # Each counting process holds one block at a time and looks up every phrase in it: with
+    # 1,610 phrases over 50,200 documents in one process, blocks of 1,024 peaked at 18.9 MB
+    # but took 45% longer, 4,096 at 20.3 MB in a whole index's time.
     _BLOCK_DOCUMENTS = 4096
 
     def count(self, phrase: str) -> int:
@@ -184,31 +188,119 @@ class PhraseCounts(dict):
         return count
 
 
+def _documents(handle: BinaryIO, at: list[int]) -> Iterator[str]:
+    """The corpus reader: the non-blank str.splitlines() pieces of each line of ``handle``,
+    which ends at LF and is decoded alone.  at[0] is the number of the line being read."""
+    for at[0], line in enumerate(handle, 1):
+        for document in line.decode("utf-8").splitlines():
+            if document.strip():
+                yield document
+
+
 def load_corpus_file(path: str | Path, phrases: Iterable[str] | None = None
                      ) -> LocalIndexProvider | PhraseCounts:
     """Index a UTF-8 text file with one document per str.splitlines() line, or, given
-    ``phrases``, count just those: one block of documents at a time is indexed, its counts
-    added and the block dropped, so the index's limits apply to each block.
+    ``phrases``, count just those: the documents are cut into blocks, each block is indexed,
+    its counts added and the block dropped, so the index's limits apply to each block.  One
+    process per CPU this one may use counts every n-th block (see ``_parts``).
 
     A line that is not UTF-8, or one past the token or document limit, raises
-    ParseFileError naming the file and the line (lines end at LF).
+    ParseFileError naming the file and the line; of several, the first in the file.
     """
-    counts = None if phrases is None else PhraseCounts.fromkeys(map(_lookup_key, phrases), 0)
-    at = [0]  # the number of the line being read, for the error
-    with open(path, "rb") as handle:  # streamed: one line of bytes at a time, decoded alone
-        documents = (d for at[0], line in enumerate(handle, 1)
-                     for d in line.decode("utf-8").splitlines() if d.strip())
+    if phrases is not None:
+        keys = dict.fromkeys(map(_lookup_key, phrases))
+        return PhraseCounts(zip(keys, _count_corpus(path, [key.split() for key in keys])))
+    at = [0]
+    with open(path, "rb") as handle:
         try:
-            if counts is None:
-                return LocalIndexProvider(documents)
-            split = [(key, key.split()) for key in counts]
-            while (block := LocalIndexProvider(islice(documents, counts._BLOCK_DOCUMENTS)))._docs:
-                for key, tokens in split:
-                    counts[key] += block._frequency(tokens)
-                del block  # before the next block is indexed
+            return LocalIndexProvider(_documents(handle, at))
         except ValueError as exc:  # UnicodeDecodeError is a ValueError
             raise ParseFileError(str(exc), at[0], "corpus %s" % path) from None
-    return counts
+
+
+def _parts(path: str | Path) -> int:
+    """One counting process for each CPU this process may use, but no more than the file
+    has blocks, as each process reads all of it.  One alone where fork is missing, where
+    another thread runs (a forked copy of a threaded process may deadlock), or where the
+    corpus is no regular file: a pipe is read once, so no two processes can both read it."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1 or not os.path.isfile(path):
+        return 1
+    # A document takes at least two bytes, one of its own and one that ends it, but the last.
+    documents = (os.path.getsize(path) + 1) // 2
+    blocks = -(-documents // PhraseCounts._BLOCK_DOCUMENTS)
+    return max(1, min(len(os.sched_getaffinity(0)), blocks))
+
+
+def _count_blocks(path: str | Path, phrases: list[list[str]], part: int, parts: int
+                  ) -> tuple[list[int], list | None]:
+    """Each phrase's count, given as its tokens, over blocks part, part + parts, ... of the
+    corpus, and the first error met there as [line, block, message], or None."""
+    size, counts, at = PhraseCounts._BLOCK_DOCUMENTS, [0] * len(phrases), [0, 0]
+    with open(path, "rb") as handle:
+        blocks = groupby(enumerate(_documents(handle, at)), lambda item: item[0] // size)
+        try:
+            for at[1], block in islice(blocks, part, None, parts):
+                index = LocalIndexProvider(document for _, document in block)
+                for i, tokens in enumerate(phrases):
+                    counts[i] += index._frequency(tokens)
+                del index  # before the next block is indexed
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError
+            return counts, [at[0], at[1], str(exc)]
+    return counts, None
+
+
+def _count_corpus(path: str | Path, phrases: list[list[str]]) -> list[int]:
+    """The counts of ``phrases`` in the corpus: this process counts part 0 of ``_parts``
+    while a forked child counts each other part and sends its result through a pipe.  Of
+    the errors met, the one of the first line, then block, is the one a single process
+    meets first; a child that fails or sends no result raises OSError, never a count."""
+    parts, children = _parts(path), []  # (pid, read end of its pipe) of each child not reaped
+    try:
+        for part in range(1, parts):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves here only through os._exit, never by returning
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(json.dumps(_count_blocks(path, phrases, part, parts)).encode())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [_count_blocks(path, phrases, 0, parts)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            try:
+                if status != 0:
+                    raise ValueError("exited with status %d" % status)
+                counts, error = json.loads(data)
+                if len(counts) != len(phrases):
+                    raise ValueError("sent %d counts for %d phrases" % (len(counts), len(phrases)))
+            except (ValueError, TypeError) as exc:
+                raise OSError("corpus %s: a counting process failed: %s" % (path, exc)) from None
+            results.append((counts, error))
+    finally:
+        if children:  # only on an error: stop and reap the rest
+            import signal  # not loaded on the way to a count
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    errors = [error for _, error in results if error is not None]
+    if errors:
+        line, _, message = min(errors)
+        raise ParseFileError(message, line, "corpus %s" % path)
+    return [sum(counts) for counts in zip(*(counts for counts, _ in results))]
 
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:

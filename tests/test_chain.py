@@ -141,12 +141,14 @@ def _corpus_chain(gen, directory, seed, sentences, documents):
 def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_path,
                                                                   monkeypatch, seed):
     """The CLI's decide counts only the closure of its pairs, here in blocks of 256 of the
-    1000 documents, and writes what decide_pairs writes over a whole-file index; every
-    phrase that library run asks, under one to five merge passes, is in the closure."""
+    1000 documents by one to three processes, and writes what decide_pairs writes over a
+    whole-file index; every phrase that library run asks, under one to five merge passes,
+    is in the closure."""
     gen, _ = perfbench
     _corpus_chain(gen, tmp_path, seed, 20, 1000)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 + seed % 3)))
     assert main(["extract", "parse.tsv", "candidates.tsv", "pairs.tsv"]) == 0
     assert main(["--config", "config.json", "decide", "pairs.tsv", "--out", "decisions.tsv",
                  "--decorated-out", "decorated.tsv"]) == 0
@@ -170,11 +172,13 @@ def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_
 def test_build_provider_given_sentences_decides_as_the_whole_index(perfbench, tmp_path,
                                                                     monkeypatch, seed):
     """build_provider, given each parsed sentence's candidates and connectors, counts their
-    closure, here in blocks of 256 of the 1000 documents; decide_pairs over it returns what
-    it returns over the whole-file index that build_provider builds without them."""
+    closure, here in blocks of 256 of the 1000 documents by one to three processes;
+    decide_pairs over it returns what it returns over the whole-file index that
+    build_provider builds without them."""
     gen, _ = perfbench
     _corpus_chain(gen, tmp_path, seed, 20, 1000)
     monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 + (seed + 1) % 3)))
     with open(tmp_path / "parse.tsv", encoding="utf-8") as handle:
         parsed = read_parse_file(handle)
     sentences = [(extract_candidates(s), sentence_connectors(s)) for s in parsed]

@@ -716,6 +716,42 @@ def test_failed_extract_keeps_its_outputs(tmp_path, fixtures_dir, outputs):
     assert sorted(path.name for path in tmp_path.rglob("*")) == [kept]
 
 
+@pytest.mark.parametrize("outputs", [("out.tsv", "out.tsv"), ("out.tsv", "./link.tsv")])
+def test_extract_refuses_two_outputs_on_one_file(tmp_path, fixtures_dir, monkeypatch, capsys,
+                                                 outputs):
+    """Two outputs that are one file, by name or through a link, fail naming the second
+    before anything is written: the file there keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.tsv").write_text("an earlier run's output\n", encoding="utf-8")
+    (tmp_path / "link.tsv").symlink_to("out.tsv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code, _, err = run(capsys, "extract", fixtures_dir / "sample_parse.tsv", *outputs)
+    assert (code, err) == (1, "error: two outputs are one file: %s\n" % outputs[1])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("options", [
+    ["decide", "pairs.tsv", "--out", "out.tsv", "--decorated-out", "./out.tsv"],
+    ["decide", "pairs.tsv", "--out", "link.tsv", "--decorated-out", "out.tsv"],
+    ["--cache", "out.tsv", "decide", "pairs.tsv", "--out", "out.tsv"],
+], ids=["decorated", "link", "cache"])
+def test_decide_refuses_two_outputs_on_one_file(tmp_path, fixtures_dir, decided, monkeypatch,
+                                                capsys, options):
+    """The decisions, decorated and cache files must be three files: two that are one fail
+    naming the later before anything is counted or written; "-" may repeat."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(decided / "pairs.tsv", tmp_path / "pairs.tsv")
+    (tmp_path / "out.tsv").write_text("an earlier run's output\n", encoding="utf-8")
+    (tmp_path / "link.tsv").symlink_to("out.tsv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    code, _, err = run(capsys, "--config", fixtures_dir / "config.json", *options)
+    assert (code, err) == (1, "error: two outputs are one file: %s\n" % options[-1])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    code, out, _ = run(capsys, "--config", fixtures_dir / "config.json", "decide", "pairs.tsv",
+                       "--out", "-", "--decorated-out", "-")
+    assert code == 0 and out.count("# pair_id") == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "FIXTURES/sample_parse.tsv", "missing/dir/x.tsv", "pairs.tsv"],
     ["--config", "FIXTURES/config.json", "decide", "DECIDED/pairs.tsv", "--out",

@@ -1,8 +1,13 @@
 import http.client
+import itertools
 import json
+import os
 import random
+import re
+import subprocess
 import time
 import urllib.error
+import warnings
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -23,6 +28,7 @@ from unithood import (
     TransportError,
     normalize_phrase,
 )
+from unithood import evidence
 from unithood.evidence import PhraseCounts, load_corpus_file
 from unithood.extractor import Candidate
 from unithood.pipeline import PipelineConfig, build_provider
@@ -1068,26 +1074,37 @@ def test_local_index_names_its_token_limit(monkeypatch):
 CORPUS_PIECES = ["a", "b", "ab", "A", " ", "\t", "a b", "a b a b", "\n", "\r\n", "\n\n", "\x0c"]
 
 
+def _cpus(n):
+    """A patch of os.sched_getaffinity that gives this process n CPUs, so n counting parts."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(CORPUS_PIECES), max_size=60),
        st.lists(st.lists(st.sampled_from(["a", "b", "ab", "zz"]), min_size=1, max_size=4),
                 min_size=1, max_size=8))
 def test_corpus_counted_in_blocks_matches_the_whole_index(tmp_path_factory, pieces, phrases):
-    """Counts summed over blocks of 1, 2 and 3 documents equal the whole-file index's and a
-    brute-force scan of the file's lines; "a b a b" repeats a phrase within a document."""
+    """Counts summed over blocks of 1, 2 and 3 documents, by 1, 2 and 3 processes, equal the
+    whole-file index's and a brute-force scan of the file's lines; "a b a b" repeats a
+    phrase within a document."""
     text = "".join(pieces)
     path = tmp_path_factory.mktemp("corpus") / "corpus.txt"
     path.write_bytes(text.encode("utf-8"))
     documents = [line.lower().split() for line in text.splitlines() if line.strip()]
     phrases = [" ".join(p) for p in phrases]
     whole = load_corpus_file(path)
-    for size in (1, 2, 3):
-        with mock.patch.object(PhraseCounts, "_BLOCK_DOCUMENTS", size):
+    for size, parts in itertools.product((1, 2, 3), (1, 2, 3)):
+        with mock.patch.object(PhraseCounts, "_BLOCK_DOCUMENTS", size), _cpus(parts):
             counted = load_corpus_file(path, phrases + [p.upper() for p in phrases])
         assert counted.provider_id == whole.provider_id == "local-index"
         for phrase in phrases:
             expected = naive_document_frequency(documents, phrase.split())
-            assert counted.count(phrase) == whole.count(phrase) == expected, (size, phrase)
+            assert counted.count(phrase) == whole.count(phrase) == expected, (size, parts, phrase)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -1095,10 +1112,14 @@ def test_corpus_counted_in_blocks_names_the_line_in_a_later_block(tmp_path, monk
     monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", size)
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"a b\r\n\nc\x0cd\nb a\n\na \xff b\nc\n")
-    with pytest.raises(ParseFileError) as err:
-        load_corpus_file(path, ["a b"])
-    assert err.value.line_number == 6
-    assert str(err.value).startswith("corpus %s line 6: 'utf-8' codec can't decode" % path)
+    messages = set()
+    for parts in (1, 2, 3):
+        with _cpus(parts), pytest.raises(ParseFileError) as err:
+            load_corpus_file(path, ["a b"])
+        assert err.value.line_number == 6
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert messages.pop().startswith("corpus %s line 6: 'utf-8' codec can't decode" % path)
 
 
 def test_corpus_counted_in_blocks_applies_the_limits_to_each_block(tmp_path, monkeypatch):
@@ -1106,13 +1127,130 @@ def test_corpus_counted_in_blocks_applies_the_limits_to_each_block(tmp_path, mon
     monkeypatch.setattr(LocalIndexProvider, "_MAX_TOKENS", 3)
     path = tmp_path / "corpus.txt"
     path.write_text("a b\nc a\n\nd e\nf\nb d\ng\n", encoding="utf-8")  # 7 tokens, 3 a block
-    assert load_corpus_file(path, ["a", "d e", "b"]) == {"a": 2, "d e": 1, "b": 2}
+    for parts in (1, 2, 3):
+        with _cpus(parts):
+            assert load_corpus_file(path, ["a", "d e", "b"]) == {"a": 2, "d e": 1, "b": 2}
     with pytest.raises(ParseFileError, match="line 4: a local index holds at most 3 tokens$"):
         load_corpus_file(path)
     path.write_text("a b\nc a\n\nd e\nf g\n", encoding="utf-8")
-    with pytest.raises(ParseFileError) as err:
+    for parts in (1, 2, 3):
+        with _cpus(parts), pytest.raises(ParseFileError) as err:
+            load_corpus_file(path, ["a"])
+        assert str(err.value) == "corpus %s line 5: a local index holds at most 3 tokens" % path
+
+
+def test_corpus_counted_in_blocks_raises_the_error_a_single_process_meets_first(
+        tmp_path, monkeypatch):
+    """Blocks of 2: block 1 (lines 3-4) passes the token limit at line 4, block 2 at line
+    6 and block 3 at line 7, and line 9 is not UTF-8.  Each process stops at its first
+    error; whoever counts block 1, the error names line 4, as one process's would."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 2)
+    monkeypatch.setattr(LocalIndexProvider, "_MAX_TOKENS", 3)
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"a\nb\nc d\ne f\ng h\ni j\nk l m n\no\n\xff\n")
+    for parts in (1, 2, 3):
+        with _cpus(parts), pytest.raises(ParseFileError) as err:
+            load_corpus_file(path, ["a"])
+        assert str(err.value) == "corpus %s line 4: a local index holds at most 3 tokens" % path
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_corpus_counted_in_blocks_forks_a_process_per_other_cpu(tmp_path, monkeypatch, parts):
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nb c\nc a\nd\n", encoding="utf-8")
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with _cpus(parts):
+        assert load_corpus_file(path, ["a", "b c", "d"]) == {"a": 2, "b c": 1, "d": 1}
+    assert len(forks) == parts - 1
+    assert_no_child_left()
+
+
+def test_corpus_counted_by_a_failed_process_raises_never_counts(tmp_path, monkeypatch):
+    """A child that exits with status 1, or sends fewer counts than phrases, fails the load
+    naming the corpus; every child is reaped either way."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nb c\n", encoding="utf-8")
+    count_blocks = evidence._count_blocks
+
+    def exits(path, phrases, part, parts):
+        if part:
+            os._exit(1)
+        return count_blocks(path, phrases, part, parts)
+
+    def short(path, phrases, part, parts):
+        counts, error = count_blocks(path, phrases, part, parts)
+        return (counts[1:] if part else counts), error
+
+    for fails, reason in ((exits, "exited with status 1"), (short, "sent 1 counts for 2")):
+        monkeypatch.setattr(evidence, "_count_blocks", fails)
+        with _cpus(2), pytest.raises(OSError, match="^corpus %s: a counting process failed: %s"
+                                                   % (re.escape(str(path)), reason)):
+            load_corpus_file(path, ["a", "b"])
+        assert_no_child_left()
+
+
+def test_corpus_counted_in_blocks_reaps_a_running_child_on_interrupt(tmp_path, monkeypatch):
+    """An interrupt while this process counts its own part kills and reaps the child."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nb c\n", encoding="utf-8")
+
+    def interrupted(path, phrases, part, parts):
+        if part:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evidence, "_count_blocks", interrupted)
+    started = time.monotonic()
+    with _cpus(2), pytest.raises(KeyboardInterrupt):
         load_corpus_file(path, ["a"])
-    assert str(err.value) == "corpus %s line 5: a local index holds at most 3 tokens" % path
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_corpus_in_a_pipe_is_counted_by_one_process(tmp_path, monkeypatch):
+    """Every counting process reads the whole file, and a pipe can be read only once: a
+    corpus that is a pipe is counted in this process alone, and counted right; so is a
+    file too small to hold more than one block."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    path = tmp_path / "corpus"
+    os.mkfifo(path)
+    writer = subprocess.Popen(["sh", "-c", 'printf "a b\\nb c\\nc a\\n" > "$0"', str(path)])
+    try:
+        with _cpus(3):
+            assert load_corpus_file(path, ["a", "b c"]) == {"a": 2, "b c": 1}
+    finally:
+        writer.kill()
+        writer.wait(10)
+    (tmp_path / "small.txt").write_text("a b\n", encoding="utf-8")  # 4 bytes: 2 documents at most
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 2)
+    with _cpus(3):
+        assert load_corpus_file(tmp_path / "small.txt", ["a b"]) == {"a b": 1}
+
+
+def test_corpus_counted_with_another_thread_running_forks_nothing(tmp_path, monkeypatch,
+                                                                  count_server):
+    """Forking a process that runs another thread may deadlock the child (Python 3.12 warns),
+    so with the count server's thread alive the load counts every block in this process."""
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nb c\nc a\n", encoding="utf-8")
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with _cpus(3):
+            assert load_corpus_file(path, ["a", "b c"]) == {"a": 2, "b c": 1}
 
 
 @pytest.mark.parametrize("policy", ["error", "zero"])
