@@ -56,42 +56,6 @@ from .pipeline import decide_pairs, load_config
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Candidate",
-    "CandidatePair",
-    "ContingencyTable",
-    "CountCache",
-    "EvaluationError",
-    "EvidenceSet",
-    "FixtureProvider",
-    "LocalIndexProvider",
-    "MissingCountError",
-    "ParsedSentence",
-    "ParseFileError",
-    "ParseToken",
-    "RemoteClientConfig",
-    "RemoteCountClient",
-    "Score",
-    "SweepPoint",
-    "Thresholds",
-    "TransportError",
-    "UndefinedEvidenceError",
-    "build_pair",
-    "compute_metrics",
-    "decide_pairs",
-    "decision_rule",
-    "extract_candidates",
-    "find_head_nouns",
-    "form_pairs",
-    "independence",
-    "independence_ratio",
-    "load_config",
-    "merge_pass",
-    "normalize_phrase",
-    "read_parse_file",
-    "score",
-    "sentence_connectors",
-    "sweep",
-    "unithood",
-    "weight",
-]
+# The public API is every public name imported above from the package's own modules.
+__all__ = [name for name, value in list(globals().items()) if not name.startswith("_")
+           and getattr(value, "__module__", "").startswith(__name__ + ".")]

@@ -233,6 +233,13 @@ def _parts(path: str | Path) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
 
 
+def _stamp(path: str | Path) -> tuple[int, ...] | None:
+    """A regular file's device, inode, size and mtime, else None: a pipe's mtime moves as it
+    is written, and only one process reads it."""
+    stat = os.stat(path) if os.path.isfile(path) else None
+    return stat and (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 def _count_blocks(path: str | Path, phrases: list[list[str]], part: int, parts: int
                   ) -> tuple[list[int], list | None]:
     """Each phrase's count, given as its tokens, over blocks part, part + parts, ... of the
@@ -255,7 +262,9 @@ def _count_corpus(path: str | Path, phrases: list[list[str]]) -> list[int]:
     """The counts of ``phrases`` in the corpus: this process counts part 0 of ``_parts``
     while a forked child counts each other part and sends its result through a pipe.  Of
     the errors met, the one of the first line, then block, is the one a single process
-    meets first; a child that fails or sends no result raises OSError, never a count."""
+    meets first; a child that fails or sends no result, or a corpus replaced or changed
+    before every part is counted, raises OSError, never a count."""
+    stamp = _stamp(path)  # before any process opens the file
     parts, children = _parts(path), []  # (pid, read end of its pipe) of each child not reaped
     try:
         for part in range(1, parts):
@@ -296,6 +305,8 @@ def _count_corpus(path: str | Path, phrases: list[list[str]]) -> list[int]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    if _stamp(path) != stamp:
+        raise OSError("corpus %s changed while it was counted" % path)
     errors = [error for _, error in results if error is not None]
     if errors:
         line, _, message = min(errors)

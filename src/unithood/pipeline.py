@@ -322,7 +322,8 @@ def write_eval_report(table: ContingencyTable, stream: TextIO) -> None:
 
 
 def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
-    """Map each surface triple (a_x, b, a_y) to its Score."""
+    """Map each surface triple (a_x, b, a_y) to its Score.  An a_x written as " #..." loses the
+    space, which only keeps the row from being read as a comment, as in the count cache."""
     first = SCORE_COLUMNS.index("mi")
 
     def row(columns: list[str]) -> tuple[tuple[str, ...], Score]:
@@ -330,7 +331,8 @@ def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
         scores = (float(mi), float(id_x), float(id_y), None if idr == "NA" else float(idr))
         if not all(math.isfinite(v) for v in scores if v is not None):
             raise ValueError("scores must be finite, got %s" % ", ".join(columns[first:]))
-        return tuple(columns[:first]), Score(*scores)
+        a_x = columns[0][1:] if columns[0].startswith(" #") else columns[0]
+        return (a_x, *columns[1:first]), Score(*scores)
 
     return dict(read_rows(stream, len(SCORE_COLUMNS), "scores file", row, itemgetter(0),
                           "duplicate surface triple (%r, %r, %r)"))

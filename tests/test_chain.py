@@ -1,12 +1,15 @@
-"""The corpus-path chain against the benchmark's independent reference.
+"""The benchmark's command chains against its independent reference.
 
-``perfbench/gen.py`` generates parse files and a corpus from a seed, and
-``perfbench/reference.py`` computes every output file without importing
-the package, with document counts from a brute-force n-gram scan.  Both
-are loaded here by path and are not edited.  Each seed runs the package
-as ``extract`` and ``decide`` with a ``{"corpus": PATH}`` provider do:
-parse file -> candidates and pairs files -> pairs read back -> decide
-against the local index -> decisions and decorated files.
+``perfbench/gen.py`` generates parse files, a corpus, fixture counts and
+decorated pairs from a seed, and ``perfbench/reference.py`` computes
+every output file without importing the package, with document counts
+from a brute-force n-gram scan.  Both are loaded here by path and are not
+edited.  Each seed runs the package as a benchmark workload's commands
+do, on smaller inputs: ``extract`` and ``decide`` with a
+``{"corpus": PATH}`` provider (parse file -> candidates and pairs files
+-> pairs read back -> decide against the local index -> decisions and
+decorated files); ``extract``, ``counts warm``, ``decide --cache`` and
+``eval`` with fixture counts; and ``sweep`` over decorated pairs.
 """
 
 import importlib.util
@@ -15,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.parse
 from pathlib import Path
 from unittest import mock
 
@@ -220,3 +224,114 @@ def test_corpus_decide_peak_memory_does_not_grow_with_the_corpus(perfbench, tmp_
     small, large = (_peak_kb(tmp_path, "--config", config, "decide", "pairs.tsv", "--out", out)
                     for config, out in (("config.json", "small.tsv"), ("large.json", "large.tsv")))
     assert abs(large - small) < 2048, (small, large)
+
+
+def _bulk_chain(gen, reference, directory, seed, sentences):
+    """Write the bulk_cached workload's inputs at this many sentences: a parse file, the
+    fixture counts it asks for, their config and the gold labels.  Return the counts, the
+    reference's decision records and its candidates, pairs, decisions and eval report."""
+    inventory = gen.make_inventory(seed)
+    parsed = gen.make_sentences(seed, inventory, sentences)
+    gen.write_parse_file(parsed, directory / "parse.tsv")
+    counts = gen.FixtureCounts(seed, inventory.units)
+
+    def count(s, ax, ay):  # as perfbench/run.py's bulk_cached draws them
+        n_ax, n_ay = (counts.table[p] if p in counts.table else counts.term(p) for p in (ax, ay))
+        return counts.linked(s, n_ax, n_ay), n_ax, n_ay
+
+    records = reference.decide(parsed, count, inventory.units)
+    assert records, "the seed forms no pair"
+    gen.write_json(counts.table, directory / "counts.json")
+    gen.write_json({"provider": {"fixture": "counts.json"}}, directory / "config.json")
+    gen.write_gold([(str(i), r[-1]) for i, r in enumerate(records, start=1)],
+                   directory / "gold.tsv")
+    return counts.table, records, {
+        "candidates.tsv": reference.candidates_file(parsed),
+        "pairs.tsv": reference.pairs_file(parsed),
+        "decisions.tsv": reference.decisions_file(records),
+        "eval.txt": reference.eval_output([r[-2] for r in records], [r[-1] for r in records]),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bulk_cached_chain_matches_the_reference(perfbench, tmp_path, monkeypatch, capsys, seed):
+    """The bulk_cached chain at 100 sentences: extract, counts warm into an empty cache,
+    decide from the cache, eval.  Every file equals the reference's, and the cache holds one
+    row for each phrase the reference asked, with its fixture count."""
+    gen, reference = perfbench
+    table, _, expected = _bulk_chain(gen, reference, tmp_path, seed, 100)
+    monkeypatch.chdir(tmp_path)
+    cached = ["--config", "config.json", "--cache", "cache.tsv"]
+    assert main(["extract", "parse.tsv", "candidates.tsv", "pairs.tsv"]) == 0
+    assert main(cached + ["counts", "warm", "pairs.tsv"]) == 0
+    assert main(cached + ["decide", "pairs.tsv", "--out", "decisions.tsv"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "decisions.tsv", "gold.tsv"]) == 0
+    (tmp_path / "eval.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+    rows = [line.split("\t") for line in (tmp_path / "cache.tsv").read_text().splitlines()]
+    assert len(rows) == len(table)
+    assert {phrase.lower(): int(count) for phrase, count, _, _ in rows} == table
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eval_matches_the_reference(perfbench, tmp_path, capsys, seed):
+    """eval's report on the reference's decisions, on all of them and on the first one, with
+    the gold labels as drawn and flipped; a table with an empty margin reports NA."""
+    gen, reference = perfbench
+    _, records, _ = _bulk_chain(gen, reference, tmp_path, seed, 30)
+    for rows, flip in ((len(records), False), (len(records), True), (1, False), (1, True)):
+        decided = [r[-2] for r in records[:rows]]
+        gold = [r[-1] != flip for r in records[:rows]]
+        (tmp_path / "decisions.tsv").write_text(reference.decisions_file(records[:rows]))
+        gen.write_gold(list(zip(map(str, range(1, rows + 1)), gold)), tmp_path / "gold.tsv")
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "decisions.tsv"), str(tmp_path / "gold.tsv")]) == 0
+        assert capsys.readouterr().out == reference.eval_output(decided, gold), (rows, flip)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_matches_the_reference(perfbench, tmp_path, seed):
+    """sweep's file on the sweep_grid workload's 360-point grid, over 200 decorated pairs."""
+    gen, reference = perfbench
+    rows = gen.make_decorated(seed, gen.make_inventory(seed), 200)
+    gen.write_decorated(rows, tmp_path / "decorated.tsv")
+    gen.write_gold([(r.pair_id, r.gold) for r in rows], tmp_path / "gold.tsv")
+    gen.write_json(gen.SWEEP_GRID, tmp_path / "grid.json")
+    assert main(["sweep"] + [str(tmp_path / name) for name in ("decorated.tsv", "gold.tsv",
+                                                                "grid.json")]
+                + ["--out", str(tmp_path / "sweep.tsv")]) == 0
+    assert (tmp_path / "sweep.tsv").read_text(encoding="utf-8") == reference.sweep_file(
+        [(r.n_s, r.n_ax, r.n_ay) for r in rows], [r.gold for r in rows])
+
+
+def test_bulk_decide_served_by_a_loopback_server_matches_the_fixture_run(
+        perfbench, tmp_path, monkeypatch, count_server):
+    """The bulk_cached decide with its counts served by a loopback search endpoint, one
+    request for each phrase, writes the fixture run's decisions byte for byte; run again
+    with the server stopped, it decides the same from its cache and makes no request."""
+    gen, reference = perfbench
+    table, _, expected = _bulk_chain(gen, reference, tmp_path, 1, 50)
+
+    def reply(path):
+        phrase = urllib.parse.parse_qs(urllib.parse.urlsplit(path).query)["q"][0]
+        return 200, {}, json.dumps({"total": table[phrase.strip('"').lower()]}).encode()
+
+    count_server.reply = reply
+    remote = {"endpoint_template": count_server.url + "/?q={query}", "count_path": "total",
+              "min_delay_ms": 0}
+    gen.write_json({"provider": {"remote": remote}}, tmp_path / "remote.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "parse.tsv", "candidates.tsv", "pairs.tsv"]) == 0
+    assert main(["--config", "config.json", "decide", "pairs.tsv", "--out", "fixture.tsv"]) == 0
+    decide = ["--config", "remote.json", "--cache", "cache.tsv", "decide", "pairs.tsv", "--out"]
+    assert main(decide + ["served.tsv"]) == 0
+    assert len(count_server.paths) == len(set(count_server.paths)) == len(table)
+    count_server.stop()
+    assert main(decide + ["cached.tsv"]) == 0
+    assert len(count_server.paths) == len(table)
+    fixture = (tmp_path / "fixture.tsv").read_text(encoding="utf-8")
+    assert fixture == expected["decisions.tsv"]
+    for name in ("served.tsv", "cached.tsv"):
+        assert (tmp_path / name).read_text(encoding="utf-8") == fixture, name

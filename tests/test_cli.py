@@ -118,6 +118,21 @@ class TestDecide:
         # scores echo verbatim at 4 decimals
         assert rows[0][4:8] == ["1.6989", "7.3765", "0.2303", "1.5466"]
 
+    def test_scores_leave_their_pairs_out_of_the_decorated_file(self, fixtures_dir, tmp_path,
+                                                                  capsys):
+        """A decorated row carries raw counts, and injected scores have none: each pair they
+        decide is left out of the decorated file, and a note on stderr says how many."""
+        code, out, err = run(capsys, "decide", fixtures_dir / "reference_pairs.tsv",
+                             "--scores", fixtures_dir / "reference_scores.tsv",
+                             "--out", tmp_path / "decisions.tsv",
+                             "--decorated-out", tmp_path / "decorated.tsv")
+        assert (code, out) == (0, "")
+        assert err == ("5 pair(s) decided from injected scores carry no raw counts and were "
+                       "left out of the decorated file\ndecided 5 pair(s): 1 merged, "
+                       "4 not merged\n")
+        assert (tmp_path / "decorated.tsv").read_text(encoding="utf-8") == (
+            "# pair_id\ta_x\tb\ta_y\ts\tn_s\tn_ax\tn_ay\n")
+
     def test_decisions_on_stdout_by_default(self, fixtures_dir, capsys):
         code, out, _ = run(
             capsys,
@@ -487,6 +502,20 @@ class TestSweep:
         )
         assert (code, out) == (1, "")
         assert err == "error: %s\n" % message.format(dir=tmp_path)
+
+    def test_invalid_grid_point_is_skipped_with_a_note(self, fixtures_dir, tmp_path, capsys):
+        """A point the thresholds refuse is left out of the report, named on stderr; the rest
+        are swept."""
+        code, out, err = run(capsys, "sweep", fixtures_dir / "decorated_pairs.tsv",
+                             fixtures_dir / "sweep_gold.tsv", '{"id_t": [-1, 6]}',
+                             "--out", tmp_path / "report.tsv")
+        assert (code, out) == (0, "")
+        assert err == ("note: skipping grid point {'mi_plus': 0.9, 'mi_minus': 0.02, "
+                       "'id_t': -1.0, 'idr_plus': 1.35, 'idr_minus': 0.93}: id_t must be "
+                       "non-negative\nswept 1 grid point(s)\n")
+        rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()
+                if not line.startswith("#")]
+        assert [row[2] for row in rows] == ["6"]
 
     @pytest.mark.parametrize(
         "value",
@@ -860,6 +889,9 @@ _BAD_PAIRS = ["--config", "FIXTURES/config.json", "decide", "bad_pairs.tsv"]
                   "pairs.tsv"], "count cache line 1: ", id="cache-negative-count"),
     pytest.param({}, ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv",
                       '{"id_x": []}'], None, id="grid-unknown-empty-axis"),
+    pytest.param({}, ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv",
+                      '{"mi_plus": [0.9], "id_t": 6}'],
+                 r"^error: grid axis 'id_t' must be a list of numbers$", id="grid-axis-not-a-list"),
     # A corpus line that is not UTF-8 fails with one error line naming the file and line.
     pytest.param({"bad_corpus.txt": b"National Institute\nof Mental \xff Health\n",
                   "config.json": b'{"provider": {"corpus": "bad_corpus.txt"}}'},
@@ -978,7 +1010,16 @@ def test_remote_cache_may_come_from_the_option_alone(tmp_path, decided, count_se
 
 
 def test_star_import_binds_every_exported_name():
+    """__all__ is derived from the package's imports: each name once, public, and a class or
+    function of one of its modules, never a submodule, __version__ or a private helper; a
+    star import binds exactly those names."""
     namespace: dict = {}
     exec("from unithood import *", namespace)
     assert sorted(set(unithood.__all__)) == sorted(unithood.__all__)  # no duplicates
-    assert [name for name in unithood.__all__ if name not in namespace] == []
+    assert set(namespace) - {"__builtins__"} == set(unithood.__all__)
+    exported = {name: getattr(unithood, name) for name in unithood.__all__}
+    assert [name for name in exported if name.startswith("_")] == []
+    assert [name for name, value in exported.items() if isinstance(value, type(unithood))] == []
+    assert {value.__module__.split(".")[0] for value in exported.values()} == {"unithood"}
+    assert {"evidence", "pipeline", "__version__"}.isdisjoint(exported)
+    assert {"Candidate", "decide_pairs", "load_config", "unithood"} <= set(exported)

@@ -1199,6 +1199,43 @@ def test_corpus_counted_by_a_failed_process_raises_never_counts(tmp_path, monkey
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_corpus_replaced_while_it_is_counted_raises_never_counts(tmp_path, monkeypatch, parts):
+    """Part 0 moves another file over the corpus as it starts: the parts would count
+    different files and their sum neither one's, so the load fails naming the corpus, never
+    a count; every child is reaped."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\n" * 4, encoding="utf-8")
+    (tmp_path / "other.txt").write_text("c d\n" * 4, encoding="utf-8")
+    count_blocks = evidence._count_blocks
+
+    def replaced(path, phrases, part, parts):
+        if part == 0:
+            os.replace(path.parent / "other.txt", path)
+        return count_blocks(path, phrases, part, parts)
+
+    monkeypatch.setattr(evidence, "_count_blocks", replaced)
+    with _cpus(parts), pytest.raises(OSError, match="^corpus %s changed while it was counted$"
+                                                    % re.escape(str(path))):
+        load_corpus_file(path, ["a b", "c d"])
+    assert_no_child_left()
+    monkeypatch.undo()
+    assert load_corpus_file(path, ["a b", "c d"]) == {"a b": 0, "c d": 4}  # the file now there
+
+
+def test_corpus_counted_where_cpu_affinity_is_unknown_forks_nothing(tmp_path, monkeypatch):
+    """Without os.sched_getaffinity this process cannot tell how many CPUs it may use, so it
+    counts every block itself."""
+    monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    path = tmp_path / "corpus.txt"
+    path.write_text("a b\nb c\nc a\n", encoding="utf-8")
+    assert evidence._parts(path) == 1
+    assert load_corpus_file(path, ["a", "b c"]) == {"a": 2, "b c": 1}
+
+
 def test_corpus_counted_in_blocks_reaps_a_running_child_on_interrupt(tmp_path, monkeypatch):
     """An interrupt while this process counts its own part kills and reaps the child."""
     monkeypatch.setattr(PhraseCounts, "_BLOCK_DOCUMENTS", 1)

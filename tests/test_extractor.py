@@ -191,6 +191,15 @@ class TestCandidatePairInvariants:
         with pytest.raises(ValueError):
             CandidatePair(left, "", right, "a b")
 
+    @pytest.mark.parametrize("span, message", [
+        ((), "candidate span must be non-empty"),
+        ((2, 1), "candidate span must be strictly ascending"),
+        ((1, 1), "candidate span must be strictly ascending"),
+    ], ids=["empty", "descending", "repeated"])
+    def test_rejects_span_not_strictly_ascending(self, span, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Candidate("t", span, "a")
+
     @pytest.mark.parametrize("blank", ["", " ", "\u00a0 "])
     def test_rejects_blank_candidate_surface(self, blank):
         # A blank surface has no count key, so no pair holding it could be decided.

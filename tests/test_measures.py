@@ -131,6 +131,11 @@ class TestIndependence:
             s2 = s1 + rng.randint(0, 10**6)
             assert independence(n_a, s2) <= independence(n_a, s1)
 
+    @pytest.mark.parametrize("n_a, n_s", [(-1, 5), (5, -1)])
+    def test_negative_count_rejected(self, n_a, n_s):
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            independence(n_a, n_s)
+
     def test_ratio_undefined_when_denominator_zero(self):
         assert independence_ratio(3.0, 0.0) is None
         assert independence_ratio(3.0, 2.0) == 1.5

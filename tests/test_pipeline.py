@@ -14,6 +14,8 @@ from unithood import (
     ParsedSentence,
     ParseFileError,
     ParseToken,
+    RemoteClientConfig,
+    RemoteCountClient,
     Score,
     Thresholds,
     UndefinedEvidenceError,
@@ -83,6 +85,17 @@ class TestConfig:
         path.write_text(json.dumps({"provider": {"fixture": "a", "corpus": "b"}}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_two_providers_rejected_in_the_dataclass(self):
+        with pytest.raises(ConfigError, match="^config must name at most one count provider$"):
+            PipelineConfig(fixture_path="a.json", corpus_path="b.txt")
+
+    def test_missing_config_file_names_it(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == ("cannot read config %s: [Errno 2] No such file or directory: "
+                                  "%r" % (path, str(path)))
 
     def test_no_provider_rejected_in_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -158,9 +171,13 @@ class TestConfig:
             ('{"provider": {"remote": {"endpoint_template": 5, "count_path": "t"}},'
              ' "cache_path": "c.tsv"}',
              "invalid config {path}: endpoint_template must be a string"),
+            ('{"provider": ["fixture", "a"]}', "provider must be a JSON object"),
+            ('{"provider": {"fixture": "a"}, "thresholds": [6]}',
+             "thresholds must be a JSON object"),
         ],
         ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
-             "passes-bool", "retries-float", "retries-bool", "count-path-int", "endpoint-int"],
+             "passes-bool", "retries-float", "retries-bool", "count-path-int", "endpoint-int",
+             "provider-list", "thresholds-list"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "config.json"
@@ -226,6 +243,17 @@ class TestConfig:
             assert provider.count("mental health") == 14_000_000
         assert (tmp_path / "cache.tsv").exists()
 
+    def test_build_remote_provider_makes_no_request(self, tmp_path, count_server):
+        """A remote provider fetches a count when one is asked for, not when it is built;
+        its cache file is made on the first count too."""
+        remote = RemoteClientConfig(count_server.url + "/?q={query}", "total", min_delay_ms=0)
+        config = PipelineConfig(remote=remote, cache_path=str(tmp_path / "cache.tsv"))
+        with build_provider(config) as provider:
+            assert isinstance(provider.inner, RemoteCountClient)
+            assert provider.inner.config == remote
+        assert count_server.paths == []
+        assert not (tmp_path / "cache.tsv").exists()
+
     def test_no_provider_build_fails(self):
         with pytest.raises(ConfigError):
             build_provider(PipelineConfig())
@@ -285,6 +313,19 @@ class TestFileFormats:
     def test_scores_file_na_ratio(self):
         scores = read_scores_file(io.StringIO("a\tof\tb\t0.5\t6.5\t0\tNA\n"))
         assert scores[("a", "of", "b")] == Score(0.5, 6.5, 0.0, None)
+
+    def test_scores_file_a_x_that_starts_with_a_hash(self):
+        """A row that starts with "#" is a comment.  So an a_x that starts with "#" is written
+        after one space, as the count cache writes such a phrase, and read without it; the
+        pair is then decided from its scores, with no provider to count it."""
+        row = "#1 hit\tof\tb\t0.5\t6.5\t1\tNA\n"
+        assert read_scores_file(io.StringIO(row)) == {}
+        scores = read_scores_file(io.StringIO(" " + row + " a\tof\tb\t0.5\t6.5\t1\tNA\n"))
+        assert scores == {("#1 hit", "of", "b"): Score(0.5, 6.5, 1.0, None),
+                          (" a", "of", "b"): Score(0.5, 6.5, 1.0, None)}
+        pair = build_pair(Candidate("s1", (1, 2), "#1 hit"), "of", Candidate("s1", (4,), "b"))
+        [record] = decide_pairs([pair], Thresholds(), injected=scores)
+        assert (record.a_x, record.score) == ("#1 hit", Score(0.5, 6.5, 1.0, None))
 
     @pytest.mark.parametrize(
         "read_fn, rows, message",
