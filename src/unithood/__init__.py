@@ -29,7 +29,6 @@ from .evidence import (
 from .extractor import (
     Candidate,
     CandidatePair,
-    build_pair,
     extract_candidates,
     find_head_nouns,
     form_pairs,

@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Protocol,
                     TextIO)
 
-from .parse_ingest import ParseFileError, check_setting, parse_whole, read_json_object, read_rows
+from .parse_ingest import (ParseFileError, check_setting, parse_whole, read_json_object, read_rows,
+                           tsv_line)
 
 
 def normalize_phrase(phrase: str) -> str:
@@ -106,7 +107,7 @@ class FixtureProvider:
         if str(path).endswith(".json") or text.lstrip().startswith("{"):
             rows = read_json_object(text, source).items()
         else:
-            rows = list(read_rows(text.splitlines(), 2, source,
+            rows = list(read_rows(text.split("\n"), 2, source,
                                  lambda c: (c[0], parse_whole(c[1], "count for %r", c[0]))))
         try:
             return cls(rows)
@@ -218,17 +219,17 @@ def load_corpus_file(path: str | Path, phrases: Iterable[str] | None = None
             raise ParseFileError(str(exc), at[0], "corpus %s" % path) from None
 
 
-def _parts(path: str | Path) -> int:
-    """One counting process for each CPU this process may use, but no more than the file
-    has blocks, as each process reads all of it.  One alone where fork is missing, where
-    another thread runs (a forked copy of a threaded process may deadlock), or where the
-    corpus is no regular file: a pipe is read once, so no two processes can both read it."""
+def _parts(stamp: tuple[int, ...] | None) -> int:
+    """One counting process for each CPU this process may use, but no more than the corpus
+    that ``_stamp`` gave ``stamp`` has blocks, as each process reads all of it.  One alone
+    where fork is missing, where another thread runs (a forked copy of a threaded process may
+    deadlock), or where the corpus is no regular file (no stamp): a pipe is read once."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if threading.active_count() > 1 or not os.path.isfile(path):
+    if threading.active_count() > 1 or stamp is None:
         return 1
     # A document takes at least two bytes, one of its own and one that ends it, but the last.
-    documents = (os.path.getsize(path) + 1) // 2
+    documents = (stamp[2] + 1) // 2
     blocks = -(-documents // PhraseCounts._BLOCK_DOCUMENTS)
     return max(1, min(len(os.sched_getaffinity(0)), blocks))
 
@@ -265,7 +266,7 @@ def _count_corpus(path: str | Path, phrases: list[list[str]]) -> list[int]:
     meets first; a child that fails or sends no result, or a corpus replaced or changed
     before every part is counted, raises OSError, never a count."""
     stamp = _stamp(path)  # before any process opens the file
-    parts, children = _parts(path), []  # (pid, read end of its pipe) of each child not reaped
+    parts, children = _parts(stamp), []  # (pid, read end of its pipe) of each child not reaped
     try:
         for part in range(1, parts):
             read, write = os.pipe()
@@ -368,14 +369,14 @@ class CountCache:
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
         end = data.rfind(b"\n") + 1  # where an unterminated last line starts
-        lines = data[:end].decode("utf-8").splitlines()
+        lines = data[:end].decode("utf-8").split("\n")  # the last, "", is the torn line's
         self._store(lines)
         if end < len(data):
             try:
                 self._store([data[end:].decode("utf-8")])
                 self._repair = (len(data), "\n")
             except (UnicodeDecodeError, ParseFileError):
-                print("warning: %s line %d: skipped a torn last line" % (path, len(lines) + 1),
+                print("warning: %s line %d: skipped a torn last line" % (path, len(lines)),
                       file=sys.stderr)
                 self._repair = (end, "")
 
@@ -403,10 +404,7 @@ class CountCache:
                     self._handle.write(self._repair[1])
                     self._repair = None
                 self._fetched_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-            if phrase.startswith("#"):  # one leading space: read_rows would skip it as a comment
-                phrase = " " + phrase
-            line = "%s\t%d\t%s\t%s\n" % (phrase, count, self.provider_id, self._fetched_at)
-            self._handle.write(line)
+            self._handle.write(tsv_line((phrase, "%d" % count, self.provider_id, self._fetched_at)))
             self._handle.flush()
         self._counts[key] = count
 

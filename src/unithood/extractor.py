@@ -12,10 +12,10 @@ again on the next pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field, _check_id
+from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field
 
 # POS tags a candidate member may carry: nouns, adjectives, foreign words.
 MEMBER_TAGS = NOUN_TAGS | {"JJ", "FW"}
@@ -46,7 +46,7 @@ class Candidate:
             raise ValueError("candidate span must be non-empty")
         if any(b <= a for a, b in zip(self.span, self.span[1:])):
             raise ValueError("candidate span must be strictly ascending")
-        _check_id("candidate sentence_id", self.sentence_id)
+        _check_field("candidate sentence_id", self.sentence_id)
         _check_field("candidate surface", self.surface, allow_empty=False)
 
     @property
@@ -64,13 +64,14 @@ class CandidatePair:
 
     ``b`` is the empty string when the candidates are offset-adjacent,
     otherwise the lemma of the single preposition or "and" between them.
-    ``s`` is the would-be merged surface.
+    ``s``, computed here, is the would-be merged surface: the sides' surfaces
+    and any connector joined by single spaces.
     """
 
     a_x: Candidate
     b: str
     a_y: Candidate
-    s: str
+    s: str = field(init=False)
 
     def __post_init__(self):
         _check_field("pair connector", self.b)
@@ -82,6 +83,8 @@ class CandidatePair:
                 "candidates at %r..%r are not adjacent through connector %r"
                 % (self.a_x.span, self.a_y.span, self.b)
             )
+        parts = (self.a_x.surface, self.b, self.a_y.surface)  # b is "" when adjacent
+        object.__setattr__(self, "s", " ".join(filter(None, parts)))
 
     @property
     def sentence_id(self) -> str:
@@ -133,14 +136,11 @@ def _absorbable(token: ParseToken, members: set[int]) -> bool:
 
 def _grow(head: int, by_offset: Mapping[int, ParseToken]) -> tuple[int, ...]:
     members = {head}
-    cursor = head - 1
-    while cursor in by_offset and _absorbable(by_offset[cursor], members):
-        members.add(cursor)
-        cursor -= 1
-    cursor = head + 1
-    while cursor in by_offset and _absorbable(by_offset[cursor], members):
-        members.add(cursor)
-        cursor += 1
+    for step in (-1, 1):  # the left side first
+        cursor = head + step
+        while cursor in by_offset and _absorbable(by_offset[cursor], members):
+            members.add(cursor)
+            cursor += step
     return tuple(sorted(members))
 
 
@@ -179,11 +179,6 @@ def sentence_connectors(sentence: ParsedSentence) -> dict[int, str]:
     }
 
 
-def build_pair(a_x: Candidate, b: str, a_y: Candidate) -> CandidatePair:
-    parts = [a_x.surface, b, a_y.surface] if b else [a_x.surface, a_y.surface]
-    return CandidatePair(a_x, b, a_y, " ".join(parts))
-
-
 def form_pairs(
     candidates: Sequence[Candidate], connectors: Mapping[int, str]
 ) -> list[CandidatePair]:
@@ -200,10 +195,10 @@ def form_pairs(
     for left in sorted(candidates, key=lambda c: c.start):
         right = by_start.get(left.end + 1)
         if right is not None:
-            pairs.append(build_pair(left, "", right))
+            pairs.append(CandidatePair(left, "", right))
         right = by_start.get(left.end + 2)
         if right is not None and left.end + 1 in connectors:
-            pairs.append(build_pair(left, connectors[left.end + 1], right))
+            pairs.append(CandidatePair(left, connectors[left.end + 1], right))
     return pairs
 
 

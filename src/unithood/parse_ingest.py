@@ -5,11 +5,13 @@ One token per line, six tab-separated columns:
     sentence_id<TAB>offset<TAB>lemma<TAB>pos<TAB>dep_rel<TAB>head_offset
 
 Lines starting with ``#`` are comments and are skipped, as are blank
-lines.  Offsets are the parser's 1-based word positions within a
-sentence and may have gaps (elided tokens).  ``head_offset`` 0 marks the
-sentence root; a head_offset pointing at an offset that is not present
-in the sentence is tolerated and treated downstream as "head outside
-scope".  Files are UTF-8 with LF line endings.
+lines; ``read_rows`` reads every TSV the package reads, this one too, and
+``tsv_line`` writes every row the package writes.  Offsets are the
+parser's 1-based word positions within a sentence and may have gaps
+(elided tokens).  ``head_offset`` 0 marks the sentence root; a
+head_offset pointing at an offset that is not present in the sentence is
+tolerated and treated downstream as "head outside scope".  Files are
+UTF-8 with LF line endings.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 NOUN_TAGS = frozenset({"NN", "NNS", "NNP", "NNPS"})
 
@@ -44,10 +46,11 @@ def read_rows(
     """Yield ``convert(columns)`` for each data row of a TSV stream.
 
     LF or CRLF line endings are accepted; blank lines and lines starting
-    with ``#`` are skipped.  A row with the wrong column count, one whose
-    conversion raises ValueError, or one whose ``key(row)`` an earlier row
-    had (message ``repeated % key(row)``) raises ParseFileError naming
-    ``kind`` and the line.
+    with ``#`` are skipped, and a line of spaces then ``#`` loses the one
+    space ``tsv_line`` put there.  A row with the wrong column count, one
+    whose conversion raises ValueError, or one whose ``key(row)`` an
+    earlier row had (message ``repeated % key(row)``) raises ParseFileError
+    naming ``kind`` and the line.
     """
     first_line: dict[Hashable, int] = {}
     for line_number, raw in enumerate(stream, start=1):
@@ -56,6 +59,8 @@ def read_rows(
             line = line[:-1]
         if not line.strip() or line.startswith("#"):
             continue
+        if line.startswith(" ") and line.lstrip(" ").startswith("#"):
+            line = line[1:]
         columns = line.split("\t")
         try:
             if len(columns) != n_columns:
@@ -68,6 +73,18 @@ def read_rows(
         except ValueError as exc:
             raise ParseFileError(str(exc), line_number, kind) from None
         yield row
+
+
+def tsv_line(row: Sequence[str]) -> str:
+    """One row as one line; a first cell of spaces then "#" gets one more space before it."""
+    escape = " " if row[0].lstrip(" ").startswith("#") else ""
+    return escape + "\t".join(row) + "\n"
+
+
+def write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A "# " header line of the column names, then each row's line."""
+    stream.write("# %s\n" % "\t".join(columns))
+    stream.writelines(map(tsv_line, rows))
 
 
 def read_json_object(text: str, source: str) -> dict[str, Any]:
@@ -108,12 +125,6 @@ def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
         raise ValueError("%s must not contain tabs or line breaks" % name)
 
 
-def _check_id(name: str, value: str) -> None:
-    _check_field(name, value)
-    if value.startswith("#"):  # every reader skips such a row as a comment
-        raise ValueError("%s must not start with '#'" % name)
-
-
 @dataclass(frozen=True, slots=True)
 class ParseToken:
     """One parsed word: its offset, lemma, POS tag and dependency edge."""
@@ -148,7 +159,7 @@ class ParsedSentence:
     tokens: tuple[ParseToken, ...]
 
     def __post_init__(self):
-        _check_id("sentence_id", self.sentence_id)
+        _check_field("sentence_id", self.sentence_id)
         if not self.tokens:
             raise ValueError("sentence %r has no tokens" % self.sentence_id)
         offsets = [t.offset for t in self.tokens]

@@ -1,7 +1,8 @@
 """Pipeline orchestration: configuration, file formats, the decide loop.
 
-Every file format is TSV, UTF-8 and LF, with "#" comment lines ignored;
-the *_COLUMNS tuples below declare each one's columns.
+Every file format is TSV, UTF-8 and LF, read by ``parse_ingest.read_rows`` and
+written by ``parse_ingest.tsv_line``; the *_COLUMNS tuples below declare each
+one's columns.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .evidence import (
     load_corpus_file,
 )
 from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
-from .extractor import Candidate, CandidatePair, build_pair, closure, form_pairs, merge_pass
+from .extractor import Candidate, CandidatePair, closure, form_pairs, merge_pass
 from .measures import (THRESHOLD_NAMES, Score, Thresholds, UndefinedEvidenceError,
                        threshold_value, unithood)
-from .parse_ingest import check_setting, parse_whole, read_json_object, read_rows
+from .parse_ingest import (check_setting, parse_whole, read_json_object, read_rows, tsv_line,
+                           write_rows)
 
 MERGED = "MERGED"
 NOTMERGED = "NOTMERGED"
@@ -152,15 +154,6 @@ _METRICS = ("precision", "recall", "f1", "paper_f", "accuracy")  # METRIC_NAMES 
 SWEEP_COLUMNS = THRESHOLD_NAMES + _CELLS + _METRICS
 
 
-def _line(row: Sequence[str]) -> str:
-    return "\t".join(row) + "\n"
-
-
-def _write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    stream.write("# %s\n" % "\t".join(columns))
-    stream.writelines(map(_line, rows))
-
-
 def _span_str(span: Sequence[int]) -> str:
     return ",".join(map(str, span))
 
@@ -174,8 +167,8 @@ _PAIR_ID_KEY = (itemgetter(0), "duplicate pair id %r")
 
 
 def write_candidates_file(candidates: Iterable[Candidate], stream: TextIO) -> None:
-    _write_rows(stream, CANDIDATE_COLUMNS,
-                ((c.sentence_id, _span_str(c.span), c.surface) for c in candidates))
+    write_rows(stream, CANDIDATE_COLUMNS,
+               ((c.sentence_id, _span_str(c.span), c.surface) for c in candidates))
 
 
 def _pair_row(p: CandidatePair) -> list[str]:
@@ -186,7 +179,7 @@ def _pair_row(p: CandidatePair) -> list[str]:
 
 
 def write_pairs_file(pairs: Iterable[CandidatePair], stream: TextIO) -> None:
-    _write_rows(stream, PAIR_COLUMNS, map(_pair_row, pairs))
+    write_rows(stream, PAIR_COLUMNS, map(_pair_row, pairs))
 
 
 def _hold(table: dict[int, Candidate | str], pair: CandidatePair) -> None:
@@ -215,8 +208,8 @@ def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
         sentence_id, span, surface, ax_span, ax_surface, b, ay_span, ay_surface = columns
         sentence_id = sys.intern(sentence_id)  # one string for all the sentence's candidates
         table = tables.setdefault(sentence_id, {})
-        built = build_pair(candidate(table, sentence_id, ax_span, ax_surface), sys.intern(b),
-                           candidate(table, sentence_id, ay_span, ay_surface))
+        built = CandidatePair(candidate(table, sentence_id, ax_span, ax_surface), sys.intern(b),
+                              candidate(table, sentence_id, ay_span, ay_surface))
         if _parse_span(span) != built.merged_span() or surface != built.s:
             raise ValueError("span and surface %r do not match the pair's %r"
                              % ([span, surface], _pair_row(built)[1:3]))
@@ -250,14 +243,14 @@ def _write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
     file, a record without counts; returns how many records came, merged, and lacked counts."""
     for stream, columns in ((decisions, DECISION_COLUMNS), (decorated, DECORATED_COLUMNS)):
         if stream is not None:
-            _write_rows(stream, columns, ())
+            write_rows(stream, columns, ())
     decided = merged = uncounted = 0
     for r in records:
         if decisions is not None:
-            decisions.write(_line([r.pair_id, r.a_x, r.b, r.a_y, *map(_fmt, _SCORE_CELLS(r.score)),
-                                   MERGED if r.merged else NOTMERGED, r.s]))
+            decisions.write(tsv_line([r.pair_id, r.a_x, r.b, r.a_y, *map(
+                _fmt, _SCORE_CELLS(r.score)), MERGED if r.merged else NOTMERGED, r.s]))
         if decorated is not None and r.evidence is not None:
-            decorated.write(_line([r.pair_id, r.a_x, r.b, r.a_y, r.s, *(
+            decorated.write(tsv_line([r.pair_id, r.a_x, r.b, r.a_y, r.s, *(
                 "%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]))
         decided, merged, uncounted = (
             decided + 1, merged + r.merged, uncounted + (r.evidence is None))
@@ -306,7 +299,7 @@ def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
 
 
 def write_sweep_file(points: Iterable[SweepPoint], stream: TextIO) -> None:
-    _write_rows(stream, SWEEP_COLUMNS, (
+    write_rows(stream, SWEEP_COLUMNS, (
         ["%g" % getattr(p.thresholds, name) for name in THRESHOLD_NAMES]
         + ["%d" % getattr(p.table, name) for name in _CELLS]
         + [_fmt(getattr(p.metrics, name)) for name in METRIC_NAMES]
@@ -318,12 +311,11 @@ def write_eval_report(table: ContingencyTable, stream: TextIO) -> None:
     rows = [(name, "%d" % getattr(table, name)) for name in _CELLS + ("total",)]
     for name, value in zip(_METRICS, attrgetter(*METRIC_NAMES)(compute_metrics(table))):
         rows.append((name, "NA" if value is None else "%.2f%%" % (value * 100.0)))
-    stream.writelines("%s\t%s\n" % row for row in rows)
+    stream.writelines(map(tsv_line, rows))
 
 
 def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
-    """Map each surface triple (a_x, b, a_y) to its Score.  An a_x written as " #..." loses the
-    space, which only keeps the row from being read as a comment, as in the count cache."""
+    """Map each surface triple (a_x, b, a_y) to its Score."""
     first = SCORE_COLUMNS.index("mi")
 
     def row(columns: list[str]) -> tuple[tuple[str, ...], Score]:
@@ -331,8 +323,7 @@ def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
         scores = (float(mi), float(id_x), float(id_y), None if idr == "NA" else float(idr))
         if not all(math.isfinite(v) for v in scores if v is not None):
             raise ValueError("scores must be finite, got %s" % ", ".join(columns[first:]))
-        a_x = columns[0][1:] if columns[0].startswith(" #") else columns[0]
-        return (a_x, *columns[1:first]), Score(*scores)
+        return tuple(columns[:first]), Score(*scores)
 
     return dict(read_rows(stream, len(SCORE_COLUMNS), "scores file", row, itemgetter(0),
                           "duplicate surface triple (%r, %r, %r)"))
@@ -357,6 +348,7 @@ def decide_pairs(
     up to ``max_passes`` rounds.  Scores injected by surface triple take
     precedence over count evidence; pairs without them need a provider.
     """
+    check_setting("max_passes", max_passes, 1)
     return list(_decisions(_sentences(pairs), thresholds, provider, injected, max_passes))
 
 

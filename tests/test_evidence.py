@@ -152,6 +152,16 @@ class TestFixtureProvider:
         assert str(err.value) == (
             "count for 'b c' must be a whole, non-negative number, got %s" % shown)
 
+    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\x0c"], ids=["nel", "ls", "ff"])
+    def test_tsv_row_is_one_line_whatever_str_splitlines_splits(self, tmp_path, breaker):
+        """Only LF ends a row, as in every TSV the package reads; the phrase's break is
+        whitespace, so the row counts the phrase that a JSON table with it counts."""
+        path = tmp_path / "counts.tsv"
+        path.write_text("a%sb\t5\nc\t1\n" % breaker, encoding="utf-8")
+        provider = FixtureProvider.from_file(path)
+        assert provider.count("a b") == 5 == FixtureProvider({"a%sb" % breaker: 5}).count("a b")
+        assert provider.count("c") == 1
+
     def test_tsv_bad_count_names_line(self, tmp_path):
         path = tmp_path / "counts.tsv"
         for count in ("many", "-3", "1.5", "-5", "+5", "1_0", "\u0663"):
@@ -328,6 +338,15 @@ class TestCountCache:
         with pytest.raises(ParseFileError) as err:
             fixture_cache(path)
         assert str(err.value) == "count cache line 2: " + message
+
+    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\x0c"], ids=["nel", "ls", "ff"])
+    def test_row_is_one_line_whatever_str_splitlines_splits(self, tmp_path, capsys, breaker):
+        # A torn last line is still named by its number in the file.
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(("a%sb\t3\tfixture\tT\nc\t1\tfixture\tT\ntorn" % breaker).encode())
+        with fixture_cache(path) as cache:
+            assert capsys.readouterr().err == "warning: %s line 3: skipped a torn last line\n" % path
+            assert (len(cache), cache.get("a b"), cache.get("c")) == (2, 3, 1)
 
     def test_malformed_terminated_last_line_fails(self, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -1232,7 +1251,7 @@ def test_corpus_counted_where_cpu_affinity_is_unknown_forks_nothing(tmp_path, mo
     monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
     path = tmp_path / "corpus.txt"
     path.write_text("a b\nb c\nc a\n", encoding="utf-8")
-    assert evidence._parts(path) == 1
+    assert evidence._parts(evidence._stamp(path)) == 1
     assert load_corpus_file(path, ["a", "b c"]) == {"a": 2, "b c": 1}
 
 

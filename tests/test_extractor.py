@@ -9,7 +9,6 @@ from unithood import (
     CandidatePair,
     ParsedSentence,
     ParseToken,
-    build_pair,
     extract_candidates,
     find_head_nouns,
     form_pairs,
@@ -183,13 +182,13 @@ class TestCandidatePairInvariants:
         left = Candidate("t", (1,), "a")
         right = Candidate("t", (5,), "b")
         with pytest.raises(ValueError):
-            CandidatePair(left, "of", right, "a of b")
+            CandidatePair(left, "of", right)
 
     def test_rejects_cross_sentence(self):
         left = Candidate("t1", (1,), "a")
         right = Candidate("t2", (2,), "b")
         with pytest.raises(ValueError):
-            CandidatePair(left, "", right, "a b")
+            CandidatePair(left, "", right)
 
     @pytest.mark.parametrize("span, message", [
         ((), "candidate span must be non-empty"),
@@ -216,20 +215,23 @@ class TestCandidatePairInvariants:
                            match="^candidate %s must not contain tabs or line breaks$" % name):
             Candidate(**fields)
 
-    def test_rejects_sentence_id_starting_with_hash(self):
-        # Its pairs-file row would start with '#', and the reader would skip it as a comment.
-        with pytest.raises(ValueError, match="^candidate sentence_id must not start with '#'$"):
-            build_pair(Candidate("#s", (1,), "a"), "", Candidate("#s", (2,), "b"))
-
     @pytest.mark.parametrize("breaker", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
     def test_rejects_tab_or_line_break_in_connector(self, breaker):
         left, right = Candidate("t", (1,), "a"), Candidate("t", (3,), "b")
         with pytest.raises(ValueError,
                            match="^pair connector must not contain tabs or line breaks$"):
-            build_pair(left, "o%sf" % breaker, right)
+            CandidatePair(left, "o%sf" % breaker, right)
+
+    def test_merged_surface_is_computed_not_given(self):
+        # A given surface could disagree with the sides, and the pairs reader would refuse it.
+        left, right = Candidate("t", (1, 2), "a b"), Candidate("t", (4,), "c")
+        assert CandidatePair(left, "of", right).s == "a b of c"
+        assert CandidatePair(left, "", Candidate("t", (3,), "c")).s == "a b c"
+        with pytest.raises(TypeError):
+            CandidatePair(left, "of", right, "zzz")
 
     def test_merged_span_includes_connector(self):
-        pair = build_pair(Candidate("t", (1, 2), "a b"), "of", Candidate("t", (4,), "c"))
+        pair = CandidatePair(Candidate("t", (1, 2), "a b"), "of", Candidate("t", (4,), "c"))
         assert pair.merged_span() == (1, 2, 3, 4)
 
 
@@ -238,8 +240,8 @@ class TestMergePass:
         c1 = Candidate("t", (1,), "a")
         c2 = Candidate("t", (3,), "b")
         c3 = Candidate("t", (5,), "c")
-        p12 = build_pair(c1, "of", c2)
-        p23 = build_pair(c2, "of", c3)
+        p12 = CandidatePair(c1, "of", c2)
+        p23 = CandidatePair(c2, "of", c3)
         return [c1, c2, c3], [p12, p23]
 
     def test_all_false_is_identity(self):

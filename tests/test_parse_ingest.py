@@ -10,6 +10,7 @@ from unithood import (
     ParseToken,
     read_parse_file,
 )
+from unithood.parse_ingest import write_rows
 
 
 def read_text(text: str):
@@ -17,15 +18,12 @@ def read_text(text: str):
 
 
 def write_text(sentences) -> str:
-    """The parse file format, written out field by field after a header comment."""
-    lines = ["# sentence_id\toffset\tlemma\tpos\tdep_rel\thead_offset\n"]
-    for sentence in sentences:
-        for t in sentence.tokens:
-            lines.append(
-                "%s\t%d\t%s\t%s\t%s\t%d\n"
-                % (sentence.sentence_id, t.offset, t.lemma, t.pos, t.dep_rel, t.head_offset)
-            )
-    return "".join(lines)
+    """The parse file format: a header comment, then one row per token."""
+    out = io.StringIO()
+    write_rows(out, ("sentence_id", "offset", "lemma", "pos", "dep_rel", "head_offset"), (
+        (s.sentence_id, "%d" % t.offset, t.lemma, t.pos, t.dep_rel, "%d" % t.head_offset)
+        for s in sentences for t in s.tokens))
+    return out.getvalue()
 
 
 class TestReadParseFile:
@@ -173,7 +171,7 @@ def _token_text():
 
 @st.composite
 def _sentences(draw):
-    sentence_id = draw(_token_text().filter(lambda s: not s.startswith("#")))
+    sentence_id = draw(_token_text())
     gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=8))
     offsets = []
     position = 0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from unithood import (
     Candidate,
+    CandidatePair,
+    EvidenceSet,
     FixtureProvider,
     ParsedSentence,
     ParseFileError,
@@ -19,7 +21,6 @@ from unithood import (
     Score,
     Thresholds,
     UndefinedEvidenceError,
-    build_pair,
     extract_candidates,
     form_pairs,
     merge_pass,
@@ -30,8 +31,10 @@ from unithood import (
 from unithood.cli import _load_config, build_parser
 from unithood.evidence import CountCache
 from unithood.extractor import closure
+from unithood.parse_ingest import read_rows, tsv_line
 from unithood.pipeline import (
     ConfigError,
+    DecisionRecord,
     PipelineConfig,
     _sentences,
     build_provider,
@@ -262,7 +265,7 @@ class TestConfig:
 def two_candidate_pair():
     a_x = Candidate("s1", (20, 21), "National Institute")
     a_y = Candidate("s1", (23, 24), "Mental Health")
-    return build_pair(a_x, "of", a_y)
+    return CandidatePair(a_x, "of", a_y)
 
 
 class TestFileFormats:
@@ -284,7 +287,7 @@ class TestFileFormats:
         assert columns[2] == "National Institute of Mental Health"
 
     def test_empty_connector_round_trip(self):
-        pair = build_pair(Candidate("s", (1, 2), "bird flu"), "", Candidate("s", (3,), "virus"))
+        pair = CandidatePair(Candidate("s", (1, 2), "bird flu"), "", Candidate("s", (3,), "virus"))
         (again,) = roundtrip(write_pairs_file, [pair], read_pairs_file)
         assert again.b == ""
         assert again.s == "bird flu virus"
@@ -323,7 +326,7 @@ class TestFileFormats:
         scores = read_scores_file(io.StringIO(" " + row + " a\tof\tb\t0.5\t6.5\t1\tNA\n"))
         assert scores == {("#1 hit", "of", "b"): Score(0.5, 6.5, 1.0, None),
                           (" a", "of", "b"): Score(0.5, 6.5, 1.0, None)}
-        pair = build_pair(Candidate("s1", (1, 2), "#1 hit"), "of", Candidate("s1", (4,), "b"))
+        pair = CandidatePair(Candidate("s1", (1, 2), "#1 hit"), "of", Candidate("s1", (4,), "b"))
         [record] = decide_pairs([pair], Thresholds(), injected=scores)
         assert (record.a_x, record.score) == ("#1 hit", Score(0.5, 6.5, 1.0, None))
 
@@ -406,14 +409,14 @@ SURFACE = FIELD.filter(str.strip)  # a candidate surface is never blank
 
 @st.composite
 def candidate_pairs(draw):
-    sentence_id = draw(FIELD.filter(lambda t: t.strip() and not t.startswith("#")))
+    sentence_id = draw(FIELD.filter(str.strip))
     b = draw(st.one_of(st.just(""), st.sampled_from(["of", "and"]), FIELD))
     steps = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
     split = draw(st.integers(1, len(steps) - 1))
     ax_span = tuple(itertools.accumulate(steps[:split]))
     ay_span = tuple(itertools.accumulate([ax_span[-1] + (2 if b else 1)] + steps[split:]))
     a_x = Candidate(sentence_id, ax_span, draw(SURFACE))
-    return build_pair(a_x, b, Candidate(sentence_id, ay_span, draw(SURFACE)))
+    return CandidatePair(a_x, b, Candidate(sentence_id, ay_span, draw(SURFACE)))
 
 
 def one_holder_per_offset(pairs):
@@ -440,23 +443,49 @@ def test_pairs_file_round_trip(pairs):
             roundtrip(write_pairs_file, pairs, read_pairs_file)
 
 
-TSV_FIELD = st.text(st.sampled_from("ab \t\n\r"), max_size=4)
+TSV_FIELD = st.text(st.sampled_from("ab #\t\n\r"), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(TSV_FIELD.filter(lambda t: not t.startswith("#")), TSV_FIELD, TSV_FIELD,
+@given(TSV_FIELD, TSV_FIELD, TSV_FIELD,
        st.sampled_from(["", "of"]) | TSV_FIELD)
 def test_a_pair_that_builds_reads_back(sentence_id, x_surface, y_surface, b):
     # The records refuse a tab or a line break in any field that the pairs file
     # holds, so whatever pair they accept is written as one row of eight columns.
     try:
-        pair = build_pair(Candidate(sentence_id, (1,), x_surface), b,
+        pair = CandidatePair(Candidate(sentence_id, (1,), x_surface), b,
                           Candidate(sentence_id, (3 if b else 2,), y_surface))
     except ValueError as exc:
         assert any(c in field for field in (sentence_id, x_surface, y_surface, b)
                    for c in "\t\n\r") or not (x_surface.strip() and y_surface.strip()), exc
         return
     assert roundtrip(write_pairs_file, [pair], read_pairs_file) == [pair]
+
+
+# A first cell that a reader could take for a comment line, "#" after zero or more spaces.
+HASHED = st.builds(str.__add__, st.sampled_from(["#", " #", "  #"]), FIELD)
+
+
+@settings(max_examples=100, deadline=None)
+@given(HASHED, SURFACE, st.integers(0, 10**12))
+def test_first_cells_that_start_with_a_hash_read_back(tmp_path_factory, first, surface, count):
+    # A line that starts with "#" is a comment: tsv_line writes one more space before a
+    # first cell of spaces then "#", and read_rows drops it, whichever file holds the row.
+    row = [first, surface, "%d" % count]
+    assert list(read_rows([tsv_line(row)], 3, "rows", list)) == [row]
+    pair = CandidatePair(Candidate(first, (1,), surface), "of", Candidate(first, (3,), surface))
+    assert roundtrip(write_pairs_file, [pair], read_pairs_file) == [pair]
+    evidence = EvidenceSet(count, count + 1, count + 2)
+    record = DecisionRecord(first, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
+                            Score(0.5, 1.0, 2.0, 0.5), True, evidence)
+    assert roundtrip(write_decorated_file, [record], read_decorated_file) == [(first, evidence)]
+    assert roundtrip(write_decisions_file, [record], read_decisions_file) == {first: True}
+    phrase = first + surface  # the cache writes it normalized, so after no space
+    path = tmp_path_factory.mktemp("cache") / "cache.tsv"
+    with CountCache(FixtureProvider({phrase: count}), path) as cache:
+        assert cache.count(phrase) == count
+    reopened = CountCache(FixtureProvider({}), path)
+    assert (len(reopened), reopened.get(phrase)) == (1, count)
 
 
 def test_pairs_file_span_with_two_surfaces_names_line():
@@ -596,7 +625,7 @@ class TestDecidePairs:
         a = Candidate("s", (1,), "a")
         b = Candidate("s", (3,), "b")
         c = Candidate("s", (5,), "c")
-        pairs = [build_pair(a, "of", b), build_pair(b, "of", c)]
+        pairs = [CandidatePair(a, "of", b), CandidatePair(b, "of", c)]
         provider = FixtureProvider(
             {
                 "a": 6_000_000,
@@ -618,7 +647,7 @@ class TestDecidePairs:
         a = Candidate("s", (1,), "a")
         b = Candidate("s", (3,), "b")
         c = Candidate("s", (5,), "c")
-        pairs = [build_pair(a, "of", b), build_pair(b, "of", c)]
+        pairs = [CandidatePair(a, "of", b), CandidatePair(b, "of", c)]
         provider = FixtureProvider(
             {
                 "a": 6_000_000,
@@ -631,6 +660,12 @@ class TestDecidePairs:
         )
         records = decide_pairs(pairs, Thresholds(), provider=provider, max_passes=1)
         assert [r.s for r in records] == ["a of b", "b of c"]
+
+    @pytest.mark.parametrize("max_passes", [0, -1, True, 1.0])
+    def test_max_passes_below_one_or_not_an_integer_fails(self, max_passes):
+        with pytest.raises(ValueError, match="^max_passes must be an integer >= 1$"):
+            decide_pairs([two_candidate_pair()], Thresholds(), injected={},
+                         max_passes=max_passes)
 
     def test_pair_ids_are_sequential_across_sentences(self, fixtures_dir):
         pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
@@ -670,7 +705,7 @@ class TestWarmCounts:
                 self.calls += 1
                 return 1
 
-        spaced = build_pair(Candidate("s2", (1, 2), "National  Institute"), "of",
+        spaced = CandidatePair(Candidate("s2", (1, 2), "National  Institute"), "of",
                             Candidate("s2", (4, 5), "mental\u00a0health"))
         inner = Counting()
         assert warm_counts([two_candidate_pair(), spaced], inner) == 3
