@@ -14,7 +14,7 @@ import sys
 import warnings
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 from . import evaluation, pipeline
 from .evidence import MissingCountError, TransportError
@@ -26,20 +26,24 @@ from .parse_ingest import read_json_object, read_parse_file
 _ERRORS = (MissingCountError, TransportError, ValueError, OSError)
 
 
-def _read(path: str, reader: Callable[[TextIO], Any]) -> Any:
-    with open(path, encoding="utf-8") as handle:
+def _read(path: str, reader: Callable[[BinaryIO], Any]) -> Any:
+    with open(path, "rb") as handle:  # read_rows decodes each line alone
         return reader(handle)
+
+
+def _staged(path: str) -> bool:
+    """A regular or new file is staged by _output; a device or pipe is written in place."""
+    return os.path.isfile(path) or not os.path.exists(path)
 
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO | None]:
-    """None for no path, standard output for "-".  A file is written beside itself, or
-    beside the file a link names, and moved into place only once the block succeeds;
-    a device or pipe is written in place."""
+    """None for no path, standard output for "-".  A staged file is written beside itself,
+    or beside the file a link names, and moved into place only once the block succeeds."""
     if path is None or path == "-":
         yield None if path is None else sys.stdout
         return
-    staged = os.path.isfile(path) or not os.path.exists(path)
+    staged = _staged(path)
     target = os.path.realpath(path) if staged and os.path.islink(path) else path
     temporary = "%s.%s.tmp" % (target, os.urandom(4).hex()) if staged else target
     try:
@@ -58,10 +62,10 @@ def _output(path: str | None) -> Iterator[TextIO | None]:
 
 
 def _distinct_outputs(*paths: str | None) -> None:
-    """Refuse two outputs that are one file, before anything is read or written."""
+    """Refuse two staged outputs that are one file, before anything is read or written."""
     seen: set[str] = set()
     for path in paths:
-        if path is not None and path != "-":
+        if path is not None and path != "-" and _staged(path):
             if (real := os.path.realpath(path)) in seen:
                 raise ValueError("two outputs are one file: %s" % path)
             seen.add(real)
@@ -143,20 +147,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_grid(spec: str) -> dict[str, list]:
-    inline = spec.lstrip().startswith("{")
-    text = spec if inline else Path(spec).read_text(encoding="utf-8")
-    raw = read_json_object(text, "grid spec" if inline else "grid spec %s" % spec)
-    if not raw:
-        raise ValueError("grid spec must be a non-empty JSON object")
-    for name, values in raw.items():
-        if not isinstance(values, list):
-            raise ValueError("grid axis %r must be a list of numbers" % name)
-    return raw  # evaluation.sweep checks each name and value
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _read_grid(args.grid_spec)
+    spec, inline = args.grid_spec, args.grid_spec.lstrip().startswith("{")
+    data = os.fsencode(spec) if inline else Path(spec).read_bytes()  # argv's own bytes
+    grid = read_json_object(data, "grid spec" if inline else "grid spec %s" % spec)
+    if not grid:  # sweep checks the rest of its shape, but takes {} for the default point
+        raise ValueError("grid spec must be a non-empty JSON object")
     decorated = _read(args.decorated_file, pipeline.read_decorated_file)
     gold = _read(args.gold_file, pipeline.read_gold_file)
     with warnings.catch_warnings(record=True) as caught:

@@ -120,9 +120,9 @@ def sweep(
 
     Each row is a ``(pair_id, EvidenceSet)`` tuple, as
     ``pipeline.read_decorated_file`` returns; pair ids must be unique.
-    ``grid`` maps threshold names to values for ``measures.threshold_value``;
-    omitted names use the default thresholds.  Combinations violating the
-    threshold invariants are skipped with a warning.
+    ``grid`` maps threshold names to non-empty lists (or tuples) of values for
+    ``measures.threshold_value``; omitted names use the default thresholds.
+    Combinations violating the threshold invariants are skipped with a warning.
     Each row is scored once, since MI, ID and IDR do not depend on the
     thresholds; each grid point then decides every row at once with bit
     masks (``measures.decision_masks``) and counts tp and fp by popcount.
@@ -132,12 +132,14 @@ def sweep(
     _check_ids([pair_id for pair_id, _ in rows], gold)
     if sort_key not in METRIC_NAMES:
         raise ValueError("sort_key must be one of %s" % (METRIC_NAMES,))
+    for name, values in grid.items():
+        if not isinstance(values, (list, tuple)):
+            raise ValueError("grid axis %r must be a list of numbers" % name)
+        if not values:
+            threshold_value(name, 0.0)  # no value checks this name; an unknown one fails here
+            raise ValueError("grid axis %r is empty" % name)
     grid = {name: [threshold_value(name, v, "grid axis") for v in grid[name]] for name in grid}
     defaults = Thresholds()
-    for name in grid:
-        if not grid[name]:
-            threshold_value(name, 0.0)  # no value checked this name; an unknown one fails here
-            raise ValueError("grid axis %r is empty" % name)
     axes = [grid.get(name, [getattr(defaults, name)]) for name in THRESHOLD_NAMES]
 
     valid: list[tuple[int, Thresholds]] = []

@@ -102,12 +102,12 @@ class FixtureProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureProvider":
-        """Load a JSON object {phrase: count} or a TSV of phrase<TAB>count."""
-        text, source = Path(path).read_text(encoding="utf-8"), "count table %s" % path
-        if str(path).endswith(".json") or text.lstrip().startswith("{"):
-            rows = read_json_object(text, source).items()
+        """Load a JSON object {phrase: count} from a .json name, else a phrase<TAB>count TSV."""
+        data, source = Path(path).read_bytes(), "count table %s" % path
+        if str(path).endswith(".json"):
+            rows = read_json_object(data, source).items()
         else:
-            rows = list(read_rows(text.split("\n"), 2, source,
+            rows = list(read_rows(data.split(b"\n"), 2, source,
                                  lambda c: (c[0], parse_whole(c[1], "count for %r", c[0]))))
         try:
             return cls(rows)
@@ -368,19 +368,18 @@ class CountCache:
 
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
-        end = data.rfind(b"\n") + 1  # where an unterminated last line starts
-        lines = data[:end].decode("utf-8").split("\n")  # the last, "", is the torn line's
+        *lines, torn = data.split(b"\n")  # torn is b"" unless the last line is unterminated
         self._store(lines)
-        if end < len(data):
+        if torn:
             try:
-                self._store([data[end:].decode("utf-8")])
+                self._store([torn])
                 self._repair = (len(data), "\n")
-            except (UnicodeDecodeError, ParseFileError):
-                print("warning: %s line %d: skipped a torn last line" % (path, len(lines)),
+            except ParseFileError:
+                print("warning: %s line %d: skipped a torn last line" % (path, len(lines) + 1),
                       file=sys.stderr)
-                self._repair = (end, "")
+                self._repair = (len(data) - len(torn), "")
 
-    def _store(self, lines: list[str]) -> None:
+    def _store(self, lines: Iterable[bytes | str]) -> None:
         for provider_id, key, count in read_rows(lines, 4, "count cache", _cache_row):
             if provider_id == self.provider_id:
                 self._counts[key] = count

@@ -36,33 +36,32 @@ class ParseFileError(ValueError):
 
 
 def read_rows(
-    stream: Iterable[str],
+    stream: Iterable[bytes | str],
     n_columns: int,
     kind: str,
     convert: Callable[[list[str]], T],
     key: Callable[[T], Hashable] | None = None,
     repeated: str = "",
 ) -> Iterator[T]:
-    """Yield ``convert(columns)`` for each data row of a TSV stream.
+    """Yield ``convert(columns)`` for each data row of a stream of lines, bytes or text.
 
-    LF or CRLF line endings are accepted; blank lines and lines starting
-    with ``#`` are skipped, and a line of spaces then ``#`` loses the one
-    space ``tsv_line`` put there.  A row with the wrong column count, one
-    whose conversion raises ValueError, or one whose ``key(row)`` an
-    earlier row had (message ``repeated % key(row)``) raises ParseFileError
-    naming ``kind`` and the line.
+    A line of bytes is decoded as UTF-8 alone.  LF or CRLF ends a line; a lone CR is
+    part of its cell.  Blank lines and lines starting with ``#`` are skipped, and a
+    line of spaces then ``#`` loses the one space ``tsv_line`` put there.  A line that
+    is not UTF-8, a row with the wrong column count, one whose conversion raises
+    ValueError, or one whose ``key(row)`` an earlier row had (message
+    ``repeated % key(row)``) raises ParseFileError naming ``kind`` and the line.
     """
     first_line: dict[Hashable, int] = {}
     for line_number, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line.endswith("\r"):
-            line = line[:-1]
-        if not line.strip() or line.startswith("#"):
-            continue
-        if line.startswith(" ") and line.lstrip(" ").startswith("#"):
-            line = line[1:]
-        columns = line.split("\t")
-        try:
+        try:  # UnicodeDecodeError is a ValueError
+            line = raw if isinstance(raw, str) else raw.decode("utf-8")
+            line = line.rstrip("\n").removesuffix("\r")
+            if not line.strip() or line.startswith("#"):
+                continue
+            if line.startswith(" ") and line.lstrip(" ").startswith("#"):
+                line = line[1:]
+            columns = line.split("\t")
             if len(columns) != n_columns:
                 raise ValueError(
                     "expected %d tab-separated columns, got %d" % (n_columns, len(columns))
@@ -87,8 +86,9 @@ def write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[s
     stream.writelines(map(tsv_line, rows))
 
 
-def read_json_object(text: str, source: str) -> dict[str, Any]:
-    """Parse one JSON object, rejecting a key repeated in any object; errors name ``source``."""
+def read_json_object(data: bytes, source: str) -> dict[str, Any]:
+    """Parse UTF-8 bytes as one JSON object, rejecting a key repeated in any object; errors
+    name ``source``."""
 
     def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj = dict(pairs)
@@ -98,8 +98,8 @@ def read_json_object(text: str, source: str) -> dict[str, Any]:
         return obj
 
     try:
-        value = json.loads(text, object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+        value = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError("%s is not valid JSON: %s" % (source, exc)) from None
     if not isinstance(value, dict):
         raise ValueError("%s must be a JSON object" % source)
@@ -172,13 +172,13 @@ class ParsedSentence:
         return {t.offset: t for t in self.tokens}
 
 
-def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
-    """Parse a stream of lines into sentences.
+def read_parse_file(stream: Iterable[bytes | str]) -> list[ParsedSentence]:
+    """Parse a stream of lines, a binary file's or text's, into sentences.
 
     Sentences are returned in order of first appearance of their id;
     tokens are sorted by offset.  Raises ParseFileError for rows with
     the wrong column count, an offset that is not ASCII digits, invalid
-    token fields, or an offset that repeats within a sentence.
+    sentence ids or token fields, or an offset that repeats in a sentence.
     """
     grouped: dict[str, dict[int, ParseToken]] = {}
 
@@ -187,8 +187,11 @@ def read_parse_file(stream: TextIO | Iterable[str]) -> list[ParsedSentence]:
         token = ParseToken(parse_whole(offset, "offset"), sys.intern(lemma),
                            sys.intern(pos), sys.intern(dep_rel),  # repeats held once
                            parse_whole(head_offset, "head_offset"))
+        if (table := grouped.get(sentence_id)) is None:  # a sentence's id is checked once
+            _check_field("sentence_id", sentence_id)
+            table = grouped[sentence_id] = {}
         # The sentence's own table finds a repeat: no key per row outlives the read.
-        if grouped.setdefault(sentence_id, {}).setdefault(token.offset, token) is not token:
+        if table.setdefault(token.offset, token) is not token:
             raise ValueError("duplicate offset %d in sentence %r" % (token.offset, sentence_id))
 
     for _ in read_rows(stream, 6, "parse file", add_token):

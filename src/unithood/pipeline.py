@@ -76,7 +76,7 @@ def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConf
     if given, replaces the file's before the config is checked."""
     path = Path(path)
     try:
-        raw = read_json_object(path.read_text(encoding="utf-8"), "config %s" % path)
+        raw = read_json_object(path.read_bytes(), "config %s" % path)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     except ValueError as exc:
@@ -193,7 +193,7 @@ def _hold(table: dict[int, Candidate | str], pair: CandidatePair) -> None:
                           for h in (held, first))))
 
 
-def read_pairs_file(stream: Iterable[str]) -> list[CandidatePair]:
+def read_pairs_file(stream: Iterable[bytes | str]) -> list[CandidatePair]:
     tables: dict[str, dict[int, Candidate | str]] = {}
 
     def candidate(table: dict[int, Candidate | str], sentence_id: str, span: str,
@@ -262,7 +262,7 @@ def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
 
 
 def _read_verdicts(
-    stream: Iterable[str], columns: Sequence[str], name: str, kind: str, what: str
+    stream: Iterable[bytes | str], columns: Sequence[str], name: str, kind: str, what: str
 ) -> dict[str, bool]:
     column = columns.index(name)
 
@@ -275,11 +275,11 @@ def _read_verdicts(
     return dict(read_rows(stream, len(columns), kind, verdict, *_PAIR_ID_KEY))
 
 
-def read_decisions_file(stream: Iterable[str]) -> dict[str, bool]:
+def read_decisions_file(stream: Iterable[bytes | str]) -> dict[str, bool]:
     return _read_verdicts(stream, DECISION_COLUMNS, "decision", "decisions file", "decision")
 
 
-def read_gold_file(stream: Iterable[str]) -> dict[str, bool]:
+def read_gold_file(stream: Iterable[bytes | str]) -> dict[str, bool]:
     return _read_verdicts(stream, GOLD_COLUMNS, "label", "gold file", "gold label")
 
 
@@ -287,7 +287,7 @@ def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> N
     _write_records(records, None, stream)
 
 
-def read_decorated_file(stream: Iterable[str]) -> list[tuple[str, EvidenceSet]]:
+def read_decorated_file(stream: Iterable[bytes | str]) -> list[tuple[str, EvidenceSet]]:
     first = DECORATED_COLUMNS.index("n_s")
     counts = DECORATED_COLUMNS[first:]
 
@@ -314,7 +314,7 @@ def write_eval_report(table: ContingencyTable, stream: TextIO) -> None:
     stream.writelines(map(tsv_line, rows))
 
 
-def read_scores_file(stream: Iterable[str]) -> dict[tuple[str, ...], Score]:
+def read_scores_file(stream: Iterable[bytes | str]) -> dict[tuple[str, ...], Score]:
     """Map each surface triple (a_x, b, a_y) to its Score."""
     first = SCORE_COLUMNS.index("mi")
 

@@ -10,11 +10,14 @@ import urllib.parse
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unithood
-from unithood import pipeline
+from unithood import FixtureProvider, ParseFileError, cli, pipeline, read_parse_file
 from unithood.cli import main
 from unithood.evidence import CountCache, load_corpus_file
+from unithood.parse_ingest import parse_whole, read_rows
 
 
 def run(capsys, *argv):
@@ -472,6 +475,13 @@ class TestSweep:
         # defaults over the bundled decorated pairs: tp=5 fp=1 fn=4 tn=3
         assert row[5:9] == ["5", "1", "4", "3"]
 
+    def test_inline_grid_not_utf8(self, fixtures_dir, capsys):
+        """An inline spec is parsed from the bytes given on the command line."""
+        code, _, err = run(capsys, "sweep", fixtures_dir / "decorated_pairs.tsv",
+                           fixtures_dir / "sweep_gold.tsv", os.fsdecode(b'{"id_t": [6\xff]}'))
+        assert (code, err) == (1, "error: grid spec is not valid JSON: 'utf-8' codec can't "
+                                  "decode byte 0xff in position 11: invalid start byte\n")
+
     def test_malformed_grid(self, fixtures_dir, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -781,6 +791,23 @@ def test_decide_refuses_two_outputs_on_one_file(tmp_path, fixtures_dir, decided,
     assert code == 0 and out.count("# pair_id") == 2
 
 
+def test_a_device_may_repeat_as_an_output(tmp_path, fixtures_dir, decided, monkeypatch, capsys):
+    """Only outputs that are staged, regular or new files, must be distinct: a device is
+    written in place, as "-" is, so each command may name it more than once."""
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "extract", fixtures_dir / "sample_parse.tsv", os.devnull,
+                       os.devnull)
+    assert code == 0, err
+    code, _, err = run(capsys, "--config", fixtures_dir / "config.json", "--cache", os.devnull,
+                       "decide", decided / "pairs.tsv", "--out", os.devnull,
+                       "--decorated-out", os.devnull)
+    assert code == 0, err
+    code, _, err = run(capsys, "--config", fixtures_dir / "config.json", "--cache", "new.tsv",
+                       "decide", decided / "pairs.tsv", "--out", "./new.tsv")
+    assert (code, err) == (1, "error: two outputs are one file: new.tsv\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["extract", "FIXTURES/sample_parse.tsv", "missing/dir/x.tsv", "pairs.tsv"],
     ["--config", "FIXTURES/config.json", "decide", "DECIDED/pairs.tsv", "--out",
@@ -859,6 +886,7 @@ _REMOTE = (b'{"provider": {"remote": {"endpoint_template": "http://localhost:9/{
            b'"cache_path": "cache.tsv"}')
 _DECIDE = ["--config", "config.json", "decide", "pairs.tsv"]
 _BAD_PAIRS = ["--config", "FIXTURES/config.json", "decide", "bad_pairs.tsv"]
+_NOT_UTF8 = r"^error: %s: 'utf-8' codec can't decode byte 0xff in position %d: invalid start byte$"
 
 
 # Each case: the files it writes into a fresh working directory (FIXTURES stands for
@@ -898,6 +926,39 @@ _BAD_PAIRS = ["--config", "FIXTURES/config.json", "decide", "bad_pairs.tsv"]
                  _DECIDE, r"^error: corpus bad_corpus\.txt line 2: ", id="corpus-not-utf8"),
     pytest.param({"gold.tsv": b"1\tMERGED\n1\tNOTMERGED\n"},
                  ["eval", "decisions.tsv", "gold.tsv"], None, id="gold-duplicate-id"),
+    # A byte that is not UTF-8 names the kind and line of a TSV, and the file of a JSON input.
+    pytest.param({"bad_parse.tsv": b"s1\t1\tdog\tNN\tnsubj\t0\ns1\t2\tca\xfft\tNN\tdobj\t1\n"},
+                 ["extract", "bad_parse.tsv", "bad_candidates.tsv", "bad_pairs.tsv"],
+                 _NOT_UTF8 % ("parse file line 2", 7), id="parse-not-utf8"),
+    pytest.param({"bad_pairs.tsv": b"# sentence_id\n\ns\t1,2\ta \xff\t1\ta\t\t2\t\xff\n"},
+                 _BAD_PAIRS, _NOT_UTF8 % ("pairs file line 3", 8), id="pairs-not-utf8"),
+    pytest.param({"bad_scores.tsv": b"a\tof\tb\t0.5\t6.5\t1\tNA\r\n\xff\n"},
+                 ["--config", "FIXTURES/config.json", "decide", "pairs.tsv", "--scores",
+                  "bad_scores.tsv"], _NOT_UTF8 % ("scores file line 2", 0), id="scores-not-utf8"),
+    pytest.param({"bad_decisions.tsv": b"# \xff\n"}, ["eval", "bad_decisions.tsv", "gold.tsv"],
+                 _NOT_UTF8 % ("decisions file line 1", 2), id="decisions-not-utf8"),
+    pytest.param({"gold.tsv": b"1\tMERGED\n2\tNOT\xffMERGED\n"},
+                 ["eval", "decisions.tsv", "gold.tsv"], _NOT_UTF8 % ("gold file line 2", 5),
+                 id="gold-not-utf8"),
+    pytest.param({"bad_decorated.tsv": b"p1\ta\tof\tb\ta of b\t1\t2\t3\xff\n",
+                  "bad_gold.tsv": b"p1\tMERGED\n"},
+                 ["sweep", "bad_decorated.tsv", "bad_gold.tsv", '{"id_t": [6]}'],
+                 _NOT_UTF8 % ("decorated pairs file line 1", 22), id="decorated-not-utf8"),
+    pytest.param({"bad_counts.tsv": b"a\t1\n\xff\t2\n", "config.json":
+                  b'{"provider": {"fixture": "bad_counts.tsv"}}'}, _DECIDE,
+                 _NOT_UTF8 % ("count table bad_counts.tsv line 2", 0), id="count-table-not-utf8"),
+    pytest.param({"bad_cache.tsv": b"Mental Health\t5\tfixture\tT\nx\xff\t1\tfixture\tT\n"},
+                 ["--config", "FIXTURES/config.json", "--cache", "bad_cache.tsv", "decide",
+                  "pairs.tsv"], _NOT_UTF8 % ("count cache line 2", 1), id="cache-not-utf8"),
+    pytest.param({"config.json": b'{"provider": {"fixture": "c\xff.json"}}'}, _DECIDE,
+                 _NOT_UTF8 % ("config config.json is not valid JSON", 27), id="config-not-utf8"),
+    pytest.param({"bad_counts.json": b'{"a": 1, "\xff": 2}', "config.json":
+                  b'{"provider": {"fixture": "bad_counts.json"}}'}, _DECIDE,
+                 _NOT_UTF8 % ("count table bad_counts.json is not valid JSON", 10),
+                 id="count-table-json-not-utf8"),
+    pytest.param({"grid.json": b'{"id_t": [6], "\xff": [1]}'},
+                 ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv", "grid.json"],
+                 _NOT_UTF8 % ("grid spec grid.json is not valid JSON", 15), id="grid-not-utf8"),
     # An offset of a sentence holds one candidate or one connector; the error names the
     # line, the offset and both holders.
     pytest.param({"bad_pairs.tsv": b"s\t1,2\ta b\t1\ta\t\t2\tb\n"
@@ -1023,3 +1084,98 @@ def test_star_import_binds_every_exported_name():
     assert {value.__module__.split(".")[0] for value in exported.values()} == {"unithood"}
     assert {"evidence", "pipeline", "__version__"}.isdisjoint(exported)
     assert {"Candidate", "decide_pairs", "load_config", "unithood"} <= set(exported)
+
+
+def _count_table(stream, path):
+    """A count table from a stream of text, with from_file's row conversion."""
+    return FixtureProvider(list(read_rows(stream, 2, "count table %s" % path, lambda c: (
+        c[0], parse_whole(c[1], "count for %r", c[0])))))._counts
+
+
+def _cache_from_text(stream, path):
+    cache = CountCache(FixtureProvider({}))
+    cache._store(stream)
+    return cache._counts
+
+
+def _reading(reader):
+    """The CLI's way to read a TSV file, and the library's way to read a text stream."""
+    return lambda path: cli._read(str(path), reader), lambda stream, path: reader(stream)
+
+
+# Each TSV reader: valid rows to start from, then how it reads a file and a text stream.
+_READERS = {
+    "parse": ([b"s\t1\tbig\tJJ\tamod\t2", b"s\t2\tdog\tNN\tnsubj\t0", b"t\t1\tcat\tNN\troot\t0"],
+              *_reading(read_parse_file)),
+    "pairs": ([b"s\t1,2\ta b\t1\ta\t\t2\tb", b"s\t2,3,4\tb of c\t2\tb\tof\t4\tc"],
+              *_reading(pipeline.read_pairs_file)),
+    "scores": ([b"a\tof\tb\t0.5\t6.5\t1\tNA", b"c\t\td\t1\t2\t3\t0.5"],
+               *_reading(pipeline.read_scores_file)),
+    "decisions": ([b"1\ta\t\tb\t1.0\t2.0\t0.5\t0.9\tMERGED\ta b",
+                   b"2\tc\tof\td\t1\t1\tNA\t0.1\tNOTMERGED\tc of d"],
+                  *_reading(pipeline.read_decisions_file)),
+    "gold": ([b"1\tMERGED", b"2\tNOTMERGED"], *_reading(pipeline.read_gold_file)),
+    "decorated": ([b"1\ta\tof\tb\ta of b\t1\t2\t3", b"2\tc\t\td\tc d\t4\t5\t6"],
+                  *_reading(pipeline.read_decorated_file)),
+    "count table": ([b"a b\t5", b"c\t1"], lambda path: FixtureProvider.from_file(path)._counts,
+                    _count_table),
+    "count cache": ([b"a b\t5\tfixture\tT", b"c\t1\tfixture\tT", b"d\t2\tremote\tT"],
+                    lambda path: CountCache(FixtureProvider({}), path)._counts, _cache_from_text),
+}
+# What the differential puts into rows and between them: every break str.splitlines knows
+# (LF, CRLF, a lone CR, form feed, U+0085, U+2028), a byte that is not UTF-8, and comment starts.
+_NOISE = [b"\n", b"\r\n", b"\r", b"\x0c", "\x85".encode(), "\u2028".encode(), b"\xff", b"#",
+          b" #", b" ", b"\t"]
+
+
+@st.composite
+def _tsv_bytes(draw, rows):
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        line = draw(st.sampled_from(rows + [b""]))
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(_NOISE)) + line[at:]
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r\n", b""])))
+    return b"".join(lines)
+
+
+def _outcome(read):
+    try:
+        return "rows", read()
+    except ParseFileError as exc:
+        return "error", str(exc), exc.line_number
+    except ValueError as exc:  # raised once every row is read, e.g. two phrases with one key
+        return "late error", type(exc)
+
+
+@pytest.mark.parametrize("kind", list(_READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_file_reads_as_its_text_reads(tmp_path_factory, kind, data):
+    """Every TSV reader gives a file's bytes, read the CLI's way, the rows or the error
+    that io.StringIO of their text gives: a lone CR and every break but LF stay in their
+    cell.  Bytes that are not UTF-8 fail at the first line holding one, naming it, unless
+    the lines before it fail first."""
+    rows, from_file, from_text = _READERS[kind]
+    content = data.draw(_tsv_bytes(rows))
+    if kind == "count cache" and not content.endswith(b"\n"):
+        content += b"\n"  # an unterminated last line is a torn append, skipped with a warning
+    path = tmp_path_factory.getbasetemp() / ("differential %s.tsv" % kind)
+    path.write_bytes(content)
+    got = _outcome(lambda: from_file(path))
+    lines = content.split(b"\n")
+    lines = [line + b"\n" for line in lines[:-1]] + lines[-1:]
+    for number, line in enumerate(lines, 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            before = b"".join(lines[:number - 1]).decode("utf-8")
+            expected = _outcome(lambda: from_text(io.StringIO(before), path))
+            if expected[0] == "error":
+                assert got == expected
+            else:
+                assert got[0] == "error" and got[2] == number, got
+                assert "line %d: 'utf-8' codec can't decode" % number in got[1], got
+            return
+    assert got == _outcome(lambda: from_text(io.StringIO(content.decode("utf-8")), path))

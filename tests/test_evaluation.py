@@ -192,6 +192,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(rows, gold, {"id_t": []})
 
+    @pytest.mark.parametrize("values", [5, 6.0, None, {"a": 1}, "36"],
+                             ids=["int", "float", "null", "object", "string"])
+    def test_axis_that_is_not_a_list_rejected(self, values):
+        """The grid's shape is checked here, for a library call as for the CLI."""
+        rows = random_rows(random.Random(21), n=5)
+        gold = {pid: True for pid, _ in rows}
+        with pytest.raises(ValueError) as err:
+            sweep(rows, gold, {"mi_plus": [0.9], "id_t": values})
+        assert str(err.value) == "grid axis 'id_t' must be a list of numbers"
+
+    def test_axis_may_be_a_tuple(self):
+        rows = random_rows(random.Random(21), n=5)
+        gold = {pid: True for pid, _ in rows}
+        assert sweep(rows, gold, {"id_t": (3.0, 6.0)}) == sweep(rows, gold, {"id_t": [3.0, 6.0]})
+
     def test_unknown_threshold_rejected(self):
         rows = random_rows(random.Random(22), n=5)
         gold = {pid: True for pid, _ in rows}

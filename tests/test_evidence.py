@@ -96,6 +96,18 @@ class TestFixtureProvider:
         assert provider.count("a b") == 7
         assert provider.count("c") == 0
 
+    def test_format_follows_the_extension_alone(self, tmp_path):
+        """A TSV whose first phrase starts with "{" is a TSV, and a JSON object under
+        another name fails at line 1 as one."""
+        (tmp_path / "brace.tsv").write_text("{a\t5\n", encoding="utf-8")
+        assert FixtureProvider.from_file(tmp_path / "brace.tsv").count("{a") == 5
+        path = tmp_path / "counts.txt"
+        path.write_text('{"a b": 7}', encoding="utf-8")
+        with pytest.raises(ParseFileError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value) == (
+            "count table %s line 1: expected 2 tab-separated columns, got 1" % path)
+
     def test_json_list_names_file(self, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text('[["a b", 7]]', encoding="utf-8")
@@ -152,7 +164,8 @@ class TestFixtureProvider:
         assert str(err.value) == (
             "count for 'b c' must be a whole, non-negative number, got %s" % shown)
 
-    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\x0c"], ids=["nel", "ls", "ff"])
+    @pytest.mark.parametrize("breaker", ["\r", "\x85", "\u2028", "\x0c"],
+                             ids=["cr", "nel", "ls", "ff"])
     def test_tsv_row_is_one_line_whatever_str_splitlines_splits(self, tmp_path, breaker):
         """Only LF ends a row, as in every TSV the package reads; the phrase's break is
         whitespace, so the row counts the phrase that a JSON table with it counts."""
@@ -339,7 +352,8 @@ class TestCountCache:
             fixture_cache(path)
         assert str(err.value) == "count cache line 2: " + message
 
-    @pytest.mark.parametrize("breaker", ["\x85", "\u2028", "\x0c"], ids=["nel", "ls", "ff"])
+    @pytest.mark.parametrize("breaker", ["\r", "\x85", "\u2028", "\x0c"],
+                             ids=["cr", "nel", "ls", "ff"])
     def test_row_is_one_line_whatever_str_splitlines_splits(self, tmp_path, capsys, breaker):
         # A torn last line is still named by its number in the file.
         path = tmp_path / "cache.tsv"
@@ -358,8 +372,8 @@ class TestCountCache:
     @pytest.mark.parametrize(
         "torn",
         [b"c d\t4\tfix", "c d\t4\tfixture\tcaf\u00e9".encode("utf-8")[:-1],
-         b"c d\t-4\tfixture\tT", b" \t4\tfixture\tT"],
-        ids=["short-row", "split-character", "negative-count", "empty-phrase"],
+         b"c d\t-4\tfixture\tT", b" \t4\tfixture\tT", b"c \xff\t4\tfixture\tT"],
+        ids=["short-row", "split-character", "negative-count", "empty-phrase", "bad-byte"],
     )
     def test_torn_last_line_skipped_and_cut(self, tmp_path, capsys, torn):
         path = tmp_path / "cache.tsv"

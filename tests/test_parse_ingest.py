@@ -114,6 +114,20 @@ class TestReadParseFile:
         (sentence,) = read_text("s1\t1\tdog\tNN\tnsubj\t0\r\n")
         assert sentence.tokens[0].lemma == "dog"
 
+    @pytest.mark.parametrize("field, row", [
+        ("sentence_id", b"s\r1\t1\tdog\tNN\tnsubj\t0\n"),
+        ("lemma", b"s1\t1\td\rog\tNN\tnsubj\t0\n"),
+    ], ids=["sentence-id", "lemma"])
+    def test_lone_cr_is_cell_data_and_named_on_its_line(self, field, row):
+        """A lone CR ends no row: it stays in its cell, which refuses line breaks, so the
+        error names the row's line, from a binary file's lines as from text."""
+        for lines in (io.BytesIO(b"s0\t1\tcat\tNN\troot\t0\n" + row),
+                      io.StringIO((b"s0\t1\tcat\tNN\troot\t0\n" + row).decode())):
+            with pytest.raises(ParseFileError) as err:
+                read_parse_file(lines)
+            assert str(err.value) == (
+                "parse file line 2: %s must not contain tabs or line breaks" % field)
+
 
 class TestTokenInvariants:
     def test_empty_lemma(self):
