@@ -30,7 +30,6 @@ from .extractor import (
     Candidate,
     CandidatePair,
     extract_candidates,
-    find_head_nouns,
     form_pairs,
     merge_pass,
     sentence_connectors,

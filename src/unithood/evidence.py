@@ -380,7 +380,8 @@ class CountCache:
                 self._repair = (len(data) - len(torn), "")
 
     def _store(self, lines: Iterable[bytes | str]) -> None:
-        for provider_id, key, count in read_rows(lines, 4, "count cache", _cache_row):
+        kind = "count cache %s" % self.path
+        for provider_id, key, count in read_rows(lines, 4, kind, _cache_row):
             if provider_id == self.provider_id:
                 self._counts[key] = count
 

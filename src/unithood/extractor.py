@@ -1,13 +1,15 @@
 """Head-driven left-right candidate filter and candidate pairing.
 
-The filter identifies head nouns in a dependency-parsed sentence, grows
-each into a maximal noun-phrase segment by absorbing contiguous
-modifiers (left side first, then right), and emits the segments as term
-candidates.  Nouns that end up in no segment are emitted as singleton
-candidates.  Adjacent candidates, or candidates separated by exactly one
-preposition or the conjunction "and", are then paired for the merge
-decision; accepted merges produce new candidates that can be paired
-again on the next pass.
+The filter grows every noun of a dependency-parsed sentence, except
+possessives, into a maximal noun-phrase segment by absorbing contiguous
+modifiers (left side first, then right), and emits the largest segments
+that share no token as term candidates.  Growing every noun is the
+paper's head-driven filter: a noun that fails its head test has no noun,
+adjective or foreign-word dependent, so it grows only to itself, the
+singleton the filter would keep for it anyway.  Adjacent candidates, or
+candidates separated by exactly one preposition or the conjunction
+"and", are then paired for the merge decision; accepted merges produce
+new candidates that can be paired again on the next pass.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field
 
 # POS tags a candidate member may carry: nouns, adjectives, foreign words.
 MEMBER_TAGS = NOUN_TAGS | {"JJ", "FW"}
-
-# Dependency relations that attach a modifier inside a noun phrase.
-NP_INTERNAL_RELS = frozenset({"nn", "amod", "poss"})
 
 PREPOSITION_TAG = "IN"
 CONJUNCTION_TAG = "CC"
@@ -98,33 +97,6 @@ class CandidatePair:
         return (self.a_x.span, self.a_y.span)
 
 
-def find_head_nouns(sentence: ParsedSentence) -> set[int]:
-    """Return the offsets of tokens the filter grows candidates from.
-
-    A noun qualifies when some other token modifies it (an nn/amod/poss
-    dependent, or any dependent tagged noun/adjective/foreign), or when
-    it does not itself hang inside a noun phrase, i.e. its own relation
-    to its governor is not one of nn/amod/poss.  Possessive nouns never
-    qualify.
-    """
-    dependents: dict[int, list[ParseToken]] = {}
-    for token in sentence.tokens:
-        if token.head_offset > 0:
-            dependents.setdefault(token.head_offset, []).append(token)
-    heads: set[int] = set()
-    for token in sentence.tokens:
-        if not token.is_noun or token.dep_rel == "poss":
-            continue
-        has_modifier = any(
-            d.dep_rel in NP_INTERNAL_RELS or d.pos in MEMBER_TAGS
-            for d in dependents.get(token.offset, ())
-        )
-        externally_governed = token.dep_rel not in NP_INTERNAL_RELS
-        if has_modifier or externally_governed:
-            heads.add(token.offset)
-    return heads
-
-
 def _absorbable(token: ParseToken, members: set[int]) -> bool:
     # A member must modify the growing candidate, carry an allowed POS and not be a possessive.
     return (
@@ -147,25 +119,24 @@ def _grow(head: int, by_offset: Mapping[int, ParseToken]) -> tuple[int, ...]:
 def extract_candidates(sentence: ParsedSentence) -> list[Candidate]:
     """Run the head-driven filter over one sentence.
 
-    Candidates grown from different heads are unified: a candidate whose
-    span is covered by another is dropped.  Remaining noun tokens that
-    no candidate covers become singletons, except possessives.  The
-    result is ordered by span start and candidates never share offsets.
+    Every noun but a possessive grows a candidate; one that fails the
+    paper's head test grows only to itself.  Growths are kept largest
+    first, leftmost among equals, and one that shares an offset with a
+    kept growth is dropped.  The result is ordered by span start and
+    candidates never share offsets.
     """
     by_offset = sentence.by_offset()
-    grown = [_grow(head, by_offset) for head in sorted(find_head_nouns(sentence))]
+    grown = [_grow(t.offset, by_offset) for t in sentence.tokens
+             if t.is_noun and t.dep_rel != "poss"]
 
     candidates: list[Candidate] = []
     covered: set[int] = set()
     for span in sorted(grown, key=lambda g: (-len(g), g[0])):
-        # Skip a span inside a kept one, or overlapping one (no single head does).
+        # Skip a span inside a kept one, or overlapping one.
         if covered.isdisjoint(span):
             surface = " ".join(by_offset[offset].lemma for offset in span)
             candidates.append(Candidate(sentence.sentence_id, span, surface))
             covered.update(span)
-    for token in sentence.tokens:
-        if token.is_noun and token.offset not in covered and token.dep_rel != "poss":
-            candidates.append(Candidate(sentence.sentence_id, (token.offset,), token.lemma))
     candidates.sort(key=lambda c: c.start)
     return candidates
 

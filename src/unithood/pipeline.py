@@ -73,7 +73,8 @@ class PipelineConfig:
 
 def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConfig:
     """Load a JSON config file; relative paths resolve against its directory.  ``cache_path``,
-    if given, replaces the file's before the config is checked."""
+    if given, replaces the file's before the config is checked.  ``fixture``, ``corpus`` and
+    ``cache_path`` must be non-empty strings; a null ``cache_path`` means no cache."""
     path = Path(path)
     try:
         raw = read_json_object(path.read_bytes(), "config %s" % path)
@@ -87,7 +88,9 @@ def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConf
         raise ConfigError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
     base = path.parent
 
-    def resolve(p: str) -> str:
+    def resolve(name: str, p: object) -> str:
+        if not isinstance(p, str) or not p:
+            raise ConfigError("%s must be a non-empty string" % name)
         return str((base / p)) if not Path(p).is_absolute() else p
 
     for key in ("provider", "thresholds"):
@@ -99,15 +102,16 @@ def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConf
         raise ConfigError("unknown provider kind(s): %s" % ", ".join(sorted(unknown)))
     if len(provider) != 1:
         raise ConfigError("config must name exactly one count provider")
-    cache_path = cache_path or (resolve(raw["cache_path"]) if raw.get("cache_path") else None)
     values = raw.get("thresholds", {})
     try:
+        cache_path = cache_path or (None if raw.get("cache_path") is None
+                                    else resolve("cache_path", raw["cache_path"]))
         thresholds = Thresholds(**{name: threshold_value(name, values[name]) for name in values})
         remote = RemoteClientConfig(**provider["remote"]) if "remote" in provider else None
         return PipelineConfig(
             thresholds=thresholds,
-            fixture_path=resolve(provider["fixture"]) if "fixture" in provider else None,
-            corpus_path=resolve(provider["corpus"]) if "corpus" in provider else None,
+            fixture_path=resolve("fixture", provider["fixture"]) if "fixture" in provider else None,
+            corpus_path=resolve("corpus", provider["corpus"]) if "corpus" in provider else None,
             remote=remote,
             cache_path=cache_path,
             missing_count_policy=raw.get("missing_count_policy", "error"),

@@ -900,6 +900,10 @@ _NOT_UTF8 = r"^error: %s: 'utf-8' codec can't decode byte 0xff in position %d: i
                  id="config-threshold-unknown"),
     pytest.param({"config.json": _REMOTE % b'"count_path": "t", "max_retries": 2.5'},
                  _DECIDE, None, id="remote-max-retries"),
+    # A config path that is not a non-empty string fails on load, naming the key.
+    pytest.param({"config.json": _FIXTURE % b'"cache_path": 5'}, _DECIDE,
+                 r"^error: invalid config config\.json: cache_path must be a non-empty string$",
+                 id="config-cache-path-int"),
     # A count_path that is not a string fails on load, before any fetch.
     pytest.param({"config.json": _REMOTE % b'"count_path": 5, "min_delay_ms": 0'},
                  _DECIDE, "count_path must be a string", id="remote-count-path"),
@@ -911,10 +915,16 @@ _NOT_UTF8 = r"^error: %s: 'utf-8' codec can't decode byte 0xff in position %d: i
                   "underscore_gold.tsv": b"p1\tMERGED\n"},
                  ["sweep", "underscore_decorated.tsv", "underscore_gold.tsv", '{"id_t": [6]}'],
                  None, id="decorated-underscore"),
-    # A cache row whose count is not a whole, non-negative number fails on load, naming the line.
+    # A cache row whose count is not a whole, non-negative number fails on load, naming the
+    # file and line, whether the cache comes from --cache or from the config.
     pytest.param({"bad_cache.tsv": b"Mental Health\t-5\tfixture\tT\n"},
                  ["--config", "FIXTURES/config.json", "--cache", "bad_cache.tsv", "decide",
-                  "pairs.tsv"], "count cache line 1: ", id="cache-negative-count"),
+                  "pairs.tsv"], r"^error: count cache bad_cache\.tsv line 1: ",
+                 id="cache-negative-count"),
+    pytest.param({"nested/c.tsv": b"Mental Health\t5\n",
+                  "config.json": _FIXTURE % b'"cache_path": "nested/c.tsv"'}, _DECIDE,
+                 r"^error: count cache nested/c\.tsv line 1: expected 4 tab-separated columns",
+                 id="config-cache-short-row"),
     pytest.param({}, ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv",
                       '{"id_x": []}'], None, id="grid-unknown-empty-axis"),
     pytest.param({}, ["sweep", "FIXTURES/decorated_pairs.tsv", "FIXTURES/sweep_gold.tsv",
@@ -949,7 +959,8 @@ _NOT_UTF8 = r"^error: %s: 'utf-8' codec can't decode byte 0xff in position %d: i
                  _NOT_UTF8 % ("count table bad_counts.tsv line 2", 0), id="count-table-not-utf8"),
     pytest.param({"bad_cache.tsv": b"Mental Health\t5\tfixture\tT\nx\xff\t1\tfixture\tT\n"},
                  ["--config", "FIXTURES/config.json", "--cache", "bad_cache.tsv", "decide",
-                  "pairs.tsv"], _NOT_UTF8 % ("count cache line 2", 1), id="cache-not-utf8"),
+                  "pairs.tsv"], _NOT_UTF8 % ("count cache bad_cache.tsv line 2", 1),
+                 id="cache-not-utf8"),
     pytest.param({"config.json": b'{"provider": {"fixture": "c\xff.json"}}'}, _DECIDE,
                  _NOT_UTF8 % ("config config.json is not valid JSON", 27), id="config-not-utf8"),
     pytest.param({"bad_counts.json": b'{"a": 1, "\xff": 2}', "config.json":
@@ -986,6 +997,7 @@ def test_bad_input_fails_without_a_traceback(files, argv, pattern, decided, fixt
     for name in ("pairs.tsv", "decisions.tsv"):
         shutil.copy(decided / name, tmp_path / name)
     for name, content in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(content.replace(b"FIXTURES", bytes(fixtures_dir)))
     result = cli_process(tmp_path, *(a.replace("FIXTURES", str(fixtures_dir)) for a in argv))
     assert result.returncode == 1, result.stderr
@@ -1094,6 +1106,7 @@ def _count_table(stream, path):
 
 def _cache_from_text(stream, path):
     cache = CountCache(FixtureProvider({}))
+    cache.path = path  # named in its errors, never opened
     cache._store(stream)
     return cache._counts
 

@@ -333,7 +333,7 @@ class TestCountCache:
             cache.put("e f", 5)
         with pytest.raises(ParseFileError) as err:
             fixture_cache(path)
-        assert str(err.value).startswith("count cache line 2: expected 4")
+        assert str(err.value).startswith("count cache %s line 2: expected 4" % path)
 
     @pytest.mark.parametrize("provider_id", ["fixture", "local-index"])
     @pytest.mark.parametrize(
@@ -350,7 +350,7 @@ class TestCountCache:
                         encoding="utf-8")
         with pytest.raises(ParseFileError) as err:
             fixture_cache(path)
-        assert str(err.value) == "count cache line 2: " + message
+        assert str(err.value) == "count cache %s line 2: %s" % (path, message)
 
     @pytest.mark.parametrize("breaker", ["\r", "\x85", "\u2028", "\x0c"],
                              ids=["cr", "nel", "ls", "ff"])
@@ -367,7 +367,7 @@ class TestCountCache:
         path.write_text("a b\t3\tfixture\tT\nc d\t4\tfix\n", encoding="utf-8")
         with pytest.raises(ParseFileError) as err:
             fixture_cache(path)
-        assert str(err.value).startswith("count cache line 2: expected 4")
+        assert str(err.value).startswith("count cache %s line 2: expected 4" % path)
 
     @pytest.mark.parametrize(
         "torn",

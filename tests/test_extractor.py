@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unithood import (
@@ -10,7 +10,6 @@ from unithood import (
     ParsedSentence,
     ParseToken,
     extract_candidates,
-    find_head_nouns,
     form_pairs,
     merge_pass,
     sentence_connectors,
@@ -20,29 +19,6 @@ from unithood import (
 def sentence_from(rows, sentence_id="t"):
     tokens = tuple(ParseToken(*row) for row in rows)
     return ParsedSentence(sentence_id, tokens)
-
-
-class TestFindHeadNouns:
-    def test_sample_sentence(self, sample_sentence):
-        heads = find_head_nouns(sample_sentence)
-        # Kopnisky, Institute and Health each carry a compound modifier.
-        assert {15, 21, 24} <= heads
-        # Nouns only governed from outside a noun phrase qualify too.
-        assert heads == {7, 10, 15, 21, 24, 32}
-
-    def test_possessive_not_a_head(self, sample_sentence):
-        assert 18 not in find_head_nouns(sample_sentence)
-
-    def test_internal_modifiers_not_heads(self, sample_sentence):
-        assert {14, 20, 23} & find_head_nouns(sample_sentence) == set()
-
-    def test_no_nouns(self):
-        sentence = sentence_from([(1, "run", "VBG", "root", 0), (2, "fast", "RB", "advmod", 1)])
-        assert find_head_nouns(sentence) == set()
-
-    def test_single_noun_sentence(self):
-        sentence = sentence_from([(3, "dog", "NN", "root", 0)])
-        assert find_head_nouns(sentence) == {3}
 
 
 class TestExtractCandidates:
@@ -80,9 +56,9 @@ class TestExtractCandidates:
         assert [c.surface for c in candidates] == ["computer science department"]
 
     def test_leftover_noun_without_head_status(self):
-        # "press" hangs inside a noun phrase (nn) but its governor is a
-        # verb-tagged token, so nothing absorbs it; the leftover rule
-        # keeps it as a singleton without a head marker.
+        # "press" hangs inside a noun phrase (nn) and nothing modifies it, so
+        # it fails the head test; its governor is verb-tagged, so nothing
+        # absorbs it either, and it grows only to itself.
         sentence = sentence_from(
             [
                 (1, "press", "NN", "nn", 2),
@@ -323,6 +299,59 @@ def chained_candidates(draw):
     return candidates, [p for p in pairs if draw(st.booleans())]
 
 
+def head_rule_spans(sentence: ParsedSentence) -> list[tuple[int, ...]]:
+    """The filter with its head test: grow the head nouns alone, keep the largest growths
+    that share no offset, then make every noun left uncovered a singleton.
+
+    A head is a noun, not a possessive, with an nn/amod/poss dependent or a noun, adjective
+    or foreign-word dependent, or whose own relation is not nn/amod/poss.  A growth absorbs,
+    left side first and then right, each next token that is a noun, adjective or foreign
+    word, not a possessive, and governed by a member."""
+    inside, members_pos = {"nn", "amod", "poss"}, {"NN", "NNS", "NNP", "NNPS", "JJ", "FW"}
+    tokens = sentence.by_offset()
+
+    def grow(head):
+        members = {head}
+        for step in (-1, 1):
+            cursor = head + step
+            while (cursor in tokens and tokens[cursor].head_offset in members
+                   and tokens[cursor].pos in members_pos and tokens[cursor].dep_rel != "poss"):
+                members.add(cursor)
+                cursor += step
+        return tuple(sorted(members))
+
+    nouns = [t for t in sentence.tokens if t.pos in members_pos - {"JJ", "FW"}
+             and t.dep_rel != "poss"]
+    heads = [t.offset for t in nouns if t.dep_rel not in inside or any(
+        d.head_offset == t.offset and (d.dep_rel in inside or d.pos in members_pos)
+        for d in sentence.tokens)]
+    kept, covered = [], set()
+    for span in sorted(map(grow, heads), key=lambda g: (-len(g), g[0])):
+        if covered.isdisjoint(span):
+            kept.append(span)
+            covered.update(span)
+    return sorted(kept + [(t.offset,) for t in nouns if t.offset not in covered])
+
+
+@st.composite
+def dense_sentences(draw):
+    """Runs of nouns and adjectives with possessives among them, gaps between offsets, and
+    governors next door, anywhere in the sentence, outside it, or the root."""
+    offsets, offset = [], 0
+    for gap in draw(st.lists(st.sampled_from([1, 1, 1, 2]), min_size=1, max_size=8)):
+        offset += gap
+        offsets.append(offset)
+    rows = []
+    for position in offsets:
+        near = [h for h in (position - 2, position - 1, position + 1, position + 2) if h > 0]
+        head = draw(st.sampled_from(near * 4 + [0, offset + 3, *offsets]).filter(
+            lambda h: h != position))
+        pos = draw(st.sampled_from(["NN", "NN", "NNS", "NNP", "JJ", "JJ", "FW", "IN"]))
+        rel = draw(st.sampled_from(["nn", "nn", "amod", "poss", "pobj", "nsubj", "dobj"]))
+        rows.append((position, "w%d" % position, pos, rel, head))
+    return sentence_from(rows)
+
+
 class TestRandomizedInvariants:
     def test_candidates_never_share_offsets(self):
         rng = random.Random(20240811)
@@ -343,14 +372,18 @@ class TestRandomizedInvariants:
                 expected = " ".join(by_offset[o].lemma for o in candidate.span)
                 assert candidate.surface == expected
 
-    def test_multi_token_candidates_contain_one_head(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            sentence = random_sentence(rng)
-            heads = find_head_nouns(sentence)
-            for candidate in extract_candidates(sentence):
-                if len(candidate.span) > 1:
-                    assert heads & set(candidate.span)
+    # Left side first, "b" cannot take "a": its governor "c" joins only on the right.
+    @example(sentence_from([(1, "a", "JJ", "amod", 3), (2, "b", "NN", "nsubj", 0),
+                            (3, "c", "NN", "nn", 2)]))
+    @settings(max_examples=300, deadline=None)
+    @given(dense_sentences())
+    def test_growing_every_noun_matches_the_head_rule(self, sentence):
+        # A noun that fails the head test has no member dependent, so grows only to itself.
+        candidates = extract_candidates(sentence)
+        assert [c.span for c in candidates] == head_rule_spans(sentence)
+        by_offset = sentence.by_offset()
+        assert [c.surface for c in candidates] == [
+            " ".join(by_offset[o].lemma for o in c.span) for c in candidates]
 
     def test_pair_gap_is_zero_or_one_qualifying_token(self):
         rng = random.Random(4242)

@@ -83,6 +83,14 @@ class TestConfig:
         config = load_config(path)
         assert config.fixture_path == str(tmp_path / "counts.json")
 
+    def test_null_cache_path_means_no_cache(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"provider": {"fixture": "a"}, "cache_path": None}))
+        assert load_config(path).cache_path is None
+        # A cache_path given to load_config replaces the file's before it is checked.
+        path.write_text(json.dumps({"provider": {"fixture": "a"}, "cache_path": 5}))
+        assert load_config(path, "c.tsv").cache_path == "c.tsv"
+
     def test_two_providers_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"provider": {"fixture": "a", "corpus": "b"}}))
@@ -177,10 +185,23 @@ class TestConfig:
             ('{"provider": ["fixture", "a"]}', "provider must be a JSON object"),
             ('{"provider": {"fixture": "a"}, "thresholds": [6]}',
              "thresholds must be a JSON object"),
+            # A path is a non-empty string: no other value means "no cache" or fails late.
+            ('{"provider": {"corpus": 5}}',
+             "invalid config {path}: corpus must be a non-empty string"),
+            ('{"provider": {"fixture": ""}}',
+             "invalid config {path}: fixture must be a non-empty string"),
+            ('{"provider": {"fixture": null}}',
+             "invalid config {path}: fixture must be a non-empty string"),
+        ] + [
+            ('{"provider": {"fixture": "a"}, "cache_path": %s}' % value,
+             "invalid config {path}: cache_path must be a non-empty string")
+            for value in ("5", '["a"]', "true", "0", "false", '""', "{}")
         ],
         ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
              "passes-bool", "retries-float", "retries-bool", "count-path-int", "endpoint-int",
-             "provider-list", "thresholds-list"],
+             "provider-list", "thresholds-list", "corpus-int", "fixture-empty", "fixture-null",
+             "cache-int", "cache-list", "cache-true", "cache-zero", "cache-false", "cache-empty",
+             "cache-object"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
         path = tmp_path / "config.json"
