@@ -72,11 +72,9 @@ def _distinct_outputs(*paths: str | None) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
-    cache = args.cache or None  # the option replaces the config's cache_path
+    config = pipeline.PipelineConfig(cache_path=args.cache)  # checks --cache before --config
     if args.config:
-        config = pipeline.load_config(args.config, cache)
-    else:
-        config = pipeline.PipelineConfig(cache_path=cache)
+        config = pipeline.load_config(args.config, args.cache)
     overrides = {}
     for item in getattr(args, "threshold", None) or []:
         name, _, value = item.partition("=")
@@ -116,7 +114,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     sentences = pipeline._sentences(_read(args.pairs_file, pipeline.read_pairs_file))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
-        pipeline.build_provider(config, sentences) if config.has_provider() else nullcontext()
+        pipeline.build_provider(config, sentences) if config.provider else nullcontext()
     ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
         # Each pair's rows are written as it is decided, so no record is kept.
         decided, merged, uncounted = pipeline._write_records(pipeline._decisions(
@@ -170,7 +168,7 @@ def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
     # Only a corpus counts the sentences' closure; other providers need no offset tables.
-    sentences = pipeline._sentences(pairs) if config.corpus_path else None
+    sentences = pipeline._sentences(pairs) if (config.provider or [None])[0] == "corpus" else None
     with pipeline.build_provider(config, sentences) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)

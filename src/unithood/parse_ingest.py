@@ -86,23 +86,24 @@ def write_rows(stream: TextIO, columns: Sequence[str], rows: Iterable[Sequence[s
     stream.writelines(map(tsv_line, rows))
 
 
-def read_json_object(data: bytes, source: str) -> dict[str, Any]:
+def read_json_object(data: bytes, source: str,
+                     error: type[ValueError] = ValueError) -> dict[str, Any]:
     """Parse UTF-8 bytes as one JSON object, rejecting a key repeated in any object; errors
-    name ``source``."""
+    name ``source`` and are ``error``s."""
 
     def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj = dict(pairs)
         if len(obj) < len(pairs):
             repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
-            raise ValueError("%s repeats key %r" % (source, repeated))
+            raise error("%s repeats key %r" % (source, repeated))
         return obj
 
     try:
         value = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError("%s is not valid JSON: %s" % (source, exc)) from None
+        raise error("%s is not valid JSON: %s" % (source, exc)) from None
     if not isinstance(value, dict):
-        raise ValueError("%s must be a JSON object" % source)
+        raise error("%s must be a JSON object" % source)
     return value
 
 

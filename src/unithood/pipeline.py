@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .evidence import (
     CountCache,
@@ -39,84 +39,85 @@ class ConfigError(ValueError):
     pass
 
 
+# Each count-provider kind: the type of its spec in PipelineConfig.provider, and its builder.
+PROVIDERS: dict[str, tuple[type, Callable[[Any, Any], CountProvider]]] = {
+    "fixture": (str, lambda path, sentences: FixtureProvider.from_file(path)),
+    "corpus": (str, lambda path, sentences: load_corpus_file(
+        path, None if sentences is None else {p for s in sentences for p in closure(*s)})),
+    "remote": (RemoteClientConfig, lambda settings, sentences: RemoteCountClient(settings)),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One serializable configuration for a full run.
 
-    Exactly one provider spec may be present: ``fixture_path`` (JSON or
-    TSV count table), ``corpus_path`` (one document per line), or
-    ``remote`` settings.  ``cache_path`` persists the counts, which are
-    memoized per run anyway, and is required with the remote provider.
+    ``provider`` names at most one count provider as (kind, spec): ``("fixture", path)`` to
+    a JSON or TSV count table, ``("corpus", path)`` to one document per line, or
+    ``("remote", RemoteClientConfig)``.  Each path is a non-empty string.  ``cache_path``
+    persists the counts, memoized per run anyway, and is required with the remote provider.
     """
 
     thresholds: Thresholds = field(default_factory=Thresholds)
-    fixture_path: str | None = None
-    corpus_path: str | None = None
-    remote: RemoteClientConfig | None = None
+    provider: tuple[str, str | RemoteClientConfig] | None = None
     cache_path: str | None = None
     missing_count_policy: str = "error"
     max_merge_passes: int = 3
 
     def __post_init__(self):
-        specs = [s for s in (self.fixture_path, self.corpus_path, self.remote) if s is not None]
-        if len(specs) > 1:
-            raise ConfigError("config must name at most one count provider")
+        kind, spec = self.provider or (None, None)
+        if kind is not None and kind not in PROVIDERS:
+            raise ConfigError("unknown provider kind(s): %s" % kind)
+        paths = [(kind, spec)] if kind is not None and PROVIDERS[kind][0] is str else []
+        paths += [("cache_path", self.cache_path)] if self.cache_path is not None else []
+        for name, value in paths:
+            if not isinstance(value, str) or not value:
+                raise ConfigError("%s must be a non-empty string" % name)
         if self.missing_count_policy not in ("error", "zero"):
             raise ConfigError("missing_count_policy must be 'error' or 'zero'")
         check_setting("max_merge_passes", self.max_merge_passes, 1, ConfigError)
-        if self.remote is not None and self.cache_path is None:
+        if kind == "remote" and self.cache_path is None:
             raise ConfigError("the remote provider requires a cache_path")
 
-    def has_provider(self) -> bool:
-        return any(s is not None for s in (self.fixture_path, self.corpus_path, self.remote))
+
+def _config_object(value: object, name: str, noun: str, keys: Iterable[str] | None = None,
+                   required: Iterable[str] = ()) -> dict[str, Any]:
+    """Return ``value``, a JSON object that holds only ``keys`` (None: any) and all ``required``."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be a JSON object" % name)
+    for problem, names in (("unknown %s(s)" % noun, sorted(set(value) - set(keys or value))),
+                           ("%s lacks key(s)" % name, [k for k in required if k not in value])):
+        if names:
+            raise ConfigError("%s: %s" % (problem, ", ".join(names)))
+    return value
 
 
 def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConfig:
     """Load a JSON config file; relative paths resolve against its directory.  ``cache_path``,
-    if given, replaces the file's before the config is checked.  ``fixture``, ``corpus`` and
-    ``cache_path`` must be non-empty strings; a null ``cache_path`` means no cache."""
+    if given, replaces the file's before the config is checked; a null ``cache_path`` means
+    no cache.  Every object in the file refuses a key that its dataclass does not declare."""
     path = Path(path)
     try:
-        raw = read_json_object(path.read_bytes(), "config %s" % path)
+        raw = read_json_object(path.read_bytes(), "config %s" % path, ConfigError)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    unknown = set(raw) - {"thresholds", "provider", "cache_path", "missing_count_policy",
-                          "max_merge_passes"}
-    if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(sorted(unknown)))
-    base = path.parent
-
-    def resolve(name: str, p: object) -> str:
-        if not isinstance(p, str) or not p:
-            raise ConfigError("%s must be a non-empty string" % name)
-        return str((base / p)) if not Path(p).is_absolute() else p
-
-    for key in ("provider", "thresholds"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise ConfigError("%s must be a JSON object" % key)
-    provider = raw.get("provider", {})
-    unknown = set(provider) - {"fixture", "corpus", "remote"}
-    if unknown:
-        raise ConfigError("unknown provider kind(s): %s" % ", ".join(sorted(unknown)))
+    _config_object(raw, "config", "config key", [f.name for f in fields(PipelineConfig)])
+    provider = _config_object(raw.get("provider", {}), "provider", "provider kind", PROVIDERS)
+    values = _config_object(raw.get("thresholds", {}), "thresholds", "threshold")
     if len(provider) != 1:
         raise ConfigError("config must name exactly one count provider")
-    values = raw.get("thresholds", {})
+    [(kind, spec)] = provider.items()
+    spec_type = PROVIDERS[kind][0]
+    if spec_type is not str:
+        spec = _config_object(spec, kind, kind + " key", [f.name for f in fields(spec_type)],
+                              [f.name for f in fields(spec_type) if f.default is MISSING])
+    spec, file_cache = (str(path.parent / p) if isinstance(p, str) and p else p
+                        for p in (spec, raw.get("cache_path")))
     try:
-        cache_path = cache_path or (None if raw.get("cache_path") is None
-                                    else resolve("cache_path", raw["cache_path"]))
-        thresholds = Thresholds(**{name: threshold_value(name, values[name]) for name in values})
-        remote = RemoteClientConfig(**provider["remote"]) if "remote" in provider else None
-        return PipelineConfig(
-            thresholds=thresholds,
-            fixture_path=resolve("fixture", provider["fixture"]) if "fixture" in provider else None,
-            corpus_path=resolve("corpus", provider["corpus"]) if "corpus" in provider else None,
-            remote=remote,
-            cache_path=cache_path,
-            missing_count_policy=raw.get("missing_count_policy", "error"),
-            max_merge_passes=raw.get("max_merge_passes", 3),
-        )
+        return PipelineConfig(**dict(
+            raw, thresholds=Thresholds(**{n: threshold_value(n, v) for n, v in values.items()}),
+            provider=(kind, spec if spec_type is str else spec_type(**spec)),
+            cache_path=file_cache if cache_path is None else cache_path))
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError too
         raise ConfigError("invalid config %s: %s" % (path, exc)) from exc
 
@@ -125,16 +126,11 @@ def build_provider(config: PipelineConfig, sentences: Iterable[
         tuple[Sequence[Candidate], Mapping[int, str]]] | None = None) -> CountCache:
     """The config's provider in a CountCache.  Given each sentence's (candidates, connectors),
     a corpus counts only their closure, every phrase a decide on them can ask; else all of it."""
-    if config.fixture_path is not None:
-        provider: CountProvider = FixtureProvider.from_file(config.fixture_path)
-    elif config.corpus_path is not None:
-        phrases = None if sentences is None else {p for s in sentences for p in closure(*s)}
-        provider = load_corpus_file(config.corpus_path, phrases)
-    elif config.remote is not None:
-        provider = RemoteCountClient(config.remote)
-    else:
+    if config.provider is None:
         raise ConfigError("no count provider configured")
-    return CountCache(provider, config.cache_path, config.missing_count_policy)
+    kind, spec = config.provider
+    return CountCache(PROVIDERS[kind][1](spec, sentences), config.cache_path,
+                      config.missing_count_policy)
 
 
 # ---------------------------------------------------------------------------

@@ -904,6 +904,14 @@ _NOT_UTF8 = r"^error: %s: 'utf-8' codec can't decode byte 0xff in position %d: i
     pytest.param({"config.json": _FIXTURE % b'"cache_path": 5'}, _DECIDE,
                  r"^error: invalid config config\.json: cache_path must be a non-empty string$",
                  id="config-cache-path-int"),
+    # --cache takes the config's rule for cache_path, with or without --config: an empty
+    # path fails before any file is read or written, never meaning "no cache".
+    pytest.param({"config.json": _FIXTURE % b'"cache_path": "config_cache.tsv"'},
+                 ["--config", "config.json", "--cache", "", "decide", "pairs.tsv"],
+                 r"^error: cache_path must be a non-empty string$", id="cache-option-empty"),
+    pytest.param({}, ["--cache", "", "decide", "pairs.tsv"],
+                 r"^error: cache_path must be a non-empty string$",
+                 id="cache-option-empty-no-config"),
     # A count_path that is not a string fails on load, before any fetch.
     pytest.param({"config.json": _REMOTE % b'"count_path": 5, "min_delay_ms": 0'},
                  _DECIDE, "count_path must be a string", id="remote-count-path"),

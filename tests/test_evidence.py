@@ -1329,7 +1329,8 @@ def test_corpus_counted_in_blocks_refuses_a_phrase_it_did_not_count(tmp_path, po
     count of 0, whatever the missing-count policy; a blank phrase fails before any line is
     read."""
     (tmp_path / "corpus.txt").write_text("a b\nb c\n", encoding="utf-8")
-    config = PipelineConfig(corpus_path=str(tmp_path / "corpus.txt"), missing_count_policy=policy)
+    config = PipelineConfig(provider=("corpus", str(tmp_path / "corpus.txt")),
+                            missing_count_policy=policy)
     sentences = [([Candidate(sentence_id, (1,), x), Candidate(sentence_id, (2,), y)], {})
                  for sentence_id, x, y in (("s1", "a", "B"), ("s2", "b", "C"))]
     with build_provider(config, sentences) as provider:  # counts a, B, a B, b, C and b C

@@ -33,6 +33,7 @@ from unithood.evidence import CountCache
 from unithood.extractor import closure
 from unithood.parse_ingest import read_rows, tsv_line
 from unithood.pipeline import (
+    PROVIDERS,
     ConfigError,
     DecisionRecord,
     PipelineConfig,
@@ -68,12 +69,12 @@ class TestConfig:
         config = PipelineConfig()
         assert config.thresholds == Thresholds()
         assert config.max_merge_passes == 3
-        assert not config.has_provider()
+        assert config.provider is None
 
     def test_load_fixture_config(self, fixtures_dir):
         config = load_config(fixtures_dir / "config.json")
         assert config.thresholds == Thresholds()
-        assert config.fixture_path.endswith("counts.json")
+        assert config.provider == ("fixture", str(fixtures_dir / "counts.json"))
         assert config.missing_count_policy == "error"
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
@@ -81,7 +82,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"provider": {"fixture": "counts.json"}}))
         config = load_config(path)
-        assert config.fixture_path == str(tmp_path / "counts.json")
+        assert config.provider == ("fixture", str(tmp_path / "counts.json"))
 
     def test_null_cache_path_means_no_cache(self, tmp_path):
         path = tmp_path / "config.json"
@@ -97,9 +98,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_two_providers_rejected_in_the_dataclass(self):
-        with pytest.raises(ConfigError, match="^config must name at most one count provider$"):
-            PipelineConfig(fixture_path="a.json", corpus_path="b.txt")
+    def test_unknown_provider_kind_rejected_in_the_dataclass(self):
+        with pytest.raises(ConfigError, match="^unknown provider kind\\(s\\): oracle$"):
+            PipelineConfig(provider=("oracle", "a.json"))
 
     def test_missing_config_file_names_it(self, tmp_path):
         path = tmp_path / "absent.json"
@@ -182,6 +183,12 @@ class TestConfig:
             ('{"provider": {"remote": {"endpoint_template": 5, "count_path": "t"}},'
              ' "cache_path": "c.tsv"}',
              "invalid config {path}: endpoint_template must be a string"),
+            # provider.remote takes the object rule too: every message names remote and the key.
+            ('{"provider": {"remote": 5}, "cache_path": "c.tsv"}', "remote must be a JSON object"),
+            ('{"provider": {"remote": {"endpoint_template": "u{query}", "count_path": "t",'
+             ' "bogus": 1}}, "cache_path": "c.tsv"}', "unknown remote key(s): bogus"),
+            ('{"provider": {"remote": {"endpoint_template": "u{query}"}}, "cache_path": "c.tsv"}',
+             "remote lacks key(s): count_path"),
             ('{"provider": ["fixture", "a"]}', "provider must be a JSON object"),
             ('{"provider": {"fixture": "a"}, "thresholds": [6]}',
              "thresholds must be a JSON object"),
@@ -199,8 +206,9 @@ class TestConfig:
         ],
         ids=["repeated-provider", "repeated-threshold", "unknown-keys", "passes-float",
              "passes-bool", "retries-float", "retries-bool", "count-path-int", "endpoint-int",
-             "provider-list", "thresholds-list", "corpus-int", "fixture-empty", "fixture-null",
-             "cache-int", "cache-list", "cache-true", "cache-zero", "cache-false", "cache-empty",
+             "remote-int", "remote-unknown-key", "remote-missing-key", "provider-list",
+             "thresholds-list", "corpus-int", "fixture-empty", "fixture-null", "cache-int",
+             "cache-list", "cache-true", "cache-zero", "cache-false", "cache-empty",
              "cache-object"],
     )
     def test_rejected_config_names_the_problem(self, tmp_path, text, message):
@@ -245,7 +253,7 @@ class TestConfig:
 
     def test_every_provider_memoized_without_cache_file(self, fixtures_dir):
         config = load_config(fixtures_dir / "config.json")
-        provider = build_provider(PipelineConfig(fixture_path=config.fixture_path))
+        provider = build_provider(PipelineConfig(provider=config.provider))
         assert isinstance(provider, CountCache) and provider.path is None
         provider.count("mental health")
         assert provider.get("Mental  Health") == 14_000_000
@@ -253,14 +261,14 @@ class TestConfig:
     def test_build_corpus_provider(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c\nb c d\n", encoding="utf-8")
-        config = PipelineConfig(corpus_path=str(corpus))
+        config = PipelineConfig(provider=("corpus", str(corpus)))
         assert build_provider(config).count("b c") == 2
 
     def test_build_cached_provider(self, tmp_path, fixtures_dir):
         config = load_config(fixtures_dir / "config.json")
         config = PipelineConfig(
             thresholds=config.thresholds,
-            fixture_path=config.fixture_path,
+            provider=config.provider,
             cache_path=str(tmp_path / "cache.tsv"),
         )
         with build_provider(config) as provider:
@@ -271,7 +279,7 @@ class TestConfig:
         """A remote provider fetches a count when one is asked for, not when it is built;
         its cache file is made on the first count too."""
         remote = RemoteClientConfig(count_server.url + "/?q={query}", "total", min_delay_ms=0)
-        config = PipelineConfig(remote=remote, cache_path=str(tmp_path / "cache.tsv"))
+        config = PipelineConfig(provider=("remote", remote), cache_path=str(tmp_path / "cache.tsv"))
         with build_provider(config) as provider:
             assert isinstance(provider.inner, RemoteCountClient)
             assert provider.inner.config == remote
@@ -281,6 +289,83 @@ class TestConfig:
     def test_no_provider_build_fails(self):
         with pytest.raises(ConfigError):
             build_provider(PipelineConfig())
+
+
+_FILE_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,7}\.(json|tsv|txt)", fullmatch=True)
+
+
+@st.composite
+def valid_configs(draw, kind=None):
+    """A valid config file's JSON object, its paths relative to the file's directory."""
+    kind = kind or draw(st.sampled_from(["fixture", "corpus", "remote"]))
+    raw = {}
+    if kind == "remote":  # the remote provider needs a cache
+        spec = dict(draw(st.dictionaries(st.sampled_from(["min_delay_ms", "max_retries",
+                                                          "timeout_ms"]), st.integers(1, 10**4))),
+                    endpoint_template="http://localhost/?q={query}",
+                    count_path=draw(st.sampled_from(["total", "regex:(\\d+)"])))
+        raw["cache_path"] = draw(_FILE_NAME)
+    else:
+        spec = draw(_FILE_NAME)
+        if draw(st.booleans()):  # null, like no cache_path at all, means no cache
+            raw["cache_path"] = draw(st.none() | _FILE_NAME)
+    raw["provider"] = {kind: spec}
+    if draw(st.booleans()):
+        raw["thresholds"] = {"id_t": draw(st.floats(0, 100) | st.integers(0, 100))}
+    if draw(st.booleans()):
+        raw["missing_count_policy"] = draw(st.sampled_from(["error", "zero"]))
+    if draw(st.booleans()):
+        raw["max_merge_passes"] = draw(st.integers(1, 10))
+    return raw
+
+
+def _write_config(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs())
+def test_a_valid_config_loads_to_the_config_built_by_hand(tmp_path_factory, raw):
+    path = _write_config(tmp_path_factory, raw)
+    [(kind, spec)] = raw["provider"].items()
+    spec = RemoteClientConfig(**spec) if kind == "remote" else str(path.parent / spec)
+    cache_path = raw.get("cache_path") and str(path.parent / raw["cache_path"])
+    assert load_config(path) == PipelineConfig(
+        thresholds=Thresholds(**raw.get("thresholds", {})), provider=(kind, spec),
+        cache_path=cache_path, missing_count_policy=raw.get("missing_count_policy", "error"),
+        max_merge_passes=raw.get("max_merge_passes", 3))
+
+
+@st.composite
+def configs_with_an_unknown_key(draw):
+    """A valid config with one unknown key added at the top level, in provider or in
+    provider.remote; returns the JSON object and the key."""
+    where = draw(st.sampled_from(["config", "provider", "remote"]))
+    raw = draw(valid_configs("remote" if where == "remote" else None))
+    if where == "provider":
+        target, known = raw["provider"], set(PROVIDERS)
+    else:
+        target = raw if where == "config" else raw["provider"]["remote"]
+        known = {f.name for f in dataclasses.fields(
+            PipelineConfig if where == "config" else RemoteClientConfig)}
+    key = draw(st.text(min_size=1, max_size=12).filter(lambda key: key not in known))
+    target[key] = draw(st.sampled_from([0, "x", None, [], {}]))
+    return raw, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs_with_an_unknown_key())
+def test_an_unknown_key_anywhere_is_refused_naming_it(tmp_path_factory, drawn):
+    """Every object in a config refuses a key it does not declare, with a message that names
+    the key and none of Python's own about a call."""
+    raw, key = drawn
+    with pytest.raises(ConfigError) as err:
+        load_config(_write_config(tmp_path_factory, raw))
+    message = str(err.value)
+    assert key in message
+    assert "__init__()" not in message and "argument after **" not in message
 
 
 def two_candidate_pair():
