@@ -9,15 +9,18 @@ do, on smaller inputs: ``extract`` and ``decide`` with a
 ``{"corpus": PATH}`` provider (parse file -> candidates and pairs files
 -> pairs read back -> decide against the local index -> decisions and
 decorated files); ``extract``, ``counts warm``, ``decide --cache`` and
-``eval`` with fixture counts; and ``sweep`` over decorated pairs.
+``eval`` with fixture counts; and ``sweep`` over decorated pairs.  The
+library's decide is also checked at random thresholds and merge passes.
 """
 
 import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import types
 import urllib.parse
 from pathlib import Path
 from unittest import mock
@@ -91,6 +94,35 @@ def test_corpus_chain_matches_the_reference(perfbench, tmp_path, seed):
     assert records, "the seed forms no pair"
     assert _text(write_decisions_file, records) == reference.decisions_file(expected)
     assert _text(write_decorated_file, records) == reference.decorated_file(expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_decide_pairs_matches_the_reference_at_any_thresholds(perfbench, monkeypatch, seed):
+    """decide_pairs' decisions file equals the reference's at three draws of valid
+    thresholds and one to five merge passes, with the corpus seed's document counts;
+    the reference reads its thresholds and passes from module globals, set here."""
+    gen, reference = perfbench
+    inventory = gen.make_inventory(seed)
+    sentences = gen.make_sentences(seed, inventory, 20)
+    docs = gen.make_corpus(seed, inventory, sentences, 1000)
+    oracle = reference.oracle_counts(docs, set().union(*map(reference.chain_phrases, sentences)))
+    provider = types.SimpleNamespace(provider_id="oracle", count=oracle.__getitem__)
+    pairs = read_pairs_file(io.StringIO(reference.pairs_file(sentences)))
+    rng, later = random.Random(seed), 0
+    for _ in range(3):
+        mi_minus, mi_plus = sorted(rng.uniform(0, 3) for _ in range(2))
+        idr_minus, idr_plus = sorted(rng.uniform(0.5, 2) for _ in range(2))
+        thresholds = (mi_plus, mi_minus, rng.uniform(0, 4), idr_plus, idr_minus)
+        max_passes = rng.randint(1, 5)
+        monkeypatch.setattr(reference, "DEFAULT_THRESHOLDS", thresholds)
+        monkeypatch.setattr(reference, "MAX_PASSES", max_passes)
+        records = decide_pairs(pairs, Thresholds(*thresholds), provider, max_passes=max_passes)
+        expected = reference.decide(
+            sentences, lambda s, ax, ay: (oracle[s], oracle[ax], oracle[ay]), inventory.units)
+        assert _text(write_decisions_file, records) == reference.decisions_file(expected), (
+            thresholds, max_passes)
+        later += len(records) - len(pairs)
+    assert later > 0, "no later pass decided a pair"
 
 
 @pytest.mark.parametrize("seed", range(3))
