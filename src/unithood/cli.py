@@ -111,13 +111,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
     _distinct_outputs(args.out, args.decorated_out, config.cache_path)
-    sentences = pipeline._sentences(_read(args.pairs_file, pipeline.read_pairs_file))
+    sentences = pipeline.sentences_of(_read(args.pairs_file, pipeline.read_pairs_file))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
         pipeline.build_provider(config, sentences) if config.provider else nullcontext()
     ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
         # Each pair's rows are written as it is decided, so no record is kept.
-        decided, merged, uncounted = pipeline._write_records(pipeline._decisions(
+        decided, merged, uncounted = pipeline.write_records(pipeline.decide(
             sentences, config.thresholds, provider, injected, config.max_merge_passes),
             out, decorated)
     if args.decorated_out and uncounted:
@@ -168,7 +168,7 @@ def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
     # Only a corpus counts the sentences' closure; other providers need no offset tables.
-    sentences = pipeline._sentences(pairs) if (config.provider or [None])[0] == "corpus" else None
+    sentences = pipeline.sentences_of(pairs) if (config.provider or [None])[0] == "corpus" else None
     with pipeline.build_provider(config, sentences) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: configuration, file formats, the decide loop.
+"""Pipeline orchestration: configuration, file formats, the one decide loop (``decide``).
 
 Every file format is TSV, UTF-8 and LF, read by ``parse_ingest.read_rows`` and
 written by ``parse_ingest.tsv_line``; the *_COLUMNS tuples below declare each
@@ -237,8 +237,8 @@ def _fmt(value: float | None) -> str:
     return "NA" if value is None else "%.4f" % value
 
 
-def _write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
-                   decorated: TextIO | None = None) -> tuple[int, int, int]:
+def write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
+                  decorated: TextIO | None = None) -> tuple[int, int, int]:
     """Write each record's rows as it arrives, skipping a None stream and, in the decorated
     file, a record without counts; returns how many records came, merged, and lacked counts."""
     for stream, columns in ((decisions, DECISION_COLUMNS), (decorated, DECORATED_COLUMNS)):
@@ -258,7 +258,7 @@ def _write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
 
 
 def write_decisions_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    _write_records(records, stream)
+    write_records(records, stream)
 
 
 def _read_verdicts(
@@ -284,7 +284,7 @@ def read_gold_file(stream: Iterable[bytes | str]) -> dict[str, bool]:
 
 
 def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    _write_records(records, None, stream)
+    write_records(records, None, stream)
 
 
 def read_decorated_file(stream: Iterable[bytes | str]) -> list[tuple[str, EvidenceSet]]:
@@ -340,20 +340,13 @@ def decide_pairs(
     injected: Mapping[tuple[str, ...], Score] | None = None,
     max_passes: int = 3,
 ) -> list[DecisionRecord]:
-    """Decide every pair, merging accepted ones and re-pairing to fixpoint.
-
-    Each sentence's pairs seed its candidates and connectors: an offset
-    holds one candidate or one connector, else ValueError.  After a pass
-    applies merges, newly adjacent candidates are paired and decided too,
-    up to ``max_passes`` rounds.  Scores injected by surface triple take
-    precedence over count evidence; pairs without them need a provider.
-    """
-    check_setting("max_passes", max_passes, 1)
-    return list(_decisions(_sentences(pairs), thresholds, provider, injected, max_passes))
+    """decide's records as a list, over the sentences that the pairs seed (sentences_of)."""
+    return list(decide(sentences_of(pairs), thresholds, provider, injected, max_passes))
 
 
-def _sentences(pairs: Iterable[CandidatePair]) -> list[tuple[list[Candidate], dict[int, str]]]:
-    """Each sentence's candidates in offset order and connectors by offset, as _hold holds them."""
+def sentences_of(pairs: Iterable[CandidatePair]) -> list[tuple[list[Candidate], dict[int, str]]]:
+    """Each sentence's candidates in offset order and connectors by offset, as _hold holds them:
+    an offset holds one candidate or one connector, else ValueError."""
     tables: dict[str, dict[int, Candidate | str]] = {}
     for pair in pairs:
         _hold(tables.setdefault(pair.sentence_id, {}), pair)
@@ -361,10 +354,19 @@ def _sentences(pairs: Iterable[CandidatePair]) -> list[tuple[list[Candidate], di
              {at: b for at, b in table.items() if isinstance(b, str)}) for table in tables.values()]
 
 
-def _decisions(sentences: Iterable[tuple[list[Candidate], dict[int, str]]], thresholds: Thresholds,
-               provider: CountProvider | None, injected: Mapping[tuple[str, ...], Score] | None,
-               max_passes: int) -> Iterator[DecisionRecord]:
-    """decide_pairs' records from _sentences' tables, each yielded as soon as it is decided."""
+def decide(sentences: Iterable[tuple[list[Candidate], dict[int, str]]], thresholds: Thresholds,
+           provider: CountProvider | None = None,
+           injected: Mapping[tuple[str, ...], Score] | None = None,
+           max_passes: int = 3) -> Iterator[DecisionRecord]:
+    """Decide every pair of each sentence's (candidates, connectors), merging accepted ones
+    and re-pairing to fixpoint, and yield each record as soon as it is decided.
+
+    After a pass applies merges, newly adjacent candidates are paired and decided too, up
+    to ``max_passes`` rounds; a bad ``max_passes`` raises ValueError at the first ``next()``,
+    which decide_pairs and the CLI make at once.  Scores injected by surface triple take
+    precedence over count evidence; pairs without them need a provider.
+    """
+    check_setting("max_passes", max_passes, 1)
     injected = injected or {}
     n_records = 0
     for candidates, connectors in sentences:

@@ -33,11 +33,11 @@ from unithood.cli import main
 from unithood.evidence import CountCache, LocalIndexProvider, PhraseCounts, load_corpus_file
 from unithood.extractor import closure, sentence_connectors
 from unithood.pipeline import (
-    _sentences,
     build_provider,
     decide_pairs,
     load_config,
     read_pairs_file,
+    sentences_of,
     write_candidates_file,
     write_decisions_file,
     write_decorated_file,
@@ -191,7 +191,8 @@ def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_
 
     with open("pairs.tsv", encoding="utf-8") as handle:
         pairs = read_pairs_file(handle)
-    closure_keys = {" ".join(p.lower().split()) for s in _sentences(pairs) for p in closure(*s)}
+    closure_keys = {" ".join(p.lower().split())
+                    for s in sentences_of(pairs) for p in closure(*s)}
     index = load_corpus_file("corpus.txt")
     asked = Asked(index)
     records = decide_pairs(pairs, Thresholds(), CountCache(asked))

@@ -830,7 +830,7 @@ def test_output_error_names_the_path_given(argv, tmp_path, fixtures_dir, decided
 @pytest.mark.parametrize("provider", ["fixture", "corpus"])
 def test_only_a_corpus_warm_builds_offset_tables(provider, tmp_path, fixtures_dir, decided,
                                                  monkeypatch, capsys):
-    """counts warm builds each sentence's offset tables (pipeline._sentences) only for a
+    """counts warm builds each sentence's offset tables (pipeline.sentences_of) only for a
     corpus, which counts their closure; a fixture warm never calls it."""
     (tmp_path / "corpus.txt").write_text("mental health\n", encoding="utf-8")
     (tmp_path / "corpus.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
@@ -841,8 +841,8 @@ def test_only_a_corpus_warm_builds_offset_tables(provider, tmp_path, fixtures_di
         calls.append(len(pairs))
         return sentences(pairs)
 
-    sentences = pipeline._sentences
-    monkeypatch.setattr(pipeline, "_sentences", spy)
+    sentences = pipeline.sentences_of
+    monkeypatch.setattr(pipeline, "sentences_of", spy)
     code, _, err = run(capsys, "--config", config, "counts", "warm", decided / "pairs.tsv")
     assert code == 0, err
     assert len(calls) == (provider == "corpus")

@@ -37,8 +37,8 @@ from unithood.pipeline import (
     ConfigError,
     DecisionRecord,
     PipelineConfig,
-    _sentences,
     build_provider,
+    decide,
     decide_pairs,
     load_config,
     read_decisions_file,
@@ -46,6 +46,7 @@ from unithood.pipeline import (
     read_gold_file,
     read_pairs_file,
     read_scores_file,
+    sentences_of,
     warm_counts,
     write_decisions_file,
     write_decorated_file,
@@ -772,6 +773,9 @@ class TestDecidePairs:
         with pytest.raises(ValueError, match="^max_passes must be an integer >= 1$"):
             decide_pairs([two_candidate_pair()], Thresholds(), injected={},
                          max_passes=max_passes)
+        records = decide([], Thresholds(), max_passes=max_passes)  # a generator: not yet
+        with pytest.raises(ValueError, match="^max_passes must be an integer >= 1$"):
+            next(records)
 
     def test_pair_ids_are_sequential_across_sentences(self, fixtures_dir):
         pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
@@ -880,6 +884,9 @@ def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
         current = form_pairs(candidates, connectors)
     records = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=5)
     assert record_surfaces(records) == surfaces(expected)
+    # decide over the sentence's own tables decides as decide_pairs over its pairs.
+    tables = [(extract_candidates(sentence), connectors)]
+    assert list(decide(tables, Thresholds(), MergeEverything(), max_passes=5)) == records
 
 
 class Recording:
@@ -914,7 +921,7 @@ def test_closure_covers_every_phrase_a_decide_asks(sentences, thresholds, max_pa
         sentence = dataclasses.replace(sentence, sentence_id="s%d" % i)
         pairs += form_pairs(extract_candidates(sentence), sentence_connectors(sentence))
     pairs = roundtrip(write_pairs_file, pairs, read_pairs_file)
-    phrases = {normalize_phrase(p).lower() for s in _sentences(pairs) for p in closure(*s)}
+    phrases = {normalize_phrase(p).lower() for s in sentences_of(pairs) for p in closure(*s)}
     provider = Recording(salt)
     records = decide_pairs(pairs, thresholds, provider, max_passes=max_passes)
     assert provider.asked <= phrases
