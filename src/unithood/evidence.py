@@ -72,6 +72,8 @@ class EvidenceSet:
     def __post_init__(self):
         if min(self.n_s, self.n_ax, self.n_ay) < 0:
             raise ValueError("counts must be non-negative")
+        if max(self.n_s, self.n_ax, self.n_ay) > 2**53:  # so every share, so MI, is finite
+            raise ValueError("counts must be at most 2**53")
 
     @property
     def total(self) -> int:

@@ -68,7 +68,11 @@ class PipelineConfig:
         kind, spec = self.provider or (None, None)
         if kind is not None and kind not in PROVIDERS:
             raise ConfigError("unknown provider kind(s): %s" % kind)
-        paths = [(kind, spec)] if kind is not None and PROVIDERS[kind][0] is str else []
+        spec_type = PROVIDERS[kind][0] if kind is not None else None
+        if spec_type not in (None, str) and not isinstance(spec, spec_type):
+            raise ConfigError("%s must be a %s, got %s"
+                              % (kind, spec_type.__name__, type(spec).__name__))
+        paths = [(kind, spec)] if spec_type is str else []
         paths += [("cache_path", self.cache_path)] if self.cache_path is not None else []
         for name, value in paths:
             if not isinstance(value, str) or not value:

@@ -240,6 +240,20 @@ class TestDecide:
             in err
         )
 
+    def test_count_above_2_53_fails_cleanly(self, extracted, fixtures_dir, tmp_path, capsys):
+        """A count too large for a finite MI is refused, not divided by zero, and no
+        decisions file is left."""
+        _, pairs = extracted
+        counts = json.loads((fixtures_dir / "counts.json").read_text(encoding="utf-8"))
+        counts["national institute of mental health"] = 10**170
+        (tmp_path / "counts.json").write_text(json.dumps(counts), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"provider": {"fixture": "counts.json"}}))
+        decisions = tmp_path / "decisions.tsv"
+        code, out, err = run(capsys, "--config", config, "decide", pairs, "--out", decisions)
+        assert (code, out, err) == (1, "", "error: counts must be at most 2**53\n")
+        assert not decisions.exists()
+
     def test_threshold_override_changes_decision(self, extracted, fixtures_dir, tmp_path, capsys):
         _, pairs = extracted
         decisions = tmp_path / "decisions.tsv"
@@ -578,6 +592,16 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "error: pair p2: all counts are zero" in err
+
+    def test_count_above_2_53_fails_naming_the_line(self, tmp_path, capsys):
+        decorated = tmp_path / "decorated.tsv"
+        decorated.write_text("p1\ta\t\tb\ta b\t1\t2\t3\np2\tc\t\td\tc d\t%d\t1\t1\n"
+                             % 10**170, encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("p1\tMERGED\np2\tNOTMERGED\n", encoding="utf-8")
+        code, out, err = run(capsys, "sweep", decorated, gold, '{"id_t": [6]}')
+        assert (code, out) == (1, "")
+        assert err == "error: decorated pairs file line 2: counts must be at most 2**53\n"
 
     def test_grid_from_file(self, fixtures_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"

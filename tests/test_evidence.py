@@ -50,6 +50,14 @@ class TestEvidenceSet:
         with pytest.raises(ValueError):
             EvidenceSet(-1, 0, 0)
 
+    @pytest.mark.parametrize("at", range(3))
+    def test_rejects_a_count_above_2_53(self, at):
+        assert EvidenceSet(2**53, 2**53, 2**53).total == 3 * 2**53
+        counts = [1, 1, 1]
+        counts[at] = 2**53 + 1
+        with pytest.raises(ValueError, match=r"^counts must be at most 2\*\*53$"):
+            EvidenceSet(*counts)
+
 
 class TestFixtureProvider:
     def test_lookup(self):

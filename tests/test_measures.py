@@ -320,3 +320,12 @@ def test_decision_masks_match_unithood_bit_by_bit(data):
         assert [bool(mask >> i & 1) for i in range(len(rows))] == [
             unithood(evidence, t).uh for evidence in rows
         ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.sampled_from([0, 1, 2, 2**53 - 1, 2**53]) | st.integers(0, 2**53)] * 3)
+       .filter(any))
+def test_scores_are_finite_for_every_count_up_to_2_53(counts):
+    """EvidenceSet refuses a count above 2**53, so no share underflows and MI stays finite."""
+    score = unithood(EvidenceSet(*counts), Thresholds())
+    assert all(math.isfinite(v) for v in (score.mi, score.id_x, score.id_y, score.idr or 0.0))

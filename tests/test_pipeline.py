@@ -103,6 +103,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^unknown provider kind\\(s\\): oracle$"):
             PipelineConfig(provider=("oracle", "a.json"))
 
+    @pytest.mark.parametrize("spec", [{"endpoint_template": "http://localhost:9/{query}",
+                                       "count_path": "t"}, None, "remote.json"])
+    def test_remote_spec_must_be_a_remote_client_config(self, spec):
+        """A spec of the wrong type fails naming its kind, not on the first count."""
+        with pytest.raises(ConfigError, match="^remote must be a RemoteClientConfig, got %s$"
+                           % type(spec).__name__):
+            PipelineConfig(provider=("remote", spec), cache_path="x.tsv")
+
     def test_missing_config_file_names_it(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(ConfigError) as err:
