@@ -72,7 +72,7 @@ class EvidenceSet:
     def __post_init__(self):
         if min(self.n_s, self.n_ax, self.n_ay) < 0:
             raise ValueError("counts must be non-negative")
-        if max(self.n_s, self.n_ax, self.n_ay) > 2**53:  # so every share, so MI, is finite
+        if max(self.n_s, self.n_ax, self.n_ay) > 2**53:  # so no share underflows and MI stays finite
             raise ValueError("counts must be at most 2**53")
 
     @property
