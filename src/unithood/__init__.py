@@ -38,7 +38,6 @@ from .measures import (
     Score,
     Thresholds,
     UndefinedEvidenceError,
-    decision_rule,
     independence,
     independence_ratio,
     unithood,

@@ -153,11 +153,10 @@ def sweep(
     if not valid:
         raise ValueError("every grid point was invalid")
 
-    # Score each row once; the thresholds passed do not change the scores.
     scores, positive = [], 0  # bit i of a mask stands for row i
     for i, (pair_id, evidence) in enumerate(rows):
         try:
-            scores.append(unithood(evidence, valid[0][1]))
+            scores.append(unithood(evidence))
         except UndefinedEvidenceError as exc:
             raise UndefinedEvidenceError("pair %s: %s" % (pair_id, exc)) from None
         if gold[pair_id]:

@@ -80,7 +80,8 @@ def threshold_value(name: str, value: Any, where: str = "threshold", text: bool 
 
 @dataclass(frozen=True, slots=True)
 class Score:
-    """One pair's scores: MI, the two independences and their ratio.
+    """One pair's scores, MI, the two independences and their ratio, as ``unithood``
+    computes them; ``merges(thresholds)`` is the merge decision under ``thresholds``.
 
     ``idr`` is None when the right side's independence is zero.
     ``degenerate`` flags evidence where a side was never seen on its own
@@ -96,20 +97,6 @@ class Score:
 
     def merges(self, thresholds: Thresholds) -> bool:
         return _rule(lambda name, value: _PASSES[name](self, value), thresholds)
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class UnithoodScores(Score):
-    """A computed Score with its three weights and its verdict under ``thresholds``."""
-
-    p_s: float
-    p_ax: float
-    p_ay: float
-    thresholds: Thresholds
-
-    @property
-    def uh(self) -> bool:
-        return self.merges(self.thresholds)
 
 
 def weight(n_w: int, total: int) -> float:
@@ -163,13 +150,6 @@ def _rule(passing: Callable[[str, float | None], Any], t: Thresholds) -> Any:
     return passing("live", None) & (above | band)
 
 
-def decision_rule(
-    mi: float, id_x: float, id_y: float, idr: float | None, thresholds: Thresholds
-) -> bool:
-    """The Boolean merge decision from precomputed scores."""
-    return Score(mi, id_x, id_y, idr).merges(thresholds)
-
-
 def decision_masks(scores: Sequence[Score]) -> Callable[[Thresholds], int]:
     """The merge decision for many scores at once, as bitsets.
 
@@ -184,8 +164,8 @@ def decision_masks(scores: Sequence[Score]) -> Callable[[Thresholds], int]:
     return functools.partial(_rule, passing)
 
 
-def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
-    """Score one pair's evidence; ``.uh`` decides it under ``thresholds``."""
+def unithood(evidence: EvidenceSet) -> Score:
+    """One pair's Score from its counts, which no threshold changes; ``.merges`` decides it."""
     total = evidence.total
     if total == 0:
         raise UndefinedEvidenceError("all counts are zero")
@@ -196,5 +176,4 @@ def unithood(evidence: EvidenceSet, thresholds: Thresholds) -> UnithoodScores:
     mi = 0.0 if degenerate else p_s / (p_ax * p_ay)
     id_x = independence(evidence.n_ax, evidence.n_s)
     id_y = independence(evidence.n_ay, evidence.n_s)
-    return UnithoodScores(mi, id_x, id_y, independence_ratio(id_x, id_y), degenerate,
-                          p_s=p_s, p_ax=p_ax, p_ay=p_ay, thresholds=thresholds)
+    return Score(mi, id_x, id_y, independence_ratio(id_x, id_y), degenerate)

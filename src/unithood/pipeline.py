@@ -26,8 +26,7 @@ from .evidence import (
 )
 from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
 from .extractor import Candidate, CandidatePair, closure, form_pairs, merge_pass
-from .measures import (THRESHOLD_NAMES, Score, Thresholds, UndefinedEvidenceError,
-                       threshold_value, unithood)
+from .measures import THRESHOLD_NAMES, Score, Thresholds, threshold_value, unithood
 from .parse_ingest import (check_setting, parse_whole, read_json_object, read_rows, tsv_line,
                            write_rows)
 
@@ -65,6 +64,9 @@ class PipelineConfig:
     max_merge_passes: int = 3
 
     def __post_init__(self):
+        if self.provider is not None and not (
+                isinstance(self.provider, tuple) and len(self.provider) == 2):
+            raise ConfigError("provider must be a (kind, spec) tuple, got %r" % (self.provider,))
         kind, spec = self.provider or (None, None)
         if kind is not None and kind not in PROVIDERS:
             raise ConfigError("unknown provider kind(s): %s" % kind)
@@ -402,11 +404,12 @@ def _decide_one(
         if provider is None:
             raise ConfigError(
                 "no count provider configured and no injected scores for %r" % pair.s)
-        evidence = EvidenceSet(*map(provider.count, (pair.s, pair.a_x.surface, pair.a_y.surface)))
+        counts = list(map(provider.count, (pair.s, pair.a_x.surface, pair.a_y.surface)))
         try:
-            score = unithood(evidence, thresholds)
-        except UndefinedEvidenceError as exc:
-            raise UndefinedEvidenceError("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
+            evidence = EvidenceSet(*counts)
+            score = unithood(evidence)
+        except ValueError as exc:  # UndefinedEvidenceError, or a count above 2**53
+            raise type(exc)("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
     return DecisionRecord(pair_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
                           score, score.merges(thresholds), evidence)
 

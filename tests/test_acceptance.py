@@ -14,9 +14,9 @@ from unithood import (
     ContingencyTable,
     EvidenceSet,
     LocalIndexProvider,
+    Score,
     Thresholds,
     compute_metrics,
-    decision_rule,
     extract_candidates,
     unithood,
     weight,
@@ -75,7 +75,7 @@ def test_criterion_2_reference_decisions():
             defaults.idr_minus,
         ) == (0.9, 0.02, 6.0, 1.35, 0.93)
         verdicts = [
-            decision_rule(mi, id_x, id_y, idr, defaults)
+            Score(mi, id_x, id_y, idr).merges(defaults)
             for mi, id_x, id_y, idr, _ in REFERENCE_ROWS
         ]
         expected = [merged for *_, merged in REFERENCE_ROWS]
@@ -163,7 +163,7 @@ def test_criterion_5_decision_oracle_agreement():
         for _ in range(10_000):
             evidence = _random_evidence(rng)
             thresholds = _random_thresholds(rng)
-            production = unithood(evidence, thresholds).uh
+            production = unithood(evidence).merges(thresholds)
             expected = _oracle_decision(
                 evidence.n_s, evidence.n_ax, evidence.n_ay, thresholds
             )
@@ -203,10 +203,10 @@ def test_criterion_6_threshold_monotonicity():
                     base.idr_minus - rng.uniform(0.0, 2.0),
                 )
             merged_base = {
-                i for i, ev in enumerate(batch) if unithood(ev, base).uh
+                i for i, ev in enumerate(batch) if unithood(ev).merges(base)
             }
             merged_relaxed = {
-                i for i, ev in enumerate(batch) if unithood(ev, relaxed).uh
+                i for i, ev in enumerate(batch) if unithood(ev).merges(relaxed)
             }
             violations += not merged_base <= merged_relaxed
         assert violations == 0, "%d/1000 shrinking relaxations" % violations

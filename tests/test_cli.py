@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -241,8 +242,8 @@ class TestDecide:
         )
 
     def test_count_above_2_53_fails_cleanly(self, extracted, fixtures_dir, tmp_path, capsys):
-        """A count too large for a finite MI is refused, not divided by zero, and no
-        decisions file is left."""
+        """A count too large for a finite MI is refused, not divided by zero, naming the
+        pair as the zero-count error does, and no decisions file is left."""
         _, pairs = extracted
         counts = json.loads((fixtures_dir / "counts.json").read_text(encoding="utf-8"))
         counts["national institute of mental health"] = 10**170
@@ -251,7 +252,8 @@ class TestDecide:
         config.write_text(json.dumps({"provider": {"fixture": "counts.json"}}))
         decisions = tmp_path / "decisions.tsv"
         code, out, err = run(capsys, "--config", config, "decide", pairs, "--out", decisions)
-        assert (code, out, err) == (1, "", "error: counts must be at most 2**53\n")
+        assert (code, out, err) == (1, "", "error: pair 1 ('National Institute of Mental "
+                                    "Health'): counts must be at most 2**53\n")
         assert not decisions.exists()
 
     def test_threshold_override_changes_decision(self, extracted, fixtures_dir, tmp_path, capsys):
@@ -1224,3 +1226,74 @@ def test_a_file_reads_as_its_text_reads(tmp_path_factory, kind, data):
                 assert "line %d: 'utf-8' codec can't decode" % number in got[1], got
             return
     assert got == _outcome(lambda: from_text(io.StringIO(content.decode("utf-8")), path))
+
+
+# Each command the mutation property runs.  An argument with a dot is a file in a fresh copy
+# of the fixtures directory, to which grid.json and cache.tsv are added; "@" marks the inputs
+# that may be mutated.
+_MUTATED_RUNS = {
+    "extract": ["extract", "@sample_parse.tsv", "candidates.tsv", "pairs.tsv"],
+    "decide": ["--config", "@config.json", "--cache", "@cache.tsv", "decide", "@golden/pairs.tsv",
+               "--out", "decisions.tsv", "--decorated-out", "decorated.tsv"],
+    "decide --scores": ["decide", "@reference_pairs.tsv", "--scores", "@reference_scores.tsv",
+                        "--out", "decisions.tsv"],
+    "eval": ["eval", "@golden/reference_decisions.tsv", "@reference_gold.tsv"],
+    "sweep": ["sweep", "@decorated_pairs.tsv", "@sweep_gold.tsv", "@grid.json", "--out",
+              "sweep.tsv"],
+    "counts warm": ["--config", "@config.json", "--cache", "@cache.tsv", "counts", "warm",
+                    "@golden/pairs.tsv"],
+}
+_CACHE_ROWS = "".join("%s\t%d\tfixture\t2026-01-01T00:00:00Z\n" % row for row in (
+    ("national institute", 2_100_000), ("mental health", 14_000_000)))
+# What a count cell may become: the bound and just past it, far past it, past a float,
+# negative, and more digits than int() converts by default.
+_HUGE_COUNTS = (st.sampled_from([2**53, 2**53 + 1, 10**170, 10**400, -1]).map(str)
+                | st.integers(0, 10**400).map(str) | st.integers(4000, 5000).map("9".__mul__))
+
+
+@st.composite
+def _mutated(draw, content):
+    """``content`` after a few edits: a digit run, a count cell included, made a huge count;
+    noise put in; a slice cut out; or a line repeated."""
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["count", "noise", "cut", "repeat"]))
+        numbers = [m.span() for m in re.finditer(rb"\d+", content)]
+        if edit == "count" and numbers:
+            start, end = draw(st.sampled_from(numbers))
+            content = content[:start] + draw(_HUGE_COUNTS).encode() + content[end:]
+        elif edit == "noise":
+            at = draw(st.integers(0, len(content)))
+            content = content[:at] + draw(st.sampled_from(_NOISE)) + content[at:]
+        elif edit == "cut":
+            start = draw(st.integers(0, len(content)))
+            content = content[:start] + content[draw(st.integers(start, len(content))):]
+        elif edit == "repeat" and content:
+            lines = content.splitlines(keepends=True)
+            at = draw(st.integers(0, len(lines) - 1))
+            content = b"".join(lines[:at + 1] + lines[at:])
+    return content
+
+
+@pytest.mark.parametrize("command", list(_MUTATED_RUNS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_end_in_exit_0_or_an_error_line(tmp_path_factory, fixtures_dir,
+                                                         command, data):
+    """Every command, on mutated copies of the bundled fixtures and on huge counts in
+    their count cells, returns 0 or 1 and never raises; 1 comes with an error: line."""
+    work = tmp_path_factory.getbasetemp() / ("mutated " + command)
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(fixtures_dir, work)
+    (work / "grid.json").write_text('{"id_t": [5, 6], "mi_plus": [0.5, 0.9]}', encoding="utf-8")
+    (work / "cache.tsv").write_text(_CACHE_ROWS, encoding="utf-8")
+    argv = _MUTATED_RUNS[command]
+    inputs = [a[1:] for a in argv if a.startswith("@")]
+    inputs += ["counts.json"] if "@config.json" in argv else []
+    for name in data.draw(st.lists(st.sampled_from(inputs), unique=True)):
+        (work / name).write_bytes(data.draw(_mutated((work / name).read_bytes()), label=name))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(work / a.lstrip("@")) if "." in a else a for a in argv])
+    assert code in (0, 1)
+    if code == 1:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

@@ -149,11 +149,11 @@ class TestSweep:
         rng = random.Random(17)
         rows = random_rows(rng)
         t = Thresholds()
-        gold = {pid: unithood(ev, t).uh for pid, ev in rows}
+        gold = {pid: unithood(ev).merges(t) for pid, ev in rows}
         points = sweep(rows, gold, {"id_t": [6.0]})
         assert len(points) == 1
         direct = score(
-            {pid: unithood(ev, t).uh for pid, ev in rows}, gold
+            {pid: unithood(ev).merges(t) for pid, ev in rows}, gold
         )
         assert points[0].table == direct
         assert points[0].metrics.accuracy == 1.0
@@ -255,7 +255,7 @@ def brute_force_sweep(rows, gold, grid, sort_key):
             t = Thresholds(*combo)
         except ValueError:
             continue
-        table = score({pid: unithood(ev, t).uh for pid, ev in rows}, gold)
+        table = score({pid: unithood(ev).merges(t) for pid, ev in rows}, gold)
         points.append(SweepPoint(index, t, table, compute_metrics(table)))
     defined = [p for p in points if getattr(p.metrics, sort_key) is not None]
     undefined = [p for p in points if getattr(p.metrics, sort_key) is None]

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from unithood import (
     EvidenceSet,
+    Score,
     Thresholds,
     UndefinedEvidenceError,
-    decision_rule,
     independence,
     independence_ratio,
     unithood,
@@ -69,7 +69,7 @@ class TestWeight:
 
 
 def mi(evidence):
-    return unithood(evidence, Thresholds()).mi
+    return unithood(evidence).mi
 
 
 class TestMutualInformation:
@@ -178,82 +178,81 @@ class TestThresholds:
 class TestDecisionRule:
     @pytest.mark.parametrize("mi,id_x,id_y,idr,merged", REFERENCE_ROWS)
     def test_reference_rows(self, mi, id_x, id_y, idr, merged):
-        assert decision_rule(mi, id_x, id_y, idr, Thresholds()) is merged
+        assert Score(mi, id_x, id_y, idr).merges(Thresholds()) is merged
 
     def test_band_boundaries_inclusive(self):
         t = Thresholds()
-        assert decision_rule(t.mi_plus, 7, 7, 1.0, t) is True
-        assert decision_rule(t.mi_minus, 7, 7, 1.0, t) is True
-        assert decision_rule(t.mi_minus - 1e-9, 7, 7, 1.0, t) is False
+        assert Score(t.mi_plus, 7, 7, 1.0).merges(t) is True
+        assert Score(t.mi_minus, 7, 7, 1.0).merges(t) is True
+        assert Score(t.mi_minus - 1e-9, 7, 7, 1.0).merges(t) is False
 
     def test_upper_mi_strict(self):
         t = Thresholds()
         # at exactly mi_plus the first branch does not fire; the second does
-        assert decision_rule(t.mi_plus, 0, 0, None, t) is False
-        assert decision_rule(math.nextafter(t.mi_plus, 2.0), 0, 0, None, t) is True
+        assert Score(t.mi_plus, 0, 0, None).merges(t) is False
+        assert Score(math.nextafter(t.mi_plus, 2.0), 0, 0, None).merges(t) is True
 
     def test_id_threshold_inclusive(self):
         t = Thresholds()
-        assert decision_rule(0.5, 6.0, 6.0, 1.0, t) is True
-        assert decision_rule(0.5, 5.9999, 6.0, 1.0, t) is False
+        assert Score(0.5, 6.0, 6.0, 1.0).merges(t) is True
+        assert Score(0.5, 5.9999, 6.0, 1.0).merges(t) is False
 
     def test_idr_band_inclusive(self):
         t = Thresholds()
-        assert decision_rule(0.5, 7, 7, 1.35, t) is True
-        assert decision_rule(0.5, 7, 7, 0.93, t) is True
-        assert decision_rule(0.5, 7, 7, 1.351, t) is False
-        assert decision_rule(0.5, 7, 7, 0.9299, t) is False
+        assert Score(0.5, 7, 7, 1.35).merges(t) is True
+        assert Score(0.5, 7, 7, 0.93).merges(t) is True
+        assert Score(0.5, 7, 7, 1.351).merges(t) is False
+        assert Score(0.5, 7, 7, 0.9299).merges(t) is False
 
     def test_undefined_ratio_fails_quietly(self):
-        assert decision_rule(0.5, 7, 0, None, Thresholds()) is False
+        assert Score(0.5, 7, 0, None).merges(Thresholds()) is False
 
 
 class TestUnithood:
     def test_scores_for_plain_evidence(self):
-        scores = unithood(EvidenceSet(1_300_000, 2_100_000, 14_000_000), Thresholds())
+        scores = unithood(EvidenceSet(1_300_000, 2_100_000, 14_000_000))
         assert scores.mi == pytest.approx(1.8011305, abs=1e-6)
         assert scores.id_x == pytest.approx(math.log10(800_000), abs=1e-12)
         assert scores.id_y == pytest.approx(math.log10(12_700_000), abs=1e-12)
         assert scores.idr == pytest.approx(0.8309759, abs=1e-6)
-        assert scores.uh is True
+        assert scores.merges(Thresholds()) is True
         assert scores.degenerate is False
 
     def test_equal_counts_merge_only_on_high_mi(self):
         evidence = EvidenceSet(7, 7, 7)
-        scores = unithood(evidence, Thresholds())
+        scores = unithood(evidence)
         assert scores.id_x == 0.0 and scores.id_y == 0.0
         assert scores.idr is None
-        assert scores.uh is True  # first branch: mi about 4.19 > 0.9
-        raised = unithood(evidence, Thresholds(mi_plus=5.0))
-        assert raised.uh is False
+        assert scores.merges(Thresholds()) is True  # first branch: mi about 4.19 > 0.9
+        assert scores.merges(Thresholds(mi_plus=5.0)) is False
 
     def test_all_zero_counts_error(self):
         with pytest.raises(UndefinedEvidenceError):
-            unithood(EvidenceSet(0, 0, 0), Thresholds())
+            unithood(EvidenceSet(0, 0, 0))
 
     def test_degenerate_side_never_merges(self):
         # even thresholds that would otherwise accept everything
         permissive = Thresholds(
             mi_plus=-0.5, mi_minus=-1.0, id_t=0.0, idr_plus=10.0, idr_minus=-10.0
         )
-        scores = unithood(EvidenceSet(10, 0, 10), permissive)
+        scores = unithood(EvidenceSet(10, 0, 10))
         assert scores.degenerate is True
         assert scores.mi == 0.0
-        assert decision_rule(scores.mi, scores.id_x, scores.id_y, scores.idr, permissive)
-        assert scores.uh is False
+        # the same numbers merge when the score is not degenerate
+        assert Score(scores.mi, scores.id_x, scores.id_y, scores.idr).merges(permissive)
+        assert scores.merges(permissive) is False
 
     def test_scores_invariants_randomized(self):
         rng = random.Random(21)
-        t = Thresholds()
         for _ in range(2000):
             evidence = EvidenceSet(
                 rng.randint(0, 10**6), rng.randint(0, 10**6), rng.randint(0, 10**6)
             )
             if evidence.total == 0:
                 continue
-            scores = unithood(evidence, t)
-            for p in (scores.p_s, scores.p_ax, scores.p_ay):
-                assert 0.0 <= p <= E_INV + 1e-12
+            scores = unithood(evidence)
+            for n in (evidence.n_s, evidence.n_ax, evidence.n_ay):
+                assert 0.0 <= weight(n, evidence.total) <= E_INV + 1e-12
             if evidence.n_ax <= evidence.n_s:
                 assert scores.id_x == 0.0
             if evidence.n_ay <= evidence.n_s:
@@ -262,11 +261,8 @@ class TestUnithood:
 
 
 @settings(max_examples=500, deadline=None)
-@given(
-    st.tuples(*[st.integers(0, 10**12)] * 3).filter(any),
-    st.sampled_from([Thresholds(), Thresholds(mi_plus=1e9, mi_minus=-1e9, id_t=0.0)]),
-)
-def test_unithood_mi_is_mutual_information(counts, thresholds):
+@given(st.tuples(*[st.integers(0, 10**12)] * 3).filter(any))
+def test_unithood_mi_is_mutual_information(counts):
     """MI against the formula written out: p(s) / (p(a_x) * p(a_y)), 0 if any count is 0."""
     evidence = EvidenceSet(*counts)
     total = sum(counts)
@@ -274,7 +270,7 @@ def test_unithood_mi_is_mutual_information(counts, thresholds):
         expected = 0.0
     else:
         expected = weight(counts[0], total) / (weight(counts[1], total) * weight(counts[2], total))
-    assert unithood(evidence, thresholds).mi == expected
+    assert unithood(evidence).mi == expected
 
 
 COUNTS = st.integers(0, 10**9)  # IDs up to 9
@@ -294,13 +290,13 @@ MASK_ROW = st.tuples(COUNTS, st.none() | COUNTS, st.none() | COUNTS).map(lambda 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_decision_masks_match_unithood_bit_by_bit(data):
-    """The mask form of the rule against ``unithood(...).uh``, row by row,
+    """The mask form of the rule against ``unithood(...).merges``, row by row,
     at widths of several machine words.  Thresholds are drawn from the
     rows' own scores, so some sit exactly on a score, and from ranges
     reaching below zero."""
     n = data.draw(st.integers(0, 200))  # a list strategy would seldom pass one word
     rows = data.draw(st.lists(MASK_ROW, min_size=n, max_size=n))
-    scored = [unithood(evidence, Thresholds()) for evidence in rows]
+    scored = [unithood(evidence) for evidence in rows]
 
     def pool(values, low):
         ties = sorted({v for v in values if v is not None})
@@ -318,7 +314,7 @@ def test_decision_masks_match_unithood_bit_by_bit(data):
         mask = merged(t)
         assert mask >> len(rows) == 0
         assert [bool(mask >> i & 1) for i in range(len(rows))] == [
-            unithood(evidence, t).uh for evidence in rows
+            unithood(evidence).merges(t) for evidence in rows
         ]
 
 
@@ -327,5 +323,5 @@ def test_decision_masks_match_unithood_bit_by_bit(data):
        .filter(any))
 def test_scores_are_finite_for_every_count_up_to_2_53(counts):
     """EvidenceSet refuses a count above 2**53, so no share underflows and MI stays finite."""
-    score = unithood(EvidenceSet(*counts), Thresholds())
+    score = unithood(EvidenceSet(*counts))
     assert all(math.isfinite(v) for v in (score.mi, score.id_x, score.id_y, score.idr or 0.0))

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 import zlib
 
 import pytest
@@ -102,6 +103,13 @@ class TestConfig:
     def test_unknown_provider_kind_rejected_in_the_dataclass(self):
         with pytest.raises(ConfigError, match="^unknown provider kind\\(s\\): oracle$"):
             PipelineConfig(provider=("oracle", "a.json"))
+
+    @pytest.mark.parametrize("provider", ["fixture", ("fixture",), ("fixture", "a", "b"),
+                                          ["fixture", "a.json"], ()])
+    def test_provider_that_is_not_a_kind_spec_tuple_rejected(self, provider):
+        with pytest.raises(ConfigError, match="^provider must be a \\(kind, spec\\) tuple, "
+                           "got %s$" % re.escape(repr(provider))):
+            PipelineConfig(provider=provider)
 
     @pytest.mark.parametrize("spec", [{"endpoint_template": "http://localhost:9/{query}",
                                        "count_path": "t"}, None, "remote.json"])
@@ -720,6 +728,8 @@ class TestDecidePairs:
         assert record.merged is True
         assert record.evidence.n_s == 1_300_000
         assert record.score.mi == pytest.approx(1.8011305, abs=1e-6)
+        score = record.score  # a plain Score, so equal to one built from its values
+        assert score == Score(score.mi, score.id_x, score.id_y, score.idr, score.degenerate)
 
     def test_records_are_slotted_frozen_values(self, fixtures_dir):
         provider = FixtureProvider.from_file(fixtures_dir / "counts.json")
