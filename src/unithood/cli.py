@@ -111,7 +111,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
     _distinct_outputs(args.out, args.decorated_out, config.cache_path)
-    sentences = pipeline.sentences_of(_read(args.pairs_file, pipeline.read_pairs_file))
+    sentences = list(pipeline.sentences_of(_read(args.pairs_file, pipeline.read_pairs_file)))
     injected = _read(args.scores, pipeline.read_scores_file) if args.scores else None
     with (
         pipeline.build_provider(config, sentences) if config.provider else nullcontext()
@@ -167,9 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
-    # Only a corpus counts the sentences' closure; other providers need no offset tables.
-    sentences = pipeline.sentences_of(pairs) if (config.provider or [None])[0] == "corpus" else None
-    with pipeline.build_provider(config, sentences) as provider:
+    with pipeline.build_provider(config, pipeline.sentences_of(pairs)) as provider:
         n = pipeline.warm_counts(pairs, provider)
     print("warmed %d phrase(s)" % n, file=sys.stderr)
     return 0

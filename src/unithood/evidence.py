@@ -36,7 +36,7 @@ def normalize_phrase(phrase: str) -> str:
     return " ".join(phrase.split())
 
 
-def _lookup_key(phrase: str) -> str:
+def lookup_key(phrase: str) -> str:
     key = normalize_phrase(phrase).lower()
     if not key:
         raise ValueError("phrase is empty after normalization")
@@ -96,10 +96,10 @@ class FixtureProvider:
             if type(count) is not int or count < 0:
                 raise ValueError("count for %r must be a whole, non-negative number, got %s"
                                  % (phrase, json.dumps(count, default=repr)))
-        self._counts = {_lookup_key(p): c for p, c in rows}
+        self._counts = {lookup_key(p): c for p, c in rows}
         if len(self._counts) < len(rows):  # two rows share a lookup key; name them
-            key = Counter(_lookup_key(p) for p, _ in rows).most_common(1)[0][0]
-            first, second = [p for p, _ in rows if _lookup_key(p) == key][:2]
+            key = Counter(lookup_key(p) for p, _ in rows).most_common(1)[0][0]
+            first, second = [p for p, _ in rows if lookup_key(p) == key][:2]
             raise ValueError("phrases %r and %r normalize to one key" % (first, second))
 
     @classmethod
@@ -117,7 +117,7 @@ class FixtureProvider:
             raise ValueError("%s: %s" % (source, exc)) from None
 
     def count(self, phrase: str) -> int:
-        key = _lookup_key(phrase)
+        key = lookup_key(phrase)
         if key in self._counts:
             return self._counts[key]
         raise MissingCountError(normalize_phrase(phrase))
@@ -163,7 +163,7 @@ class LocalIndexProvider:
         self._postings, self._codes = postings, codes
 
     def count(self, phrase: str) -> int:
-        return self._frequency(_lookup_key(phrase).split())
+        return self._frequency(lookup_key(phrase).split())
 
     def _frequency(self, tokens: list[str]) -> int:
         postings = [self._postings.get(token) for token in tokens]
@@ -186,7 +186,7 @@ class PhraseCounts(dict):
     _BLOCK_DOCUMENTS = 4096
 
     def count(self, phrase: str) -> int:
-        if (count := self.get(_lookup_key(phrase))) is None:
+        if (count := self.get(lookup_key(phrase))) is None:
             raise ValueError("phrase %r was not counted in the corpus" % normalize_phrase(phrase))
         return count
 
@@ -211,7 +211,7 @@ def load_corpus_file(path: str | Path, phrases: Iterable[str] | None = None
     ParseFileError naming the file and the line; of several, the first in the file.
     """
     if phrases is not None:
-        keys = dict.fromkeys(map(_lookup_key, phrases))
+        keys = dict.fromkeys(map(lookup_key, phrases))
         return PhraseCounts(zip(keys, _count_corpus(path, [key.split() for key in keys])))
     at = [0]
     with open(path, "rb") as handle:
@@ -319,7 +319,7 @@ def _count_corpus(path: str | Path, phrases: list[list[str]]) -> list[int]:
 
 def _cache_row(columns: list[str]) -> tuple[str, str, int]:
     phrase, count, provider_id, _fetched_at = columns
-    return provider_id, _lookup_key(phrase), parse_whole(count, "count for %r", phrase)
+    return provider_id, lookup_key(phrase), parse_whole(count, "count for %r", phrase)
 
 
 class CountCache:
@@ -391,10 +391,10 @@ class CountCache:
         return len(self._counts)
 
     def get(self, phrase: str) -> int | None:
-        return self._counts.get(_lookup_key(phrase))
+        return self._counts.get(lookup_key(phrase))
 
     def put(self, phrase: str, count: int) -> None:
-        key, phrase = _lookup_key(phrase), normalize_phrase(phrase)
+        key, phrase = lookup_key(phrase), normalize_phrase(phrase)
         if self.path is not None:
             if self._handle is None:
                 if self._closed:
@@ -533,7 +533,7 @@ class RemoteCountClient:
             raise _NoMatch("count_path %r holds %r, not a count" % (path, value)) from None
 
     def count(self, phrase: str) -> int:
-        _lookup_key(phrase)  # an empty phrase fails here, not at the endpoint
+        lookup_key(phrase)  # an empty phrase fails here, not at the endpoint
         url = self.build_url(phrase)
         last_error: Exception | None = None
         for _ in range(self.config.max_retries):

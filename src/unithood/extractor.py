@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, _check_field
+from .parse_ingest import NOUN_TAGS, ParsedSentence, ParseToken, check_field
 
 # POS tags a candidate member may carry: nouns, adjectives, foreign words.
 MEMBER_TAGS = NOUN_TAGS | {"JJ", "FW"}
@@ -45,8 +45,8 @@ class Candidate:
             raise ValueError("candidate span must be non-empty")
         if any(b <= a for a, b in zip(self.span, self.span[1:])):
             raise ValueError("candidate span must be strictly ascending")
-        _check_field("candidate sentence_id", self.sentence_id)
-        _check_field("candidate surface", self.surface, allow_empty=False)
+        check_field("candidate sentence_id", self.sentence_id)
+        check_field("candidate surface", self.surface, allow_empty=False)
 
     @property
     def start(self) -> int:
@@ -73,7 +73,7 @@ class CandidatePair:
     s: str = field(init=False)
 
     def __post_init__(self):
-        _check_field("pair connector", self.b)
+        check_field("pair connector", self.b)
         if self.a_x.sentence_id != self.a_y.sentence_id:
             raise ValueError("paired candidates must come from one sentence")
         gap = 1 if self.b == "" else 2

@@ -90,18 +90,23 @@ def read_json_object(data: bytes, source: str,
                      error: type[ValueError] = ValueError) -> dict[str, Any]:
     """Parse UTF-8 bytes as one JSON object, rejecting a key repeated in any object; errors
     name ``source`` and are ``error``s."""
+    repeated: list[str] = []  # the key unique refused, whose error names the source already
 
     def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj = dict(pairs)
         if len(obj) < len(pairs):
-            repeated = Counter(key for key, _ in pairs).most_common(1)[0][0]
-            raise error("%s repeats key %r" % (source, repeated))
+            repeated.append(Counter(key for key, _ in pairs).most_common(1)[0][0])
+            raise error("%s repeats key %r" % (source, repeated[0]))
         return obj
 
     try:
         value = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error("%s is not valid JSON: %s" % (source, exc)) from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        if repeated:
+            raise
+        raise error("%s: %s" % (source, exc)) from None
     if not isinstance(value, dict):
         raise error("%s must be a JSON object" % source)
     return value
@@ -119,7 +124,7 @@ def check_setting(name: str, value: Any, low: int, error: type[ValueError] = Val
         raise error("%s must be an integer >= %d" % (name, low))
 
 
-def _check_field(name: str, value: str, allow_empty: bool = True) -> None:
+def check_field(name: str, value: str, allow_empty: bool = True) -> None:
     if not allow_empty and not value.strip():
         raise ValueError("%s must not be blank" % name)
     if "\t" in value or "\n" in value or "\r" in value:
@@ -143,9 +148,9 @@ class ParseToken:
             raise ValueError("head_offset must be >= 0, got %r" % (self.head_offset,))
         if self.head_offset == self.offset:
             raise ValueError("token at offset %d depends on itself" % self.offset)
-        _check_field("lemma", self.lemma, allow_empty=False)
-        _check_field("pos", self.pos)
-        _check_field("dep_rel", self.dep_rel)
+        check_field("lemma", self.lemma, allow_empty=False)
+        check_field("pos", self.pos)
+        check_field("dep_rel", self.dep_rel)
 
     @property
     def is_noun(self) -> bool:
@@ -160,7 +165,7 @@ class ParsedSentence:
     tokens: tuple[ParseToken, ...]
 
     def __post_init__(self):
-        _check_field("sentence_id", self.sentence_id)
+        check_field("sentence_id", self.sentence_id)
         if not self.tokens:
             raise ValueError("sentence %r has no tokens" % self.sentence_id)
         offsets = [t.offset for t in self.tokens]
@@ -189,7 +194,7 @@ def read_parse_file(stream: Iterable[bytes | str]) -> list[ParsedSentence]:
                            sys.intern(pos), sys.intern(dep_rel),  # repeats held once
                            parse_whole(head_offset, "head_offset"))
         if (table := grouped.get(sentence_id)) is None:  # a sentence's id is checked once
-            _check_field("sentence_id", sentence_id)
+            check_field("sentence_id", sentence_id)
             table = grouped[sentence_id] = {}
         # The sentence's own table finds a repeat: no key per row outlives the read.
         if table.setdefault(token.offset, token) is not token:

@@ -21,8 +21,8 @@ from .evidence import (
     FixtureProvider,
     RemoteClientConfig,
     RemoteCountClient,
-    _lookup_key,
     load_corpus_file,
+    lookup_key,
 )
 from .evaluation import METRIC_NAMES, ContingencyTable, SweepPoint, compute_metrics
 from .extractor import Candidate, CandidatePair, closure, form_pairs, merge_pass
@@ -68,7 +68,7 @@ class PipelineConfig:
                 isinstance(self.provider, tuple) and len(self.provider) == 2):
             raise ConfigError("provider must be a (kind, spec) tuple, got %r" % (self.provider,))
         kind, spec = self.provider or (None, None)
-        if kind is not None and kind not in PROVIDERS:
+        if kind is not None and not (isinstance(kind, str) and kind in PROVIDERS):
             raise ConfigError("unknown provider kind(s): %s" % kind)
         spec_type = PROVIDERS[kind][0] if kind is not None else None
         if spec_type not in (None, str) and not isinstance(spec, spec_type):
@@ -130,8 +130,8 @@ def load_config(path: str | Path, cache_path: str | None = None) -> PipelineConf
 
 def build_provider(config: PipelineConfig, sentences: Iterable[
         tuple[Sequence[Candidate], Mapping[int, str]]] | None = None) -> CountCache:
-    """The config's provider in a CountCache.  Given each sentence's (candidates, connectors),
-    a corpus counts only their closure, every phrase a decide on them can ask; else all of it."""
+    """The config's provider in a CountCache.  Only a corpus reads each sentence's (candidates,
+    connectors), and counts just their closure, every phrase a decide on them can ask; else all."""
     if config.provider is None:
         raise ConfigError("no count provider configured")
     kind, spec = config.provider
@@ -149,6 +149,7 @@ PAIR_COLUMNS = CANDIDATE_COLUMNS + ("ax_span", "ax_surface", "b", "ay_span", "ay
 # Reals with 4 decimals; decision is MERGED or NOTMERGED.
 DECISION_COLUMNS = ("pair_id", "a_x", "b", "a_y", "id_x", "id_y", "idr", "mi", "decision", "s")
 _SCORE_CELLS = attrgetter(*DECISION_COLUMNS[4:8])  # a decisions row's cells from its Score
+_SURFACES = attrgetter("a_x.surface", "b", "a_y.surface")  # its surface cells from its pair
 # Raw counts, so a sweep can decide each pair again under other thresholds.
 DECORATED_COLUMNS = ("pair_id", "a_x", "b", "a_y", "s", "n_s", "n_ax", "n_ay")
 GOLD_COLUMNS = ("pair_id", "label")  # label is MERGED or NOTMERGED
@@ -216,9 +217,8 @@ def read_pairs_file(stream: Iterable[bytes | str]) -> list[CandidatePair]:
         table = tables.setdefault(sentence_id, {})
         built = CandidatePair(candidate(table, sentence_id, ax_span, ax_surface), sys.intern(b),
                               candidate(table, sentence_id, ay_span, ay_surface))
-        if _parse_span(span) != built.merged_span() or surface != built.s:
-            raise ValueError("span and surface %r do not match the pair's %r"
-                             % ([span, surface], _pair_row(built)[1:3]))
+        if (cells := [span, surface]) != (merged := [_span_str(built.merged_span()), built.s]):
+            raise ValueError("span and surface %r do not match the pair's %r" % (cells, merged))
         _hold(table, built)
         return built
 
@@ -230,10 +230,7 @@ class DecisionRecord:
     """One decided pair, in the order it was evaluated."""
 
     pair_id: str
-    a_x: str
-    b: str
-    a_y: str
-    s: str
+    pair: CandidatePair
     score: Score
     merged: bool
     evidence: EvidenceSet | None = None
@@ -253,10 +250,10 @@ def write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
     decided = merged = uncounted = 0
     for r in records:
         if decisions is not None:
-            decisions.write(tsv_line([r.pair_id, r.a_x, r.b, r.a_y, *map(
-                _fmt, _SCORE_CELLS(r.score)), MERGED if r.merged else NOTMERGED, r.s]))
+            decisions.write(tsv_line([r.pair_id, *_SURFACES(r.pair), *map(
+                _fmt, _SCORE_CELLS(r.score)), MERGED if r.merged else NOTMERGED, r.pair.s]))
         if decorated is not None and r.evidence is not None:
-            decorated.write(tsv_line([r.pair_id, r.a_x, r.b, r.a_y, r.s, *(
+            decorated.write(tsv_line([r.pair_id, *_SURFACES(r.pair), r.pair.s, *(
                 "%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]))
         decided, merged, uncounted = (
             decided + 1, merged + r.merged, uncounted + (r.evidence is None))
@@ -287,10 +284,6 @@ def read_decisions_file(stream: Iterable[bytes | str]) -> dict[str, bool]:
 
 def read_gold_file(stream: Iterable[bytes | str]) -> dict[str, bool]:
     return _read_verdicts(stream, GOLD_COLUMNS, "label", "gold file", "gold label")
-
-
-def write_decorated_file(records: Iterable[DecisionRecord], stream: TextIO) -> None:
-    write_records(records, None, stream)
 
 
 def read_decorated_file(stream: Iterable[bytes | str]) -> list[tuple[str, EvidenceSet]]:
@@ -350,14 +343,16 @@ def decide_pairs(
     return list(decide(sentences_of(pairs), thresholds, provider, injected, max_passes))
 
 
-def sentences_of(pairs: Iterable[CandidatePair]) -> list[tuple[list[Candidate], dict[int, str]]]:
-    """Each sentence's candidates in offset order and connectors by offset, as _hold holds them:
-    an offset holds one candidate or one connector, else ValueError."""
+def sentences_of(pairs: Iterable[CandidatePair]) -> Iterator[tuple[list[Candidate], dict[int, str]]]:
+    """Yield each sentence's candidates in offset order and connectors by offset, as _hold holds
+    them: an offset holds one candidate or one connector, else ValueError.  The first next()
+    builds, and checks, every sentence's table; a caller that reads them twice takes a list."""
     tables: dict[str, dict[int, Candidate | str]] = {}
     for pair in pairs:
         _hold(tables.setdefault(pair.sentence_id, {}), pair)
-    return [([c for at, c in sorted(table.items()) if not isinstance(c, str) and at == c.start],
-             {at: b for at, b in table.items() if isinstance(b, str)}) for table in tables.values()]
+    for table in tables.values():
+        yield ([c for at, c in sorted(table.items()) if not isinstance(c, str) and at == c.start],
+               {at: b for at, b in table.items() if isinstance(b, str)})
 
 
 def decide(sentences: Iterable[tuple[list[Candidate], dict[int, str]]], thresholds: Thresholds,
@@ -410,8 +405,7 @@ def _decide_one(
             score = unithood(evidence)
         except ValueError as exc:  # UndefinedEvidenceError, or a count above 2**53
             raise type(exc)("pair %s (%r): %s" % (pair_id, pair.s, exc)) from None
-    return DecisionRecord(pair_id, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-                          score, score.merges(thresholds), evidence)
+    return DecisionRecord(pair_id, pair, score, score.merges(thresholds), evidence)
 
 
 def warm_counts(pairs: Sequence[CandidatePair], provider: CountProvider) -> int:
@@ -419,7 +413,7 @@ def warm_counts(pairs: Sequence[CandidatePair], provider: CountProvider) -> int:
     phrases: dict[str, str] = {}
     for pair in pairs:
         for phrase in (pair.s, pair.a_x.surface, pair.a_y.surface):
-            phrases.setdefault(_lookup_key(phrase), phrase)
+            phrases.setdefault(lookup_key(phrase), phrase)
     for phrase in phrases.values():
         provider.count(phrase)
     return len(phrases)

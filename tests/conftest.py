@@ -1,3 +1,4 @@
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -12,6 +13,19 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def too_many_digits():
+    """An integer with one digit more than int() converts, and int()'s message for it;
+    skipped where this Python converts integers of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integers of any length")
+    digits = "1" * (limit + 1)
+    with pytest.raises(ValueError) as err:
+        int(digits)
+    return digits, str(err.value)
 
 
 @pytest.fixture(scope="session")

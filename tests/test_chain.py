@@ -40,8 +40,8 @@ from unithood.pipeline import (
     sentences_of,
     write_candidates_file,
     write_decisions_file,
-    write_decorated_file,
     write_pairs_file,
+    write_records,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -93,7 +93,8 @@ def test_corpus_chain_matches_the_reference(perfbench, tmp_path, seed):
                                 inventory.units)
     assert records, "the seed forms no pair"
     assert _text(write_decisions_file, records) == reference.decisions_file(expected)
-    assert _text(write_decorated_file, records) == reference.decorated_file(expected)
+    decorated = _text(lambda records, out: write_records(records, None, out), records)
+    assert decorated == reference.decorated_file(expected)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -147,7 +148,7 @@ def test_cli_decide_matches_the_library(perfbench, tmp_path, monkeypatch, seed):
         records = decide_pairs(pairs, Thresholds(), provider)
     assert records, "the seed forms no pair"
     for name, write in (("decisions.tsv", write_decisions_file),
-                        ("decorated.tsv", write_decorated_file)):
+                        ("decorated.tsv", lambda records, out: write_records(records, None, out))):
         assert (tmp_path / name).read_text(encoding="utf-8") == _text(write, records)
 
 
@@ -198,7 +199,7 @@ def test_cli_corpus_decide_counts_the_closure_as_the_whole_index(perfbench, tmp_
     records = decide_pairs(pairs, Thresholds(), CountCache(asked))
     assert records, "the seed forms no pair"
     for name, write in (("decisions.tsv", write_decisions_file),
-                        ("decorated.tsv", write_decorated_file)):
+                        ("decorated.tsv", lambda records, out: write_records(records, None, out))):
         assert (tmp_path / name).read_text(encoding="utf-8") == _text(write, records)
     for max_passes in (1, 2, 4, 5):
         decide_pairs(pairs, Thresholds(), CountCache(asked), max_passes=max_passes)

@@ -529,6 +529,16 @@ class TestSweep:
         assert (code, out) == (1, "")
         assert err == "error: %s\n" % message.format(dir=tmp_path)
 
+    def test_grid_integer_with_too_many_digits_names_the_spec(self, fixtures_dir, tmp_path,
+                                                              capsys, too_many_digits):
+        """JSON takes an integer of any length; one longer than int() converts names the file."""
+        digits, message = too_many_digits
+        (tmp_path / "grid.json").write_text('{"id_t": [%s]}' % digits, encoding="utf-8")
+        code, out, err = run(capsys, "sweep", fixtures_dir / "decorated_pairs.tsv",
+                             fixtures_dir / "sweep_gold.tsv", tmp_path / "grid.json")
+        assert (code, out) == (1, "")
+        assert err == "error: grid spec %s: %s\n" % (tmp_path / "grid.json", message)
+
     def test_invalid_grid_point_is_skipped_with_a_note(self, fixtures_dir, tmp_path, capsys):
         """A point the thresholds refuse is left out of the report, named on stderr; the rest
         are swept."""
@@ -857,15 +867,15 @@ def test_output_error_names_the_path_given(argv, tmp_path, fixtures_dir, decided
 def test_only_a_corpus_warm_builds_offset_tables(provider, tmp_path, fixtures_dir, decided,
                                                  monkeypatch, capsys):
     """counts warm builds each sentence's offset tables (pipeline.sentences_of) only for a
-    corpus, which counts their closure; a fixture warm never calls it."""
+    corpus, which counts their closure, and once; a fixture warm never iterates them."""
     (tmp_path / "corpus.txt").write_text("mental health\n", encoding="utf-8")
     (tmp_path / "corpus.json").write_text(json.dumps({"provider": {"corpus": "corpus.txt"}}))
     config = fixtures_dir / "config.json" if provider == "fixture" else tmp_path / "corpus.json"
     calls = []
 
-    def spy(pairs):
+    def spy(pairs):  # a generator, so the append runs at its first iteration
         calls.append(len(pairs))
-        return sentences(pairs)
+        yield from sentences(pairs)
 
     sentences = pipeline.sentences_of
     monkeypatch.setattr(pipeline, "sentences_of", spy)

@@ -156,6 +156,14 @@ class TestFixtureProvider:
             FixtureProvider.from_file(path)
         assert str(err.value).startswith("count table %s%s" % (path, message))
 
+    def test_json_integer_with_too_many_digits_names_file(self, tmp_path, too_many_digits):
+        digits, message = too_many_digits
+        path = tmp_path / "counts.json"
+        path.write_text('{"a b": %s}' % digits, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            FixtureProvider.from_file(path)
+        assert str(err.value) == "count table %s: %s" % (path, message)
+
     def test_constructor_rejects_phrases_sharing_a_key(self):
         with pytest.raises(ValueError) as err:
             FixtureProvider({"a b": 1, "A  b": 2})

@@ -50,8 +50,8 @@ from unithood.pipeline import (
     sentences_of,
     warm_counts,
     write_decisions_file,
-    write_decorated_file,
     write_pairs_file,
+    write_records,
 )
 
 
@@ -105,10 +105,15 @@ class TestConfig:
             PipelineConfig(provider=("oracle", "a.json"))
 
     @pytest.mark.parametrize("provider", ["fixture", ("fixture",), ("fixture", "a", "b"),
-                                          ["fixture", "a.json"], ()])
+                                          ["fixture", "a.json"], (), (["fixture"], "a.json"),
+                                          ({}, "a"), (5, "a")])
     def test_provider_that_is_not_a_kind_spec_tuple_rejected(self, provider):
-        with pytest.raises(ConfigError, match="^provider must be a \\(kind, spec\\) tuple, "
-                           "got %s$" % re.escape(repr(provider))):
+        """A provider that is not a 2-tuple is refused as such; a 2-tuple whose kind is no
+        kind's name, even one that cannot be hashed, is refused naming the kind."""
+        message = ("unknown provider kind(s): %s" % (provider[0],)
+                   if isinstance(provider, tuple) and len(provider) == 2
+                   else "provider must be a (kind, spec) tuple, got %r" % (provider,))
+        with pytest.raises(ConfigError, match="^%s$" % re.escape(message)):
             PipelineConfig(provider=provider)
 
     @pytest.mark.parametrize("spec", [{"endpoint_template": "http://localhost:9/{query}",
@@ -168,6 +173,15 @@ class TestConfig:
         )
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_integer_with_too_many_digits_names_the_config(self, tmp_path, too_many_digits):
+        """A JSON integer longer than int() converts fails as a ConfigError naming the file."""
+        digits, message = too_many_digits
+        path = tmp_path / "config.json"
+        path.write_text('{"provider": {"fixture": "a"}, "max_merge_passes": %s}' % digits)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == "config %s: %s" % (path, message)
 
     def test_non_json_config_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -451,7 +465,7 @@ class TestFileFormats:
                           (" a", "of", "b"): Score(0.5, 6.5, 1.0, None)}
         pair = CandidatePair(Candidate("s1", (1, 2), "#1 hit"), "of", Candidate("s1", (4,), "b"))
         [record] = decide_pairs([pair], Thresholds(), injected=scores)
-        assert (record.a_x, record.score) == ("#1 hit", Score(0.5, 6.5, 1.0, None))
+        assert (record.pair, record.score) == (pair, Score(0.5, 6.5, 1.0, None))
 
     @pytest.mark.parametrize(
         "read_fn, rows, message",
@@ -524,6 +538,17 @@ class TestFileFormats:
             read_fn(io.StringIO("# header\n\n" + text))
         assert err.value.line_number == 3
         assert str(err.value).startswith("%s line 3: " % kind)
+
+
+@pytest.mark.parametrize("span", ["01,2", "1,x"])
+def test_merged_cells_not_as_written_name_both(span):
+    """A pairs row's merged span and surface must read as the writer writes them for its
+    sides, so a span that names the right offsets another way, or is malformed, is refused
+    naming both pairs of cells."""
+    with pytest.raises(ParseFileError) as err:
+        read_pairs_file(io.StringIO("s1\t%s\ta b\t1\ta\t\t2\tb\n" % span))
+    assert str(err.value) == ("pairs file line 1: span and surface [%r, 'a b'] do not match "
+                              "the pair's ['1,2', 'a b']" % span)
 
 
 FIELD = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=6)
@@ -599,9 +624,9 @@ def test_first_cells_that_start_with_a_hash_read_back(tmp_path_factory, first, s
     pair = CandidatePair(Candidate(first, (1,), surface), "of", Candidate(first, (3,), surface))
     assert roundtrip(write_pairs_file, [pair], read_pairs_file) == [pair]
     evidence = EvidenceSet(count, count + 1, count + 2)
-    record = DecisionRecord(first, pair.a_x.surface, pair.b, pair.a_y.surface, pair.s,
-                            Score(0.5, 1.0, 2.0, 0.5), True, evidence)
-    assert roundtrip(write_decorated_file, [record], read_decorated_file) == [(first, evidence)]
+    record = DecisionRecord(first, pair, Score(0.5, 1.0, 2.0, 0.5), True, evidence)
+    assert roundtrip(lambda records, out: write_records(records, None, out), [record],
+                     read_decorated_file) == [(first, evidence)]
     assert roundtrip(write_decisions_file, [record], read_decisions_file) == {first: True}
     phrase = first + surface  # the cache writes it normalized, so after no space
     path = tmp_path_factory.mktemp("cache") / "cache.tsv"
@@ -708,7 +733,7 @@ def test_injected_scores_decide_as_counted(chain, thresholds, max_passes):
         records = decide_pairs(pairs, thresholds, FixtureProvider(counts), max_passes=max_passes)
     except UndefinedEvidenceError:
         assume(False)  # a pair whose three counts are all zero has no scores
-    injected = {(r.a_x, r.b, r.a_y): r.score for r in records}
+    injected = {(r.pair.a_x.surface, r.pair.b, r.pair.a_y.surface): r.score for r in records}
     again = decide_pairs(pairs, thresholds, injected=injected, max_passes=max_passes)
     assert again == [dataclasses.replace(r, evidence=None) for r in records]
 
@@ -762,10 +787,11 @@ class TestDecidePairs:
             }
         )
         records = decide_pairs(pairs, Thresholds(), provider=provider, max_passes=3)
-        assert [(r.s, r.merged) for r in records] == [
-            ("a of b", True),
-            ("b of c", False),
-            ("a of b of c", True),
+        ab = Candidate("s", (1, 2, 3), "a of b")
+        assert [(r.pair, r.pair.s, r.merged) for r in records] == [
+            (pairs[0], "a of b", True),
+            (pairs[1], "b of c", False),
+            (CandidatePair(ab, "of", c), "a of b of c", True),
         ]
 
     def test_max_passes_bounds_reparing(self):
@@ -784,7 +810,8 @@ class TestDecidePairs:
             }
         )
         records = decide_pairs(pairs, Thresholds(), provider=provider, max_passes=1)
-        assert [r.s for r in records] == ["a of b", "b of c"]
+        assert [r.pair for r in records] == pairs
+        assert [r.pair.s for r in records] == ["a of b", "b of c"]
 
     @pytest.mark.parametrize("max_passes", [0, -1, True, 1.0])
     def test_max_passes_below_one_or_not_an_integer_fails(self, max_passes):
@@ -807,7 +834,7 @@ class TestDecidePairs:
         scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs, Thresholds(), injected=scores)
         out = io.StringIO()
-        write_decorated_file(records, out)
+        write_records(records, None, out)
         data_lines = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
         assert data_lines == []
 
@@ -869,14 +896,6 @@ class MergeEverything:
         return 1
 
 
-def surfaces(pairs):
-    return [(p.a_x.surface, p.b, p.a_y.surface, p.s) for p in pairs]
-
-
-def record_surfaces(records):
-    return [(r.a_x, r.b, r.a_y, r.s) for r in records]
-
-
 @settings(max_examples=200, deadline=None)
 @given(parsed_sentences())
 def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
@@ -886,7 +905,7 @@ def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
     pairs = roundtrip(write_pairs_file, extracted, read_pairs_file)
 
     first = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=1)
-    assert record_surfaces(first) == surfaces(extracted)
+    assert [r.pair for r in first] == extracted
 
     # With every pair merged, each later pass decides what the pair-former
     # finds over the merged candidates with the sentence's own connectors,
@@ -901,7 +920,7 @@ def test_decide_pairs_like_the_pair_former_on_the_sentence(sentence):
         candidates = merged
         current = form_pairs(candidates, connectors)
     records = decide_pairs(pairs, Thresholds(), provider=MergeEverything(), max_passes=5)
-    assert record_surfaces(records) == surfaces(expected)
+    assert [r.pair for r in records] == expected
     # decide over the sentence's own tables decides as decide_pairs over its pairs.
     tables = [(extract_candidates(sentence), connectors)]
     assert list(decide(tables, Thresholds(), MergeEverything(), max_passes=5)) == records
