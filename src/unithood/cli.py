@@ -117,15 +117,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         pipeline.build_provider(config, sentences) if config.provider else nullcontext()
     ) as provider, _output(args.out) as out, _output(args.decorated_out) as decorated:
         # Each pair's rows are written as it is decided, so no record is kept.
-        decided, merged, uncounted = pipeline.write_records(pipeline.decide(
+        decided, merged, _ = pipeline.write_records(pipeline.decide(
             sentences, config.thresholds, provider, injected, config.max_merge_passes),
             out, decorated)
-    if args.decorated_out and uncounted:
-        print(
-            "%d pair(s) decided from injected scores carry no raw counts "
-            "and were left out of the decorated file" % uncounted,
-            file=sys.stderr,
-        )
     print(
         "decided %d pair(s): %d merged, %d not merged" % (decided, merged, decided - merged),
         file=sys.stderr,
@@ -136,11 +130,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     decisions = _read(args.decisions_file, pipeline.read_decisions_file)
     gold = _read(args.gold_file, pipeline.read_gold_file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = evaluation.score(decisions, gold)
-    for warning in caught:
-        print("warning: %s" % warning.message, file=sys.stderr)
+    table = evaluation.score(decisions, gold)
     pipeline.write_eval_report(table, sys.stdout)
     return 0
 
@@ -153,11 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("grid spec must be a non-empty JSON object")
     decorated = _read(args.decorated_file, pipeline.read_decorated_file)
     gold = _read(args.gold_file, pipeline.read_gold_file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        points = evaluation.sweep(decorated, gold, grid, args.sort_key)
-    for warning in caught:
-        print("note: %s" % warning.message, file=sys.stderr)
+    points = evaluation.sweep(decorated, gold, grid, args.sort_key)
     with _output(args.out) as out:
         pipeline.write_sweep_file(points, out)
     print("swept %d grid point(s)" % len(points), file=sys.stderr)
@@ -166,6 +152,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_counts_warm(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if config.provider and config.cache_path is None:
+        raise pipeline.ConfigError("counts warm needs a cache file: give --cache or cache_path")
     pairs = _read(args.pairs_file, pipeline.read_pairs_file)
     with pipeline.build_provider(config, pipeline.sentences_of(pairs)) as provider:
         n = pipeline.warm_counts(pairs, provider)
@@ -231,14 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except _ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        if isinstance(exc, evaluation.EvaluationError) and exc.orphans:
-            for orphan in exc.orphans:
-                print("orphan pair id: %s" % orphan, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print("warning: %s" % message, file=sys.stderr)
+        try:
+            return args.fn(args)
+        except _ERRORS as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            if isinstance(exc, evaluation.EvaluationError) and exc.orphans:
+                for orphan in exc.orphans:
+                    print("orphan pair id: %s" % orphan, file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import threading
 import time
 import urllib.parse
+import warnings
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -377,8 +377,7 @@ class CountCache:
                 self._store([torn])
                 self._repair = (len(data), "\n")
             except ParseFileError:
-                print("warning: %s line %d: skipped a torn last line" % (path, len(lines) + 1),
-                      file=sys.stderr)
+                warnings.warn("%s line %d: skipped a torn last line" % (path, len(lines) + 1))
                 self._repair = (len(data) - len(torn), "")
 
     def _store(self, lines: Iterable[bytes | str]) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -242,8 +243,8 @@ def _fmt(value: float | None) -> str:
 
 def write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
                   decorated: TextIO | None = None) -> tuple[int, int, int]:
-    """Write each record's rows as it arrives, skipping a None stream and, in the decorated
-    file, a record without counts; returns how many records came, merged, and lacked counts."""
+    """Write each record's rows as it arrives, skipping a None stream; a decorated file skips,
+    with a warning, each record without counts.  Returns how many came, merged, lacked counts."""
     for stream, columns in ((decisions, DECISION_COLUMNS), (decorated, DECORATED_COLUMNS)):
         if stream is not None:
             write_rows(stream, columns, ())
@@ -257,6 +258,9 @@ def write_records(records: Iterable[DecisionRecord], decisions: TextIO | None,
                 "%d" % n for n in (r.evidence.n_s, r.evidence.n_ax, r.evidence.n_ay))]))
         decided, merged, uncounted = (
             decided + 1, merged + r.merged, uncounted + (r.evidence is None))
+    if decorated is not None and uncounted:
+        warnings.warn("%d pair(s) decided from injected scores carry no raw counts and were left "
+                      "out of the decorated file" % uncounted)
     return decided, merged, uncounted
 
 

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import urllib.parse
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,14 +126,14 @@ class TestDecide:
     def test_scores_leave_their_pairs_out_of_the_decorated_file(self, fixtures_dir, tmp_path,
                                                                   capsys):
         """A decorated row carries raw counts, and injected scores have none: each pair they
-        decide is left out of the decorated file, and a note on stderr says how many."""
+        decide is left out of the decorated file, and a warning on stderr says how many."""
         code, out, err = run(capsys, "decide", fixtures_dir / "reference_pairs.tsv",
                              "--scores", fixtures_dir / "reference_scores.tsv",
                              "--out", tmp_path / "decisions.tsv",
                              "--decorated-out", tmp_path / "decorated.tsv")
         assert (code, out) == (0, "")
-        assert err == ("5 pair(s) decided from injected scores carry no raw counts and were "
-                       "left out of the decorated file\ndecided 5 pair(s): 1 merged, "
+        assert err == ("warning: 5 pair(s) decided from injected scores carry no raw counts and "
+                       "were left out of the decorated file\ndecided 5 pair(s): 1 merged, "
                        "4 not merged\n")
         assert (tmp_path / "decorated.tsv").read_text(encoding="utf-8") == (
             "# pair_id\ta_x\tb\ta_y\ts\tn_s\tn_ax\tn_ay\n")
@@ -546,7 +547,7 @@ class TestSweep:
                              fixtures_dir / "sweep_gold.tsv", '{"id_t": [-1, 6]}',
                              "--out", tmp_path / "report.tsv")
         assert (code, out) == (0, "")
-        assert err == ("note: skipping grid point {'mi_plus': 0.9, 'mi_minus': 0.02, "
+        assert err == ("warning: skipping grid point {'mi_plus': 0.9, 'mi_minus': 0.02, "
                        "'id_t': -1.0, 'idr_plus': 1.35, 'idr_minus': 0.93}: id_t must be "
                        "non-negative\nswept 1 grid point(s)\n")
         rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()
@@ -668,6 +669,62 @@ class TestCountsWarm:
         code, _, err = run(capsys, "counts", "warm", pairs)
         assert code == 1
         assert "provider" in err
+
+    def test_warm_without_a_cache_fails(self, fixtures_dir, tmp_path, capsys):
+        """A warm keeps what it counts in the cache file, so without one it is refused, before
+        the pairs are read (this pairs file does not exist)."""
+        code, out, err = run(capsys, "--config", fixtures_dir / "config.json", "counts", "warm",
+                             tmp_path / "pairs.tsv")
+        assert (code, out) == (1, "")
+        assert err == "error: counts warm needs a cache file: give --cache or cache_path\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+# Each run that sets data aside, in a copy of the fixtures directory to which a gold label with
+# no pair and a cache with a torn last line are added: its arguments, the warnings it prints in
+# the order they are raised, and its summary line (eval has none).
+_WARNING_RUNS = {
+    "eval unused gold": (
+        ["eval", "golden/reference_decisions.tsv", "reference_gold.tsv"],
+        ["1 gold label(s) have no pair and are ignored"], []),
+    "sweep invalid point and unused gold": (
+        ["sweep", "decorated_pairs.tsv", "sweep_gold.tsv", '{"id_t": [-1, 6]}', "--out", "s.tsv"],
+        ["1 gold label(s) have no pair and are ignored",
+         "skipping grid point {'mi_plus': 0.9, 'mi_minus': 0.02, 'id_t': -1.0, 'idr_plus': "
+         "1.35, 'idr_minus': 0.93}: id_t must be non-negative"], ["swept 1 grid point(s)"]),
+    "decide torn cache": (
+        ["--config", "config.json", "--cache", "torn.tsv", "decide", "golden/pairs.tsv",
+         "--out", "decisions.tsv"],
+        ["torn.tsv line 3: skipped a torn last line"],
+        ["decided 1 pair(s): 1 merged, 0 not merged"]),
+    "decide --scores --decorated-out": (
+        ["decide", "reference_pairs.tsv", "--scores", "reference_scores.tsv", "--out",
+         "decisions.tsv", "--decorated-out", "decorated.tsv"],
+        ["5 pair(s) decided from injected scores carry no raw counts and were left out of the "
+         "decorated file"], ["decided 5 pair(s): 1 merged, 4 not merged"]),
+}
+
+
+@pytest.mark.parametrize("outer", ["default", "error"])
+@pytest.mark.parametrize("name", list(_WARNING_RUNS))
+def test_each_warning_prints_one_line_as_it_is_raised(tmp_path, fixtures_dir, monkeypatch,
+                                                      capsys, name, outer):
+    """The library warns where it sets data aside, and main prints each warning once, as a
+    warning: line before the summary, and exits 0; also when the caller turns warnings into
+    errors."""
+    shutil.copytree(fixtures_dir, tmp_path, dirs_exist_ok=True)
+    for gold, extra in (("reference_gold.tsv", "99"), ("sweep_gold.tsv", "p99")):
+        with open(tmp_path / gold, "a", encoding="utf-8") as labels:
+            labels.write("%s\tMERGED\n" % extra)
+    (tmp_path / "torn.tsv").write_text(_CACHE_ROWS + "mental hea", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv, messages, summary = _WARNING_RUNS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter(outer)
+        code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert err.split("\n") == ["warning: " + m for m in messages] + summary + [""]
+    assert (out != "") == argv[0].startswith("eval")
 
 
 def cli_process(cwd, *argv):
@@ -879,7 +936,8 @@ def test_only_a_corpus_warm_builds_offset_tables(provider, tmp_path, fixtures_di
 
     sentences = pipeline.sentences_of
     monkeypatch.setattr(pipeline, "sentences_of", spy)
-    code, _, err = run(capsys, "--config", config, "counts", "warm", decided / "pairs.tsv")
+    code, _, err = run(capsys, "--config", config, "--cache", tmp_path / "cache.tsv", "counts",
+                       "warm", decided / "pairs.tsv")
     assert code == 0, err
     assert len(calls) == (provider == "corpus")
 
@@ -1246,13 +1304,16 @@ _MUTATED_RUNS = {
     "decide": ["--config", "@config.json", "--cache", "@cache.tsv", "decide", "@golden/pairs.tsv",
                "--out", "decisions.tsv", "--decorated-out", "decorated.tsv"],
     "decide --scores": ["decide", "@reference_pairs.tsv", "--scores", "@reference_scores.tsv",
-                        "--out", "decisions.tsv"],
+                        "--out", "decisions.tsv", "--decorated-out", "decorated.tsv"],
     "eval": ["eval", "@golden/reference_decisions.tsv", "@reference_gold.tsv"],
     "sweep": ["sweep", "@decorated_pairs.tsv", "@sweep_gold.tsv", "@grid.json", "--out",
               "sweep.tsv"],
     "counts warm": ["--config", "@config.json", "--cache", "@cache.tsv", "counts", "warm",
                     "@golden/pairs.tsv"],
 }
+# The first word of each command's summary line; eval has none.
+_SUMMARIES = {"extract": "extracted", "decide": "decided", "decide --scores": "decided",
+              "eval": None, "sweep": "swept", "counts warm": "warmed"}
 _CACHE_ROWS = "".join("%s\t%d\tfixture\t2026-01-01T00:00:00Z\n" % row for row in (
     ("national institute", 2_100_000), ("mental health", 14_000_000)))
 # What a count cell may become: the bound and just past it, far past it, past a float,
@@ -1290,7 +1351,9 @@ def _mutated(draw, content):
 def test_mutated_fixtures_end_in_exit_0_or_an_error_line(tmp_path_factory, fixtures_dir,
                                                          command, data):
     """Every command, on mutated copies of the bundled fixtures and on huge counts in
-    their count cells, returns 0 or 1 and never raises; 1 comes with an error: line."""
+    their count cells, returns 0 or 1 and never raises; 1 comes with an error: line.  Each
+    line on stderr is an error, a warning, an orphan pair id or, last and only on success,
+    the command's one summary line."""
     work = tmp_path_factory.getbasetemp() / ("mutated " + command)
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(fixtures_dir, work)
@@ -1305,5 +1368,11 @@ def test_mutated_fixtures_end_in_exit_0_or_an_error_line(tmp_path_factory, fixtu
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(work / a.lstrip("@")) if "." in a else a for a in argv])
     assert code in (0, 1)
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""
     if code == 1:
-        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+        assert any(line.startswith("error: ") for line in lines)
+    elif _SUMMARIES[command]:
+        assert re.match(r"%s \d+ " % _SUMMARIES[command], lines.pop()), err.getvalue()
+    assert all(line.startswith(("error: ", "warning: ", "orphan pair id: ")) for line in lines), (
+        err.getvalue())

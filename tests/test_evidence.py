@@ -374,8 +374,11 @@ class TestCountCache:
         # A torn last line is still named by its number in the file.
         path = tmp_path / "cache.tsv"
         path.write_bytes(("a%sb\t3\tfixture\tT\nc\t1\tfixture\tT\ntorn" % breaker).encode())
-        with fixture_cache(path) as cache:
-            assert capsys.readouterr().err == "warning: %s line 3: skipped a torn last line\n" % path
+        with pytest.warns(UserWarning, match="^%s line 3: skipped a torn last line$"
+                          % re.escape(str(path))):
+            cache = fixture_cache(path)
+        with cache:
+            assert capsys.readouterr().err == ""
             assert (len(cache), cache.get("a b"), cache.get("c")) == (2, 3, 1)
 
     def test_malformed_terminated_last_line_fails(self, tmp_path):
@@ -394,8 +397,11 @@ class TestCountCache:
     def test_torn_last_line_skipped_and_cut(self, tmp_path, capsys, torn):
         path = tmp_path / "cache.tsv"
         path.write_bytes(b"a b\t3\tfixture\tT\n" + torn)
-        with fixture_cache(path) as cache:
-            assert capsys.readouterr().err == "warning: %s line 2: skipped a torn last line\n" % path
+        with pytest.warns(UserWarning, match="^%s line 2: skipped a torn last line$"
+                          % re.escape(str(path))):
+            cache = fixture_cache(path)
+        with cache:
+            assert capsys.readouterr().err == ""
             assert cache.get("a b") == 3
             assert cache.get("c d") is None
             cache.put("e f", 5)
@@ -406,6 +412,17 @@ class TestCountCache:
             "a b",
             "e f",
         ]
+
+    def test_torn_line_is_reported_through_warnings_alone(self, tmp_path, capsys):
+        """The library prints nothing: the skipped line is one UserWarning, shown by the caller."""
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"a b\t3\tfixture\tT\nc d\t4")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fixture_cache(path).close()
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UserWarning, "%s line 2: skipped a torn last line" % path)]
+        assert capsys.readouterr() == ("", "")
 
     def test_unterminated_valid_last_line_kept(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
@@ -487,9 +504,14 @@ class TestCacheLifecycle:
     ):
         path = tmp_path / "cache.tsv"
         path.write_bytes(b"a b\t3\tfixture\tT\n" + tail)
-        with CountCache(FixtureProvider({"e f": 5, "g h": 6}), path) as cache:
-            assert [cache.count("e f"), cache.count("g h")] == [5, 6]
-        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with CountCache(FixtureProvider({"e f": 5, "g h": 6}), path) as cache:
+                assert [cache.count("e f"), cache.count("g h")] == [5, 6]
+        # Only the torn line, which does not parse, is skipped, and with a warning.
+        assert [str(w.message) for w in caught] == (
+            [] if "c d" in kept else ["%s line 2: skipped a torn last line" % path])
+        assert capsys.readouterr().err == ""
         assert appends(opened) == [path]
         lines = path.read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines] == kept + ["e f", "g h"]

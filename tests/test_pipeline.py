@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import re
+import warnings
 import zlib
 
 import pytest
@@ -834,9 +835,27 @@ class TestDecidePairs:
         scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
         records = decide_pairs(pairs, Thresholds(), injected=scores)
         out = io.StringIO()
-        write_records(records, None, out)
+        with pytest.warns(UserWarning, match=r"^5 pair\(s\) decided from injected scores carry "
+                          "no raw counts and were left out of the decorated file$"):
+            assert write_records(records, None, out) == (5, 1, 5)
         data_lines = [l for l in out.getvalue().splitlines() if not l.startswith("#")]
         assert data_lines == []
+
+    def test_only_a_decorated_stream_warns_of_the_rows_it_skips(self, fixtures_dir, capsys):
+        """Injected scores carry no counts.  A decisions stream alone drops none of their rows
+        and is silent; a decorated stream leaves them out, and one UserWarning says how many,
+        while the library prints nothing."""
+        pairs = read_fixture(read_pairs_file, fixtures_dir / "reference_pairs.tsv")
+        scores = read_fixture(read_scores_file, fixtures_dir / "reference_scores.tsv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for decorated in (None, io.StringIO()):
+                write_records(decide_pairs(pairs, Thresholds(), injected=scores), io.StringIO(),
+                              decorated)
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            UserWarning, "5 pair(s) decided from injected scores carry no raw counts and were "
+                         "left out of the decorated file")]
+        assert capsys.readouterr() == ("", "")
 
 
 class TestWarmCounts:
